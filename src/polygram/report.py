@@ -26,7 +26,8 @@ class Report:
 
     @property
     def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
+        """True when every check passed; a report with no checks proves nothing."""
+        return bool(self.checks) and all(c.ok for c in self.checks)
 
     def add(self, check: Check) -> None:
         self.checks.append(check)

@@ -13,6 +13,7 @@ from typing import Callable
 from . import classical, quadratic
 from .gamma import GammaVector, associahedron_h, coxeter_h, gamma_to_h, h_to_gamma
 from .grammar import DerivOp, PowerPattern, verify_identity
+from .oracles import MAX_PLAIN_N, MAX_SIGNED_N
 from .parser import parse_grammar
 from .poly import MultiPoly
 from .report import Check, Report, merge_reports
@@ -160,8 +161,9 @@ def _target_thm44(n_max: int) -> Report:
 
 
 def _target_alternating(n_max: int) -> Report:
-    # Clamped to the enumeration guards (9 plain, 7 signed).
-    return classical.check_alternating_counts(min(n_max, 9), min(n_max, 7))
+    # Clamped to the oracle's enumeration guards.
+    return classical.check_alternating_counts(min(n_max, MAX_PLAIN_N),
+                                              min(n_max, MAX_SIGNED_N))
 
 
 @dataclass(frozen=True)
@@ -209,7 +211,11 @@ def run_target(name: str, n_max: int | None = None) -> Report:
     if name not in TARGETS:
         raise ValueError(f"unknown target {name!r}; known: {', '.join(sorted(TARGETS))}, all")
     target = TARGETS[name]
-    return target.run(n_max if n_max is not None else target.default_n_max)
+    if n_max is None:
+        n_max = target.default_n_max
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    return target.run(n_max)
 
 
 def run_all(n_max: int | None = None) -> list[Report]:

@@ -186,6 +186,14 @@ def test_verify_all_json_structure(capsys):
          "prop41", "thm42", "thm43", "thm44", "egf", "alternating"])
 
 
+@pytest.mark.parametrize("target", ["thm32", "alternating", "all"])
+def test_verify_zero_bound_is_refused(capsys, target):
+    code, out, err = run_cli(capsys, "verify", "--target", target, "--n-max", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: n_max must be >= 1, got 0\n"
+
+
 def test_verify_unknown_target_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["verify", "--target", "thm99"])

@@ -1,7 +1,42 @@
+import itertools
+
 import pytest
 
 from polygram import oracles as orc
 from polygram import triangles as tri
+
+
+# Reference scan: every window of [n], checked one by one.
+def scan_windows(n, signed):
+    for perm in itertools.permutations(range(1, n + 1)):
+        if not signed:
+            yield perm
+            continue
+        for signs in itertools.product((1, -1), repeat=n):
+            yield tuple(s * p for s, p in zip(signs, perm))
+
+
+def scan_descents(w):
+    # pi(0) = 0 is read in front of the window.
+    w = (0, *w)
+    return sum(w[i] > w[i + 1] for i in range(len(w) - 1))
+
+
+def scan_is_alternating(w):
+    # down-up: w1 > w2 < w3 > w4 ...
+    return all(w[i] > w[i + 1] if i % 2 == 0 else w[i] < w[i + 1]
+               for i in range(len(w) - 1))
+
+
+def scan_histogram(n, signed):
+    hist = [0] * (n + 1 if signed else n)
+    for w in scan_windows(n, signed):
+        hist[scan_descents(w)] += 1
+    return tuple(hist)
+
+
+def scan_alternating(n, signed):
+    return sum(scan_is_alternating(w) for w in scan_windows(n, signed))
 
 
 def test_descent_distribution_examples():
@@ -36,6 +71,34 @@ def test_count_alternating_examples():
         orc.count_alternating(8, "B")
     with pytest.raises(ValueError):
         orc.count_alternating(3, "C")
+
+
+def test_guards_share_the_exported_bounds():
+    assert (orc.MAX_PLAIN_N, orc.MAX_SIGNED_N) == (9, 7)
+    with pytest.raises(ValueError, match=f"1 <= n <= {orc.MAX_PLAIN_N}"):
+        orc.count_alternating(orc.MAX_PLAIN_N + 1, "A")
+    with pytest.raises(ValueError, match=f"1 <= n <= {orc.MAX_SIGNED_N}"):
+        orc.count_alternating(orc.MAX_SIGNED_N + 1, "B")
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_plain_walk_matches_naive_scan(n):
+    assert orc.descent_distribution(n) == scan_histogram(n, False)
+    assert orc.count_alternating(n, "A") == scan_alternating(n, False)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_signed_walk_matches_naive_scan(n):
+    assert orc.descent_b_distribution(n) == scan_histogram(n, True)
+    assert orc.count_alternating(n, "B") == scan_alternating(n, True)
+
+
+def test_values_at_the_guards():
+    assert orc.count_alternating(9, "A") == 7936
+    assert orc.count_alternating(7, "B") == 2 ** 7 * 272
+    hist = orc.descent_b_distribution(7)
+    assert sum(hist) == 645120
+    assert list(hist) == tri.EULERIAN_B.row(7)
 
 
 def test_path_count_examples():

@@ -1,3 +1,4 @@
+from polygram.report import Check, Report
 from polygram.verify import TARGETS, run_all, run_target
 
 import pytest
@@ -21,6 +22,20 @@ def test_every_target_has_a_positive_default():
 def test_unknown_target_rejected():
     with pytest.raises(ValueError, match="unknown target"):
         run_target("thm99")
+
+
+def test_bound_below_one_rejected_for_every_target():
+    for name in EXPECTED_TARGETS:
+        with pytest.raises(ValueError, match="n_max must be >= 1, got 0"):
+            run_target(name, 0)
+    with pytest.raises(ValueError, match="n_max must be >= 1, got -1"):
+        run_all(-1)
+
+
+def test_report_without_checks_is_not_ok():
+    assert Report("x").ok is False
+    assert Report("x").lines() == ["x: FAIL"]
+    assert Report("x", [Check("c", 1, True)]).ok is True
 
 
 def test_run_all_covers_each_target_exactly_once():
