@@ -43,26 +43,54 @@ __all__ = [
 DOUBLE_ANGLE_RULES = "f -> f*g; g -> 4*f^2"
 
 
+# Per recurrence and letter, the index and rows of the furthest point reached,
+# so that asking for n after m costs n - m steps.  Only the last rows the
+# recurrence needs are kept; the lru caches hold the rows callers asked for.
+_TIPS: dict[tuple[str, str], tuple[int, list[UniPoly]]] = {}
+
+
+def _recurrence_row(name: str, n: int, var: str, first: list[UniPoly], step) -> UniPoly:
+    """Row n of a recurrence seeded by ``first``, stepping forward in a loop.
+
+    ``step(rows)`` builds the next row from the last ``len(first)`` rows.
+    """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if n < len(first):
+        return first[n]
+    top, rows = _TIPS.get((name, var), (len(first) - 1, first))
+    if top > n:
+        top, rows = len(first) - 1, first
+    while top < n:
+        rows = [*rows[1:], step(rows)]
+        top += 1
+    _TIPS[(name, var)] = (top, rows)
+    return rows[-1]
+
+
 @lru_cache(maxsize=None)
 def tangent_derivative_poly(n: int, var: str = "u") -> UniPoly:
     """P_n with (d/dx)^n tan = P_n(tan): P_0 = u, P_(n+1) = (1+u^2) P_n'."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n == 0:
-        return UniPoly.variable(var)
-    prev = tangent_derivative_poly(n - 1, var)
-    return UniPoly(var, (1, 0, 1)) * prev.derivative()
+    grow = UniPoly(var, (1, 0, 1))
+    return _recurrence_row("P", n, var, [UniPoly.variable(var)],
+                           lambda rows: grow * rows[-1].derivative())
 
 
 @lru_cache(maxsize=None)
 def secant_derivative_poly(n: int, var: str = "u") -> UniPoly:
     """Q_n with (d/dx)^n sec = sec * Q_n(tan): Q_0 = 1, Q_(n+1) = (1+u^2) Q_n' + u Q_n."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n == 0:
-        return UniPoly.constant(var, 1)
-    prev = secant_derivative_poly(n - 1, var)
-    return UniPoly(var, (1, 0, 1)) * prev.derivative() + UniPoly.variable(var) * prev
+    grow = UniPoly(var, (1, 0, 1))
+    u = UniPoly.variable(var)
+    return _recurrence_row("Q", n, var, [UniPoly.constant(var, 1)],
+                           lambda rows: grow * rows[-1].derivative() + u * rows[-1])
+
+
+def _powers(p: UniPoly, n: int) -> list[UniPoly]:
+    """p^0 .. p^n, each one product from the last."""
+    out = [UniPoly.constant(p.var, 1)]
+    for _ in range(n):
+        out.append(out[-1] * p)
+    return out
 
 
 def legendre_like(n: int, var: str = "x") -> UniPoly:
@@ -73,9 +101,10 @@ def legendre_like(n: int, var: str = "x") -> UniPoly:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     x = UniPoly.variable(var)
+    up, down = _powers(x + 1, n), _powers(x - 1, n)
     total = UniPoly(var)
     for k in range(n + 1):
-        total = total + binomial(n, k) ** 2 * (x + 1) ** k * (x - 1) ** (n - k)
+        total = total + binomial(n, k) ** 2 * up[k] * down[n - k]
     return total
 
 
@@ -84,9 +113,10 @@ def narayana_like(n: int, var: str = "x") -> UniPoly:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     x = UniPoly.variable(var)
+    up, down = _powers(x + 1, n - 1), _powers(x - 1, n - 1)
     total = UniPoly(var)
     for k in range(n):
-        total = total + binomial(n, k) * binomial(n, k + 1) * (x + 1) ** k * (x - 1) ** (n - 1 - k)
+        total = total + binomial(n, k) * binomial(n, k + 1) * up[k] * down[n - 1 - k]
     out = []
     for c in total.coeffs:
         if c % n:
@@ -98,27 +128,17 @@ def narayana_like(n: int, var: str = "x") -> UniPoly:
 @lru_cache(maxsize=None)
 def chebyshev_t(n: int, var: str = "x") -> UniPoly:
     """First-kind Chebyshev polynomial via the three-term recurrence."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n == 0:
-        return UniPoly.constant(var, 1)
-    if n == 1:
-        return UniPoly.variable(var)
     x2 = UniPoly(var, (0, 2))
-    return x2 * chebyshev_t(n - 1, var) - chebyshev_t(n - 2, var)
+    return _recurrence_row("T", n, var, [UniPoly.constant(var, 1), UniPoly.variable(var)],
+                           lambda rows: x2 * rows[-1] - rows[-2])
 
 
 @lru_cache(maxsize=None)
 def chebyshev_u(n: int, var: str = "x") -> UniPoly:
     """Second-kind Chebyshev polynomial via the three-term recurrence."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n == 0:
-        return UniPoly.constant(var, 1)
-    if n == 1:
-        return UniPoly(var, (0, 2))
     x2 = UniPoly(var, (0, 2))
-    return x2 * chebyshev_u(n - 1, var) - chebyshev_u(n - 2, var)
+    return _recurrence_row("U", n, var, [UniPoly.constant(var, 1), x2],
+                           lambda rows: x2 * rows[-1] - rows[-2])
 
 
 class TruncSeries:

@@ -50,6 +50,21 @@ def check_letters(letters: Iterable[str] | str) -> tuple[str, ...]:
     return letters
 
 
+def _power(base, exponent: int, one):
+    """base ** exponent by square-and-multiply, starting from ``one``.
+
+    Shared by the ring types; each checks the exponent before calling.
+    """
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
+
+
 class MultiPoly:
     """Sparse multivariate polynomial with exact integer coefficients."""
 
@@ -224,16 +239,7 @@ class MultiPoly:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a nonnegative int, got {exponent!r}")
-        result = MultiPoly.const(self.letters, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(self, exponent, MultiPoly.const(self.letters, 1))
 
     def __eq__(self, other):
         if isinstance(other, int):

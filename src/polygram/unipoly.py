@@ -3,14 +3,21 @@
 Coefficients are ints wherever possible; Fractions appear only in series
 work.  A Fraction that reduces to an integer is normalized back to int, so
 equality never depends on how a value was produced.
+
+Coefficients are validated once, where they enter: the constructor checks
+the letter and every coefficient.  Arithmetic results (``+``, ``-``, ``*``,
+``derivative``) are built from values already checked, so they are trusted:
+they only pass through ``_trimmed``, which normalizes integral Fractions and
+drops trailing zeros.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Union
 
-from .poly import AlphabetMismatch, MultiPoly, check_letters
+from .poly import AlphabetMismatch, MultiPoly, _power, check_letters
 
 __all__ = ["Scalar", "UniPoly"]
 
@@ -21,6 +28,14 @@ def _norm(c: Scalar) -> Scalar:
     if isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
     return c
+
+
+def _trimmed(var: str, coeffs: list[Scalar]) -> "UniPoly":
+    # Trusted arithmetic results: no type checks, only the int normal form.
+    out = [int(c) if type(c) is Fraction and c.denominator == 1 else c for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return UniPoly._raw(var, tuple(out))
 
 
 class UniPoly:
@@ -77,7 +92,7 @@ class UniPoly:
 
     def _coerced(self, other):
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return UniPoly(self.var, (other,))
+            return _trimmed(self.var, [other])
         if isinstance(other, UniPoly):
             if other.var != self.var:
                 raise AlphabetMismatch(f"variables differ: {self.var!r} vs {other.var!r}")
@@ -88,8 +103,8 @@ class UniPoly:
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(self.var, [self.coefficient(i) + other.coefficient(i) for i in range(n)])
+        return _trimmed(self.var, [a + b for a, b in zip_longest(self.coeffs, other.coeffs,
+                                                                 fillvalue=0)])
 
     __radd__ = __add__
 
@@ -112,7 +127,7 @@ class UniPoly:
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             if other == 0:
                 return UniPoly._raw(self.var, ())
-            return UniPoly(self.var, [c * other for c in self.coeffs])
+            return _trimmed(self.var, [c * other for c in self.coeffs])
         other = self._coerced(other)
         if other is None:
             return NotImplemented
@@ -125,23 +140,14 @@ class UniPoly:
             for j, b in enumerate(other.coeffs):
                 if b != 0:
                     out[i + j] += a * b
-        return UniPoly(self.var, out)
+        return _trimmed(self.var, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a nonnegative int, got {exponent!r}")
-        result = UniPoly.constant(self.var, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(self, exponent, UniPoly.constant(self.var, 1))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
@@ -156,7 +162,7 @@ class UniPoly:
     # ------------------------------------------------------------------
 
     def derivative(self) -> "UniPoly":
-        return UniPoly(self.var, [i * c for i, c in enumerate(self.coeffs)][1:])
+        return _trimmed(self.var, [i * c for i, c in enumerate(self.coeffs)][1:])
 
     def __call__(self, x: Scalar) -> Scalar:
         acc: Scalar = 0

@@ -9,6 +9,7 @@ from polygram.classical import (TruncSeries, check_alternating_counts,
                                 legendre_like, narayana_like, secant_derivative_poly,
                                 secant_series, sine_series, tangent_derivative_poly,
                                 tangent_series)
+from polygram.triangles import binomial
 from polygram.unipoly import UniPoly
 
 
@@ -51,6 +52,29 @@ def test_narayana_like_values():
     x = UniPoly.variable("x")
     assert narayana_like(1) == 1
     assert narayana_like(2) == 2 * x
+
+
+def _naive_legendre_like(n, var="x"):
+    # The definition with one power per term, as a reference.
+    x = UniPoly.variable(var)
+    total = UniPoly(var)
+    for k in range(n + 1):
+        total = total + binomial(n, k) ** 2 * (x + 1) ** k * (x - 1) ** (n - k)
+    return total
+
+
+def _naive_narayana_like(n, var="x"):
+    x = UniPoly.variable(var)
+    total = UniPoly(var)
+    for k in range(n):
+        total = total + binomial(n, k) * binomial(n, k + 1) * (x + 1) ** k * (x - 1) ** (n - 1 - k)
+    return UniPoly(var, [c // n for c in total.coeffs])
+
+
+def test_legendre_and_narayana_match_the_naive_sums():
+    for n in range(1, 31):
+        assert legendre_like(n, "h") == _naive_legendre_like(n, "h")
+        assert narayana_like(n) == _naive_narayana_like(n)
 
 
 def test_chebyshev_values():
@@ -110,3 +134,32 @@ def test_alternating_counts():
     values = [tangent_derivative_poly(n)(0) + secant_derivative_poly(n)(0)
               for n in range(1, 9)]
     assert values == [1, 1, 2, 5, 16, 61, 272, 1385]
+
+
+def test_recurrences_run_past_the_recursion_limit():
+    assert chebyshev_t(1200)(1) == 1
+    assert chebyshev_u(1200)(1) == 1201
+    assert tangent_derivative_poly(700).degree == 701
+    assert secant_derivative_poly(700).degree == 700
+
+
+def test_recurrence_rows_do_not_depend_on_call_order():
+    # Fresh letters, so no earlier call has cached these rows.
+    x = UniPoly.variable("w")
+    want_t = [UniPoly.constant("w", 1), x]
+    want_u = [UniPoly.constant("w", 1), 2 * x]
+    for _ in range(2, 40):
+        want_t.append(2 * x * want_t[-1] - want_t[-2])
+        want_u.append(2 * x * want_u[-1] - want_u[-2])
+    order = list(range(40))
+    random.Random(3).shuffle(order)
+    for n in order:
+        assert chebyshev_t(n, "w") == want_t[n]
+        assert chebyshev_u(n, "w") == want_u[n]
+    for n in reversed(range(25)):
+        p, q = tangent_derivative_poly(n, "z"), secant_derivative_poly(n, "z")
+        assert p == tangent_derivative_poly(n).rename("z")
+        assert q == secant_derivative_poly(n).rename("z")
+    for f in (tangent_derivative_poly, secant_derivative_poly, chebyshev_t, chebyshev_u):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            f(-1)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -160,6 +161,15 @@ def test_classical_output(capsys):
     assert code == 0 and out == "2*x\n"
 
 
+def test_classical_beyond_the_recursion_limit_exits_0():
+    cmd = [sys.executable, "-m", "polygram", "classical", "--which", "T", "--n", "600"]
+    done = subprocess.run(cmd, capture_output=True)
+    assert done.returncode == 0
+    assert done.stderr == b""
+    assert done.stdout.startswith(b"1 - 180000*x^2 + ")
+    assert done.stdout.endswith(f" + {2 ** 599}*x^600\n".encode())
+
+
 def test_verify_target_text(capsys):
     code, out, _ = run_cli(capsys, "verify", "--target", "thm44", "--n-max", "1")
     assert code == 0
@@ -207,3 +217,24 @@ def test_cli_byte_determinism_subprocess():
     second = subprocess.run(cmd, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert first.stdout.strip()
+
+
+# sha256 of the stdout of ``verify --target all`` in each format.
+VERIFY_ALL_SHA256 = {
+    "text": "a0d58c54c7c43fad9df175ddb95379cd273ef128a65b09b8045e306c882e6156",
+    "json": "92047c09f6f297be05e526629ec9ed9ad35e3a560c67bfd6aed7896140748993",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(VERIFY_ALL_SHA256))
+def test_verify_all_output_is_pinned(fmt):
+    """verify --target all prints exactly the pinned bytes.
+
+    Speed-ups and refactors must leave this output byte-identical.  A
+    deliberate change to the output must re-pin both digests here and say
+    so in CHANGES.md.
+    """
+    cmd = [sys.executable, "-m", "polygram", "verify", "--target", "all", "--format", fmt]
+    done = subprocess.run(cmd, capture_output=True)
+    assert done.returncode == 0
+    assert hashlib.sha256(done.stdout).hexdigest() == VERIFY_ALL_SHA256[fmt]

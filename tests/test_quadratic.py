@@ -102,3 +102,20 @@ def test_chebyshev_specialization():
     assert report.ok
     anchors = [c for c in report.checks if c.n == 0]
     assert len(anchors) == 2 and all(c.ok for c in anchors)
+
+
+def test_root_power_in_any_order_matches_direct_powers():
+    x = UniPoly.variable("x")
+    q = 4 * x - 1
+    ring = QuadraticRing(q)
+    order = list(range(41))
+    random.Random(7).shuffle(order)
+    for k in order:
+        q_pow = q ** (k // 2)
+        want = ring.of(UniPoly("x"), q_pow) if k % 2 else ring.of(q_pow, 0)
+        assert ring.root_power(k) == want
+        assert ring.modulus_power(k) == q ** k
+    with pytest.raises(ValueError):
+        ring.root_power(-1)
+    with pytest.raises(ValueError):
+        ring.modulus_power(-1)

@@ -1,0 +1,97 @@
+from fractions import Fraction
+
+import pytest
+
+from polygram.poly import MultiPoly
+from polygram.quadratic import QuadraticRing
+from polygram.unipoly import UniPoly
+
+
+def _fresh(p: UniPoly) -> UniPoly:
+    """The same value built again through the validating constructor."""
+    return UniPoly(p.var, list(p.coeffs))
+
+
+def _assert_normal(p: UniPoly) -> None:
+    assert all(type(c) is int for c in p.coeffs)
+    assert not p.coeffs or p.coeffs[-1] != 0
+    fresh = _fresh(p)
+    assert p == fresh
+    assert hash(p) == hash(fresh)
+    assert p.coeffs == fresh.coeffs
+
+
+def test_arithmetic_results_reduce_integral_fractions():
+    half = Fraction(1, 2)
+    a = UniPoly("x", (half, Fraction(3, 2), half))
+    b = UniPoly("x", (half, -Fraction(3, 2), -half))
+    cases = {
+        "add": a + b,
+        "radd": Fraction(1, 2) + a - Fraction(1, 2) * UniPoly("x", (2, 3, 1)),
+        "sub": a - UniPoly("x", (Fraction(-3, 2), Fraction(1, 2), half)),
+        "scalar-mul": a * 2,
+        "scalar-rmul": Fraction(4) * a,
+        "mul": UniPoly("x", (half, half)) * UniPoly("x", (2, -2)),
+        "derivative": UniPoly("x", (7, half, Fraction(1, 4), Fraction(1, 3))).derivative(),
+    }
+    want = {
+        "add": UniPoly("x", (1,)),
+        "radd": UniPoly("x", ()),
+        "sub": UniPoly("x", (2, 1)),
+        "scalar-mul": UniPoly("x", (1, 3, 1)),
+        "scalar-rmul": UniPoly("x", (2, 6, 2)),
+        "mul": UniPoly("x", (1, 0, -1)),
+        "derivative": UniPoly("x", (Fraction(1, 2), Fraction(1, 2), 1)),
+    }
+    for name, got in cases.items():
+        assert got == want[name], name
+        if name == "derivative":
+            assert type(got.coeffs[-1]) is int
+            assert [type(c) for c in got.coeffs] == [Fraction, Fraction, int]
+            continue
+        _assert_normal(got)
+
+
+def test_cancellation_drops_trailing_zeros():
+    a = UniPoly("x", (1, Fraction(5, 3), Fraction(2, 3)))
+    b = UniPoly("x", (1, Fraction(2, 3), Fraction(2, 3)))
+    diff = a - b
+    assert diff.coeffs == (0, 1)
+    _assert_normal(diff)
+    assert (a - a).coeffs == ()
+    assert (a * 0).is_zero
+    assert UniPoly("x", (5,)).derivative().coeffs == ()
+
+
+def test_constructor_still_validates():
+    with pytest.raises(TypeError):
+        UniPoly("x", (1, True))
+    with pytest.raises(TypeError):
+        UniPoly("x", (1.5,))
+    with pytest.raises(ValueError):
+        UniPoly("1x", (1,))
+    assert UniPoly("x", (Fraction(4, 2), 0, 0)).coeffs == (2,)
+    assert type(UniPoly("x", (Fraction(4, 2),)).coeffs[0]) is int
+
+
+def test_power_matches_repeated_products():
+    x = UniPoly.variable("x")
+    p = x + Fraction(1, 2)
+    ring = QuadraticRing(x * x - 1)
+    e = ring.embed(x) + ring.root()
+    m = MultiPoly("u v", {(1, 0): 1, (0, 1): -2})
+    for value, one in ((p, UniPoly.constant("x", 1)), (e, ring.one()),
+                       (m, MultiPoly.const("u v", 1))):
+        product = one
+        for k in range(8):
+            assert value ** k == product
+            product = product * value
+
+
+def test_power_keeps_each_exponent_check():
+    x = UniPoly.variable("x")
+    ring = QuadraticRing(x * x - 1)
+    for value in (x, ring.root(), MultiPoly.variable("u", "u")):
+        for bad in (-1, 1.0, "2"):
+            with pytest.raises(ValueError, match="exponent must be a nonnegative int"):
+                value ** bad
