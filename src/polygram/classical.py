@@ -16,9 +16,9 @@ from typing import Sequence
 from .grammar import DerivOp, operator_iterates
 from .oracles import count_alternating
 from .parser import parse_grammar
-from .poly import MultiPoly
+from .poly import MultiPoly, _Ring
 from .report import Check, Report
-from .triangles import binomial, factorial
+from .triangles import _recurrence_row, binomial, factorial
 from .unipoly import Scalar, UniPoly
 
 __all__ = [
@@ -43,37 +43,12 @@ __all__ = [
 DOUBLE_ANGLE_RULES = "f -> f*g; g -> 4*f^2"
 
 
-# Per recurrence and letter, the index and rows of the furthest point reached,
-# so that asking for n after m costs n - m steps.  Only the last rows the
-# recurrence needs are kept; the lru caches hold the rows callers asked for.
-_TIPS: dict[tuple[str, str], tuple[int, list[UniPoly]]] = {}
-
-
-def _recurrence_row(name: str, n: int, var: str, first: list[UniPoly], step) -> UniPoly:
-    """Row n of a recurrence seeded by ``first``, stepping forward in a loop.
-
-    ``step(rows)`` builds the next row from the last ``len(first)`` rows.
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n < len(first):
-        return first[n]
-    top, rows = _TIPS.get((name, var), (len(first) - 1, first))
-    if top > n:
-        top, rows = len(first) - 1, first
-    while top < n:
-        rows = [*rows[1:], step(rows)]
-        top += 1
-    _TIPS[(name, var)] = (top, rows)
-    return rows[-1]
-
-
 @lru_cache(maxsize=None)
 def tangent_derivative_poly(n: int, var: str = "u") -> UniPoly:
     """P_n with (d/dx)^n tan = P_n(tan): P_0 = u, P_(n+1) = (1+u^2) P_n'."""
     grow = UniPoly(var, (1, 0, 1))
-    return _recurrence_row("P", n, var, [UniPoly.variable(var)],
-                           lambda rows: grow * rows[-1].derivative())
+    return _recurrence_row(("P", var), n, [UniPoly.variable(var)],
+                           lambda m, rows: grow * rows[-1].derivative())
 
 
 @lru_cache(maxsize=None)
@@ -81,16 +56,24 @@ def secant_derivative_poly(n: int, var: str = "u") -> UniPoly:
     """Q_n with (d/dx)^n sec = sec * Q_n(tan): Q_0 = 1, Q_(n+1) = (1+u^2) Q_n' + u Q_n."""
     grow = UniPoly(var, (1, 0, 1))
     u = UniPoly.variable(var)
-    return _recurrence_row("Q", n, var, [UniPoly.constant(var, 1)],
-                           lambda rows: grow * rows[-1].derivative() + u * rows[-1])
+    return _recurrence_row(("Q", var), n, [UniPoly.constant(var, 1)],
+                           lambda m, rows: grow * rows[-1].derivative() + u * rows[-1])
 
 
-def _powers(p: UniPoly, n: int) -> list[UniPoly]:
-    """p^0 .. p^n, each one product from the last."""
-    out = [UniPoly.constant(p.var, 1)]
-    for _ in range(n):
-        out.append(out[-1] * p)
-    return out
+def _horner_binomial_sum(weights: list[int], var: str) -> UniPoly:
+    """sum_k weights[k] (x+1)^k (x-1)^(m-k) with m = len(weights) - 1.
+
+    Homogeneous Horner: total = total*(x+1) + weights[k] (x-1)^(m-k) for k
+    from m down to 0, so only the powers of x-1 are kept.
+    """
+    x = UniPoly.variable(var)
+    up, down = x + 1, [UniPoly.constant(var, 1)]
+    for _ in range(len(weights) - 1):
+        down.append(down[-1] * (x - 1))
+    total = UniPoly(var)
+    for k in reversed(range(len(weights))):
+        total = total * up + weights[k] * down[len(weights) - 1 - k]
+    return total
 
 
 def legendre_like(n: int, var: str = "x") -> UniPoly:
@@ -100,23 +83,14 @@ def legendre_like(n: int, var: str = "x") -> UniPoly:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    x = UniPoly.variable(var)
-    up, down = _powers(x + 1, n), _powers(x - 1, n)
-    total = UniPoly(var)
-    for k in range(n + 1):
-        total = total + binomial(n, k) ** 2 * up[k] * down[n - k]
-    return total
+    return _horner_binomial_sum([binomial(n, k) ** 2 for k in range(n + 1)], var)
 
 
 def narayana_like(n: int, var: str = "x") -> UniPoly:
     """Narayana-weighted analog of legendre_like; the 1/n factor must divide exactly."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    x = UniPoly.variable(var)
-    up, down = _powers(x + 1, n - 1), _powers(x - 1, n - 1)
-    total = UniPoly(var)
-    for k in range(n):
-        total = total + binomial(n, k) * binomial(n, k + 1) * up[k] * down[n - 1 - k]
+    total = _horner_binomial_sum([binomial(n, k) * binomial(n, k + 1) for k in range(n)], var)
     out = []
     for c in total.coeffs:
         if c % n:
@@ -129,19 +103,19 @@ def narayana_like(n: int, var: str = "x") -> UniPoly:
 def chebyshev_t(n: int, var: str = "x") -> UniPoly:
     """First-kind Chebyshev polynomial via the three-term recurrence."""
     x2 = UniPoly(var, (0, 2))
-    return _recurrence_row("T", n, var, [UniPoly.constant(var, 1), UniPoly.variable(var)],
-                           lambda rows: x2 * rows[-1] - rows[-2])
+    return _recurrence_row(("T", var), n, [UniPoly.constant(var, 1), UniPoly.variable(var)],
+                           lambda m, rows: x2 * rows[-1] - rows[-2])
 
 
 @lru_cache(maxsize=None)
 def chebyshev_u(n: int, var: str = "x") -> UniPoly:
     """Second-kind Chebyshev polynomial via the three-term recurrence."""
     x2 = UniPoly(var, (0, 2))
-    return _recurrence_row("U", n, var, [UniPoly.constant(var, 1), x2],
-                           lambda rows: x2 * rows[-1] - rows[-2])
+    return _recurrence_row(("U", var), n, [UniPoly.constant(var, 1), x2],
+                           lambda m, rows: x2 * rows[-1] - rows[-2])
 
 
-class TruncSeries:
+class TruncSeries(_Ring):
     """Power series in t, truncated at a fixed order, with UniPoly coefficients.
 
     All arithmetic truncates consistently at the carried order; coefficients
@@ -200,18 +174,6 @@ class TruncSeries:
 
     def __neg__(self):
         return TruncSeries(self.order, self.var, [-a for a in self.coeffs])
-
-    def __sub__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         other = self._coerced(other)

@@ -5,6 +5,12 @@ semicolons or newlines between rules.  Expressions use '+', '-', '*', '^',
 nonnegative integer literals and parentheses; other whitespace is
 insignificant.  Every letter appearing on any right-hand side must own a
 rule of its own (forward references are fine).
+
+The alphabet is read off the tokens first (the names of a polynomial in
+first-occurrence order, or the names that open rules), so each polynomial
+is built while it is read and the first error in reading order is the one
+reported.  Sums and products are loops; only parentheses recurse, and they
+nest at most ``MAX_NESTING`` deep.
 """
 
 from __future__ import annotations
@@ -14,7 +20,10 @@ from dataclasses import dataclass
 from .grammar import Grammar
 from .poly import MultiPoly, check_letters
 
-__all__ = ["ParseError", "parse_grammar", "parse_poly"]
+__all__ = ["MAX_NESTING", "ParseError", "parse_grammar", "parse_poly"]
+
+# Deepest parenthesis nesting an expression may use; deeper input is a ParseError.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -92,9 +101,14 @@ def _tokenize(text: str, newline_sep: bool) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    """Builds each polynomial while reading it, over an alphabet fixed up front."""
+
+    def __init__(self, tokens: list[_Token], letters: tuple[str, ...]):
         self.toks = tokens
         self.i = 0
+        self.letters = letters
+        self.variables = dict(zip(letters, MultiPoly.variables(letters)))
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.toks[self.i]
@@ -104,110 +118,71 @@ class _Parser:
         self.i += 1
         return tok
 
+    def at(self, symbols: str) -> bool:
+        tok = self.peek()
+        return tok.kind == "SYM" and tok.value in symbols
+
     def fail(self, message: str, tok: _Token | None = None):
         tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.col)
 
     # expr := sign? term (('+'|'-') term)*
-    def expression(self):
-        tok = self.peek()
-        negate = False
-        if tok.kind == "SYM" and tok.value in "+-":
-            self.advance()
-            negate = tok.value == "-"
-        node = self.term()
+    def expression(self) -> MultiPoly:
+        negate = self.at("+-") and self.advance().value == "-"
+        acc = self.term()
         if negate:
-            node = ("neg", node)
-        while True:
-            tok = self.peek()
-            if tok.kind == "SYM" and tok.value in "+-":
-                self.advance()
-                rhs = self.term()
-                node = ("add" if tok.value == "+" else "sub", node, rhs)
-            else:
-                return node
+            acc = -acc
+        while self.at("+-"):
+            sign = self.advance().value
+            rhs = self.term()
+            acc = acc + rhs if sign == "+" else acc - rhs
+        return acc
 
     # term := factor ('*' factor)*
-    def term(self):
-        node = self.factor()
-        while True:
-            tok = self.peek()
-            if tok.kind == "SYM" and tok.value == "*":
-                self.advance()
-                node = ("mul", node, self.factor())
-            else:
-                return node
+    def term(self) -> MultiPoly:
+        acc = self.factor()
+        while self.at("*"):
+            self.advance()
+            acc = acc * self.factor()
+        return acc
 
     # factor := atom ('^' INT)?
-    def factor(self):
-        node = self.atom()
-        tok = self.peek()
-        if tok.kind == "SYM" and tok.value == "^":
-            self.advance()
-            exp = self.peek()
-            if exp.kind != "INT":
-                self.fail("expected a nonnegative integer exponent after '^'")
-            self.advance()
-            node = ("pow", node, int(exp.value))
-        return node
+    def factor(self) -> MultiPoly:
+        base = self.atom()
+        if not self.at("^"):
+            return base
+        self.advance()
+        exp = self.peek()
+        if exp.kind != "INT":
+            self.fail("expected a nonnegative integer exponent after '^'")
+        self.advance()
+        return base ** int(exp.value)
 
     # atom := INT | NAME | '(' expr ')'
-    def atom(self):
+    def atom(self) -> MultiPoly:
         tok = self.peek()
         if tok.kind == "INT":
             self.advance()
-            return ("int", int(tok.value))
+            return MultiPoly.const(self.letters, int(tok.value))
         if tok.kind == "NAME":
+            if tok.value not in self.variables:
+                self.fail(f"undeclared letter {tok.value!r}")
             self.advance()
-            return ("var", tok.value, tok.line, tok.col)
-        if tok.kind == "SYM" and tok.value == "(":
+            return self.variables[tok.value]
+        if self.at("("):
+            if self.depth == MAX_NESTING:
+                self.fail(f"parentheses nest deeper than the limit of {MAX_NESTING}")
             self.advance()
+            self.depth += 1
             node = self.expression()
-            closing = self.peek()
-            if not (closing.kind == "SYM" and closing.value == ")"):
+            if not self.at(")"):
                 self.fail("expected ')'")
             self.advance()
+            self.depth -= 1
             return node
         if tok.kind == "END":
             self.fail("unexpected end of input")
         self.fail(f"expected a value, found {tok.value!r}")
-
-
-def _collect_names(node, order: list[str], seen: set[str]) -> None:
-    kind = node[0]
-    if kind == "var":
-        if node[1] not in seen:
-            seen.add(node[1])
-            order.append(node[1])
-    elif kind == "neg":
-        _collect_names(node[1], order, seen)
-    elif kind in ("add", "sub", "mul"):
-        _collect_names(node[1], order, seen)
-        _collect_names(node[2], order, seen)
-    elif kind == "pow":
-        _collect_names(node[1], order, seen)
-
-
-def _build(node, letters: tuple[str, ...]) -> MultiPoly:
-    kind = node[0]
-    if kind == "int":
-        return MultiPoly.const(letters, node[1])
-    if kind == "var":
-        name = node[1]
-        if name not in letters:
-            raise ParseError(f"undeclared letter {name!r}", node[2], node[3])
-        return MultiPoly.variable(letters, name)
-    if kind == "neg":
-        return -_build(node[1], letters)
-    if kind == "add":
-        return _build(node[1], letters) + _build(node[2], letters)
-    if kind == "sub":
-        return _build(node[1], letters) - _build(node[2], letters)
-    if kind == "mul":
-        return _build(node[1], letters) * _build(node[2], letters)
-    if kind == "pow":
-        return _build(node[1], letters) ** node[2]
-    raise AssertionError(f"unknown node {kind!r}")
 
 
 def parse_poly(text: str, letters=None) -> MultiPoly:
@@ -216,24 +191,24 @@ def parse_poly(text: str, letters=None) -> MultiPoly:
     With letters given, every name must belong to that alphabet; otherwise
     the alphabet is inferred in first-occurrence order.
     """
-    parser = _Parser(_tokenize(text, newline_sep=False))
-    node = parser.expression()
+    tokens = _tokenize(text, newline_sep=False)
+    if letters is None:
+        letters = tuple(dict.fromkeys(t.value for t in tokens if t.kind == "NAME"))
+    parser = _Parser(tokens, check_letters(letters))
+    result = parser.expression()
     trailing = parser.peek()
     if trailing.kind != "END":
         parser.fail(f"unexpected trailing input {trailing.value!r}", trailing)
-    if letters is None:
-        order: list[str] = []
-        _collect_names(node, order, set())
-        letters = tuple(order)
-    else:
-        letters = check_letters(letters)
-    return _build(node, letters)
+    return result
 
 
 def parse_grammar(text: str) -> Grammar:
     """Parse rule text into a Grammar; the alphabet is the rule order."""
-    parser = _Parser(_tokenize(text, newline_sep=True))
-    rules: list[tuple[_Token, object]] = []
+    tokens = _tokenize(text, newline_sep=True)
+    parser = _Parser(tokens, tuple(dict.fromkeys(
+        tok.value for tok, nxt in zip(tokens, tokens[1:])
+        if tok.kind == "NAME" and nxt.kind == "ARROW")))
+    table: dict[str, MultiPoly] = {}
     while True:
         while parser.peek().kind == "SEP":
             parser.advance()
@@ -243,22 +218,15 @@ def parse_grammar(text: str) -> Grammar:
         if lhs.kind != "NAME":
             parser.fail(f"expected a letter to open a rule, found {lhs.value!r}")
         parser.advance()
-        arrow = parser.peek()
-        if arrow.kind != "ARROW":
+        if parser.peek().kind != "ARROW":
             parser.fail("expected '->' after the rule letter")
+        if lhs.value in table:
+            parser.fail(f"duplicate rule for letter {lhs.value!r}", lhs)
         parser.advance()
-        body = parser.expression()
+        table[lhs.value] = parser.expression()
         nxt = parser.peek()
         if nxt.kind not in ("SEP", "END"):
             parser.fail(f"unexpected token {nxt.value!r} after rule body")
-        rules.append((lhs, body))
-    if not rules:
+    if not table:
         parser.fail("no rules found")
-    names: list[str] = []
-    for lhs, _ in rules:
-        if lhs.value in names:
-            raise ParseError(f"duplicate rule for letter {lhs.value!r}", lhs.line, lhs.col)
-        names.append(lhs.value)
-    letters = tuple(names)
-    table = {lhs.value: _build(body, letters) for lhs, body in rules}
-    return Grammar(letters, table)
+    return Grammar(parser.letters, table)

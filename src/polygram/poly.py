@@ -50,22 +50,64 @@ def check_letters(letters: Iterable[str] | str) -> tuple[str, ...]:
     return letters
 
 
-def _power(base, exponent: int, one):
-    """base ** exponent by square-and-multiply, starting from ``one``.
+def _render(pairs) -> str:
+    """Canonical text of (monomial, coefficient) pairs, signs folded into the joins.
 
-    Shared by the ring types; each checks the exponent before calling.
+    An empty monomial is the constant term; unit coefficients are elided.
     """
-    result = one
-    while exponent:
-        if exponent & 1:
-            result = result * base
-        exponent >>= 1
-        if exponent:
-            base = base * base
-    return result
+    parts: list[str] = []
+    for mono, coeff in pairs:
+        mag = abs(coeff)
+        if mono and mag == 1:
+            body = mono
+        elif mono:
+            body = f"{mag}*{mono}"
+        else:
+            body = str(mag)
+        if not parts:
+            parts.append(f"-{body}" if coeff < 0 else body)
+        else:
+            parts.append(f" - {body}" if coeff < 0 else f" + {body}")
+    return "".join(parts) or "0"
 
 
-class MultiPoly:
+class _Ring:
+    """Operators every ring type derives from its own ``+``, ``*`` and ``-x``.
+
+    A subclass supplies ``_coerced(other)``, which returns ``other`` as an
+    element of the receiver's ring (lifting scalars) or None when it does
+    not apply.
+    """
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        other = self._coerced(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerced(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
+
+    def __pow__(self, exponent: int):
+        """Square-and-multiply, starting from the ring's one."""
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError(f"exponent must be a nonnegative int, got {exponent!r}")
+        result, base = self._coerced(1), self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
+        return result
+
+
+class MultiPoly(_Ring):
     """Sparse multivariate polynomial with exact integer coefficients."""
 
     __slots__ = ("letters", "terms")
@@ -146,16 +188,6 @@ class MultiPoly:
         """Total degree, -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
 
-    def support_letters(self) -> tuple[str, ...]:
-        """Letters that actually occur with a nonzero exponent."""
-        width = len(self.letters)
-        used = [False] * width
-        for exps in self.terms:
-            for i in range(width):
-                if exps[i]:
-                    used[i] = True
-        return tuple(l for l, u in zip(self.letters, used) if u)
-
     def coefficient(self, powers: Mapping[str, int]) -> int:
         exps = [0] * len(self.letters)
         for name, e in powers.items():
@@ -203,18 +235,6 @@ class MultiPoly:
     def __neg__(self):
         return MultiPoly._raw(self.letters, {e: -c for e, c in self.terms.items()})
 
-    def __sub__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         if isinstance(other, int):
             if not other:
@@ -235,11 +255,6 @@ class MultiPoly:
         return MultiPoly._raw(self.letters, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"exponent must be a nonnegative int, got {exponent!r}")
-        return _power(self, exponent, MultiPoly.const(self.letters, 1))
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -290,22 +305,7 @@ class MultiPoly:
     def substitute(self, name: str, replacement) -> "MultiPoly":
         """Replace a letter by a polynomial; the result lives over the union alphabet."""
         self._index(name)
-        if isinstance(replacement, int):
-            replacement = MultiPoly.const(self.letters, replacement)
-        union, base, rep = self._union_with(replacement)
-        i = union.index(name)
-        buckets: dict[int, dict[tuple[int, ...], int]] = {}
-        for exps, c in base.terms.items():
-            stripped = exps[:i] + (0,) + exps[i + 1:]
-            buckets.setdefault(exps[i], {})[stripped] = c
-        result = MultiPoly._raw(union, {})
-        power = MultiPoly.const(union, 1)
-        for e in range(max(buckets, default=-1) + 1):
-            if e:
-                power = power * rep
-            if e in buckets:
-                result = result + MultiPoly._raw(union, buckets[e]) * power
-        return result
+        return self._substitute_powers(name, replacement, 1)
 
     def substitute_square_with_parity(self, name: str, replacement) -> tuple[int, "MultiPoly"]:
         """Replace the square of a letter, writing x^(2m+eps) as x^eps * r^m.
@@ -315,21 +315,26 @@ class MultiPoly:
         expanded.  Mixed parities raise MixedParityError, which signals that
         the identity under test is malformed.
         """
-        i0 = self._index(name)
-        if isinstance(replacement, int):
-            replacement = MultiPoly.const(self.letters, replacement)
-        parities = {exps[i0] % 2 for exps in self.terms}
+        i = self._index(name)
+        parities = {exps[i] % 2 for exps in self.terms}
         if len(parities) > 1:
-            exps_seen = sorted({exps[i0] for exps in self.terms})
+            exps_seen = sorted({exps[i] for exps in self.terms})
             raise MixedParityError(
                 f"mixed parity of {name!r} exponents {exps_seen}")
         parity = parities.pop() if parities else 0
+        return parity, self._substitute_powers(name, replacement, 2)
+
+    def _substitute_powers(self, name: str, replacement, step: int) -> "MultiPoly":
+        # Buckets the terms by m = (the letter's exponent) // step, strips the
+        # letter and sums bucket_m * replacement^m, one power from the last.
+        if isinstance(replacement, int):
+            replacement = MultiPoly.const(self.letters, replacement)
         union, base, rep = self._union_with(replacement)
         i = union.index(name)
         buckets: dict[int, dict[tuple[int, ...], int]] = {}
         for exps, c in base.terms.items():
             stripped = exps[:i] + (0,) + exps[i + 1:]
-            buckets.setdefault((exps[i] - parity) // 2, {})[stripped] = c
+            buckets.setdefault(exps[i] // step, {})[stripped] = c
         result = MultiPoly._raw(union, {})
         power = MultiPoly.const(union, 1)
         for m in range(max(buckets, default=-1) + 1):
@@ -337,7 +342,7 @@ class MultiPoly:
                 power = power * rep
             if m in buckets:
                 result = result + MultiPoly._raw(union, buckets[m]) * power
-        return parity, result
+        return result
 
     def eval_rational(self, assignment: Mapping[str, "int | Fraction"]) -> Fraction:
         """Exact evaluation; every letter used with a nonzero exponent needs a value."""
@@ -357,29 +362,9 @@ class MultiPoly:
     # rendering
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts: list[str] = []
-        for exps, coeff in self.sorted_terms():
-            factors = []
-            for name, e in zip(self.letters, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            mono = "*".join(factors)
-            mag = abs(coeff)
-            if mono and mag == 1:
-                body = mono
-            elif mono:
-                body = f"{mag}*{mono}"
-            else:
-                body = str(mag)
-            if not parts:
-                parts.append(f"-{body}" if coeff < 0 else body)
-            else:
-                parts.append(f" - {body}" if coeff < 0 else f" + {body}")
-        return "".join(parts)
+        return _render(("*".join(name if e == 1 else f"{name}^{e}"
+                                 for name, e in zip(self.letters, exps) if e), coeff)
+                       for exps, coeff in self.sorted_terms())
 
     def __repr__(self):
         return f"MultiPoly[{','.join(self.letters)}: {self}]"

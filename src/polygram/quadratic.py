@@ -16,7 +16,7 @@ from .classical import (DOUBLE_ANGLE_RULES, chebyshev_t, chebyshev_u, legendre_l
                         narayana_like, secant_derivative_poly, tangent_derivative_poly)
 from .grammar import DerivOp, operator_iterates
 from .parser import parse_grammar
-from .poly import MultiPoly, _power
+from .poly import MultiPoly, _Ring
 from .report import Check, Report
 from .triangles import GAMMA_A, GAMMA_B, factorial
 from .unipoly import UniPoly
@@ -36,7 +36,7 @@ class ModulusMismatch(ValueError):
 
 
 @dataclass(frozen=True)
-class ExtPoly:
+class ExtPoly(_Ring):
     """a + b*s with s^2 = modulus; both components share the base letter."""
 
     a: UniPoly
@@ -57,11 +57,13 @@ class ExtPoly:
                 raise ModulusMismatch(
                     f"moduli differ: {self.modulus} vs {other.modulus}")
             return other
-        return None
+        # Scalars and UniPolys lift through the trusted UniPoly coercion.
+        lifted = self.a._coerced(other)
+        if lifted is None:
+            return None
+        return ExtPoly(lifted, UniPoly._raw(lifted.var, ()), self.modulus)
 
     def __add__(self, other):
-        if isinstance(other, (int, UniPoly)):
-            return ExtPoly(self.a + other, self.b, self.modulus)
         other = self._coerced(other)
         if other is None:
             return NotImplemented
@@ -72,15 +74,8 @@ class ExtPoly:
     def __neg__(self):
         return ExtPoly(-self.a, -self.b, self.modulus)
 
-    def __sub__(self, other):
-        if isinstance(other, (int, UniPoly)):
-            return ExtPoly(self.a - other, self.b, self.modulus)
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        return ExtPoly(self.a - other.a, self.b - other.b, self.modulus)
-
     def __mul__(self, other):
+        # Scalar fast path: thm31 multiplies by a UniPoly in its inner loop.
         if isinstance(other, (int, UniPoly)):
             return ExtPoly(self.a * other, self.b * other, self.modulus)
         other = self._coerced(other)
@@ -91,12 +86,6 @@ class ExtPoly:
                        self.modulus)
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"exponent must be a nonnegative int, got {exponent!r}")
-        one = ExtPoly(UniPoly.constant(self.a.var, 1), UniPoly(self.a.var), self.modulus)
-        return _power(self, exponent, one)
 
     def __str__(self):
         return f"({self.a}) + ({self.b})*s  [s^2 = {self.modulus}]"

@@ -3,10 +3,11 @@ types A and B, Eulerian numbers of both types, Motzkin-path counts and the
 cube face counts.
 
 Every triangle is a plain (n, k) -> int function plus a Triangle record that
-names it, bounds its per-row support and labels the backing computation.
-Values with k outside the support row are zero.  Recurrence-backed rows are
-cached, so sweeping over n is linear.  Where a closed form and a recurrence
-both exist they are implemented separately and cross-checked in the tests.
+names it and bounds its per-row support.  Values with k outside the support
+row are zero.  Recurrence-backed rows step forward in a loop from the last
+row asked for and keep only that row, so sweeping over n is linear.  Where a
+closed form and a recurrence both exist they are implemented separately and
+cross-checked in the tests.
 """
 
 from __future__ import annotations
@@ -56,22 +57,45 @@ def catalan(k: int) -> int:
     return binomial(2 * k, k) // (k + 1)
 
 
-def _recurrence_rows(first_row: tuple[int, ...], row_len: Callable[[int], int],
-                     keep: Callable[[int, int], int], shift: Callable[[int, int], int],
-                     lead: Callable[[int], int] | None = None):
-    """Row generator for t(n,k) = keep(n,k) t(n-1,k) + shift(n,k) t(n-1,k-1).
+# Per recurrence, the index and rows of the furthest point reached, so that
+# asking for n after m costs n - m steps.  Only the last rows the recurrence
+# needs are kept.
+_TIPS: dict[object, tuple[int, list]] = {}
+
+
+def _recurrence_row(key, n: int, first: list, step, first_n: int = 0):
+    """Row n of a recurrence whose rows first_n, first_n + 1, ... open with
+    ``first``, stepping forward in a loop.
+
+    ``step(m, rows)`` builds row m from the last ``len(first)`` rows.  Asking
+    for a row below the tip steps again from the start.
+    """
+    if n < first_n:
+        raise ValueError(f"n must be >= {first_n}, got {n}")
+    seeded = first_n + len(first) - 1
+    if n <= seeded:
+        return first[n - first_n]
+    top, rows = _TIPS.get(key, (seeded, first))
+    if top > n:
+        top, rows = seeded, first
+    while top < n:
+        top += 1
+        rows = [*rows[1:], step(top, rows)]
+    _TIPS[key] = (top, rows)
+    return rows[-1]
+
+
+def _triangle_rows(name: str, first_row: tuple[int, ...], row_len: Callable[[int], int],
+                   keep: Callable[[int, int], int], shift: Callable[[int, int], int],
+                   lead: Callable[[int], int] | None = None):
+    """Row function, from n = 1, for t(n,k) = keep(n,k) t(n-1,k) + shift(n,k) t(n-1,k-1).
 
     With lead given, the combination is divided by lead(n); these triangles
     are integral, so a non-exact division means the recurrence was mistyped.
     """
 
-    @lru_cache(maxsize=None)
-    def row(n: int) -> tuple[int, ...]:
-        if n < 1:
-            raise ValueError(f"rows start at n=1, got n={n}")
-        if n == 1:
-            return first_row
-        prev = row(n - 1)
+    def step(n: int, rows: list) -> tuple[int, ...]:
+        prev = rows[-1]
         out = []
         for k in range(row_len(n)):
             val = keep(n, k) * (prev[k] if k < len(prev) else 0)
@@ -85,32 +109,35 @@ def _recurrence_rows(first_row: tuple[int, ...], row_len: Callable[[int], int],
             out.append(val)
         return tuple(out)
 
-    return row
+    # Triangle.row reads a row once per k; the one-slot cache answers those
+    # repeats without holding more than the row the tip holds anyway.
+    first = [first_row]
+    return lru_cache(maxsize=1)(lambda n: _recurrence_row(name, n, first, step, first_n=1))
 
 
-_gamma_a_rows = _recurrence_rows(
-    (1,), lambda n: (n - 1) // 2 + 1,
+_gamma_a_rows = _triangle_rows(
+    "gamma-a", (1,), lambda n: (n - 1) // 2 + 1,
     lambda n, k: k + 1, lambda n, k: 2 * n - 4 * k)
 
-_gamma_b_rows = _recurrence_rows(
-    (1,), lambda n: n // 2 + 1,
+_gamma_b_rows = _triangle_rows(
+    "gamma-b", (1,), lambda n: n // 2 + 1,
     lambda n, k: 2 * k + 1, lambda n, k: 4 * (n + 1 - 2 * k))
 
-_eulerian_a_rows = _recurrence_rows(
-    (1,), lambda n: n,
+_eulerian_a_rows = _triangle_rows(
+    "eulerian-a", (1,), lambda n: n,
     lambda n, k: k + 1, lambda n, k: n - k)
 
-_eulerian_b_rows = _recurrence_rows(
-    (1, 1), lambda n: n + 1,
+_eulerian_b_rows = _triangle_rows(
+    "eulerian-b", (1, 1), lambda n: n + 1,
     lambda n, k: 2 * k + 1, lambda n, k: 2 * (n - k) + 1)
 
-_assoc_gamma_a_rows = _recurrence_rows(
-    (1,), lambda n: (n - 1) // 2 + 1,
+_assoc_gamma_a_rows = _triangle_rows(
+    "assoc-gamma-a", (1,), lambda n: (n - 1) // 2 + 1,
     lambda n, k: n + 2 * k + 1, lambda n, k: 4 * (n - 2 * k),
     lead=lambda n: n + 1)
 
-_assoc_gamma_b_rows = _recurrence_rows(
-    (1,), lambda n: n // 2 + 1,
+_assoc_gamma_b_rows = _triangle_rows(
+    "assoc-gamma-b", (1,), lambda n: n // 2 + 1,
     lambda n, k: n + 2 * k, lambda n, k: 4 * (n - 2 * k + 1),
     lead=lambda n: n)
 
@@ -206,7 +233,6 @@ class Triangle:
     name: str
     value: Callable[[int, int], int]
     support: Callable[[int], range]
-    backend: str
     first_n: int = 1
     oeis: str | None = None
     description: str = ""
@@ -218,44 +244,44 @@ class Triangle:
 
 
 def plain_triangle(name: str, value: Callable[[int, int], int],
-                   support: Callable[[int], range], backend: str = "closed-form") -> Triangle:
+                   support: Callable[[int], range]) -> Triangle:
     """Ad hoc triangle wrapper, mainly for one-off expected rows."""
-    return Triangle(name, value, support, backend)
+    return Triangle(name, value, support)
 
 
 GAMMA_A = Triangle(
-    "gamma-a", gamma_a, lambda n: range((n - 1) // 2 + 1), "recurrence",
+    "gamma-a", gamma_a, lambda n: range((n - 1) // 2 + 1),
     oeis="A101280", description="gamma rows of the type A Coxeter complex")
 GAMMA_B = Triangle(
-    "gamma-b", gamma_b, lambda n: range(n // 2 + 1), "recurrence",
+    "gamma-b", gamma_b, lambda n: range(n // 2 + 1),
     description="gamma rows of the type B Coxeter complex")
 EULERIAN_A = Triangle(
-    "eulerian-a", eulerian_a, lambda n: range(n), "recurrence",
+    "eulerian-a", eulerian_a, lambda n: range(n),
     oeis="A008292", description="descent counts over permutations")
 EULERIAN_B = Triangle(
-    "eulerian-b", eulerian_b, lambda n: range(n + 1), "recurrence",
+    "eulerian-b", eulerian_b, lambda n: range(n + 1),
     oeis="A060187", description="descent counts over signed permutations")
 ASSOC_H_A = Triangle(
-    "assoc-h-a", narayana_h_a, lambda n: range(n), "closed-form",
+    "assoc-h-a", narayana_h_a, lambda n: range(n),
     description="h rows of the type A associahedron (Narayana numbers)")
 ASSOC_H_B = Triangle(
-    "assoc-h-b", assoc_h_b, lambda n: range(n + 1), "closed-form",
+    "assoc-h-b", assoc_h_b, lambda n: range(n + 1),
     description="h rows of the type B associahedron (squared binomials)")
 ASSOC_GAMMA_A = Triangle(
-    "assoc-gamma-a", assoc_gamma_a, lambda n: range((n - 1) // 2 + 1), "closed-form",
+    "assoc-gamma-a", assoc_gamma_a, lambda n: range((n - 1) // 2 + 1),
     oeis="A055151", description="gamma rows of the type A associahedron (Motzkin paths by up steps)")
 ASSOC_GAMMA_A_REC = Triangle(
-    "assoc-gamma-a", assoc_gamma_a_by_recurrence, lambda n: range((n - 1) // 2 + 1), "recurrence")
+    "assoc-gamma-a", assoc_gamma_a_by_recurrence, lambda n: range((n - 1) // 2 + 1))
 ASSOC_GAMMA_B = Triangle(
-    "assoc-gamma-b", assoc_gamma_b, lambda n: range(n // 2 + 1), "closed-form",
+    "assoc-gamma-b", assoc_gamma_b, lambda n: range(n // 2 + 1),
     oeis="A089627", description="gamma rows of the type B associahedron")
 ASSOC_GAMMA_B_REC = Triangle(
-    "assoc-gamma-b", assoc_gamma_b_by_recurrence, lambda n: range(n // 2 + 1), "recurrence")
+    "assoc-gamma-b", assoc_gamma_b_by_recurrence, lambda n: range(n // 2 + 1))
 MOTZKIN_T = Triangle(
-    "motzkin-T", motzkin_left_h, lambda n: range(n + 1), "closed-form", first_n=0,
+    "motzkin-T", motzkin_left_h, lambda n: range(n + 1), first_n=0,
     oeis="A107230", description="Motzkin left factors of length n by flat steps")
 CUBE_F = Triangle(
-    "cube-f", cube_f, lambda n: range(n + 1), "closed-form", first_n=0,
+    "cube-f", cube_f, lambda n: range(n + 1), first_n=0,
     oeis="A038207", description="face counts of the n-cube")
 
 TRIANGLES: dict[str, Triangle] = {

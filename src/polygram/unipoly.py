@@ -9,6 +9,11 @@ the letter and every coefficient.  Arithmetic results (``+``, ``-``, ``*``,
 ``derivative``) are built from values already checked, so they are trusted:
 they only pass through ``_trimmed``, which normalizes integral Fractions and
 drops trailing zeros.
+
+Subtraction and ``**`` come from ``poly._Ring``, the operator base shared by
+all four ring types (``MultiPoly``, ``UniPoly``, ``ExtPoly``,
+``TruncSeries``); the text form comes from ``poly._render``, the renderer
+``MultiPoly`` uses as well.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, Union
 
-from .poly import AlphabetMismatch, MultiPoly, _power, check_letters
+from .poly import AlphabetMismatch, MultiPoly, _render, _Ring, check_letters
 
 __all__ = ["Scalar", "UniPoly"]
 
@@ -38,7 +43,7 @@ def _trimmed(var: str, coeffs: list[Scalar]) -> "UniPoly":
     return UniPoly._raw(var, tuple(out))
 
 
-class UniPoly:
+class UniPoly(_Ring):
     """Polynomial in a single named letter, stored as an ascending coefficient tuple."""
 
     __slots__ = ("var", "coeffs")
@@ -111,18 +116,6 @@ class UniPoly:
     def __neg__(self):
         return UniPoly._raw(self.var, tuple(-c for c in self.coeffs))
 
-    def __sub__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             if other == 0:
@@ -144,11 +137,6 @@ class UniPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"exponent must be a nonnegative int, got {exponent!r}")
-        return _power(self, exponent, UniPoly.constant(self.var, 1))
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             other = UniPoly(self.var, (other,))
@@ -169,11 +157,6 @@ class UniPoly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return _norm(acc)
-
-    def reflect(self) -> "UniPoly":
-        """The polynomial evaluated at the negated variable."""
-        return UniPoly._raw(self.var, tuple(c if i % 2 == 0 else -c
-                                            for i, c in enumerate(self.coeffs)))
 
     # ------------------------------------------------------------------
 
@@ -217,30 +200,9 @@ class UniPoly:
     # ------------------------------------------------------------------
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts: list[str] = []
-        for e, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if e == 0:
-                mono = ""
-            elif e == 1:
-                mono = self.var
-            else:
-                mono = f"{self.var}^{e}"
-            mag = abs(c)
-            if mono and mag == 1:
-                body = mono
-            elif mono:
-                body = f"{mag}*{mono}"
-            else:
-                body = str(mag)
-            if not parts:
-                parts.append(f"-{body}" if c < 0 else body)
-            else:
-                parts.append(f" - {body}" if c < 0 else f" + {body}")
-        return "".join(parts)
+        var = self.var
+        return _render((("" if e == 0 else var if e == 1 else f"{var}^{e}"), c)
+                       for e, c in enumerate(self.coeffs) if c)
 
     def __repr__(self):
         return f"UniPoly[{self.var}: {self}]"

@@ -138,7 +138,7 @@ def _target_thm43(n_max: int) -> Report:
     u, v = MultiPoly.variables(g.letters)
     shifted = plain_triangle("gamma-a-shifted",
                              lambda n, k: GAMMA_A.value(n + 1, k),
-                             lambda n: range(n // 2 + 1), "recurrence")
+                             lambda n: range(n // 2 + 1))
     part = verify_identity(g, DerivOp.plain(), u, n_max, shifted, lambda n: 1,
                            lambda n: PowerPattern(g.letters, (1, n), (1, -2)),
                            "D^n(u)")

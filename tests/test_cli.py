@@ -170,6 +170,28 @@ def test_classical_beyond_the_recursion_limit_exits_0():
     assert done.stdout.endswith(f" + {2 ** 599}*x^600\n".encode())
 
 
+def test_gamma_beyond_the_recursion_limit_exits_0():
+    cmd = [sys.executable, "-m", "polygram", "gamma", "--family", "coxeter-b", "--n", "600"]
+    done = subprocess.run(cmd, capture_output=True)
+    assert done.returncode == 0
+    assert done.stderr == b""
+    assert done.stdout.startswith(b"h: 1,")
+    assert done.stdout.count(b"\n") == 2
+
+
+def test_derive_too_deeply_nested_exits_2():
+    start = "(" * 1000 + "u" + ")" * 1000
+    cmd = [sys.executable, "-m", "polygram", "derive", "--grammar", "u -> u",
+           "--start", start, "--n", "1"]
+    done = subprocess.run(cmd, capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "limit of 100" in lines[0]
+    assert "Traceback" not in done.stderr
+
+
 def test_verify_target_text(capsys):
     code, out, _ = run_cli(capsys, "verify", "--target", "thm44", "--n-max", "1")
     assert code == 0

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import CASES, random_poly
-from polygram.parser import ParseError, parse_grammar, parse_poly
+from polygram.parser import MAX_NESTING, ParseError, parse_grammar, parse_poly
 from polygram.poly import MultiPoly
 
 
@@ -100,3 +100,33 @@ def test_print_parse_roundtrip_random():
     for _ in range(CASES):
         p = random_poly(rng, letters)
         assert parse_poly(str(p), letters) == p
+
+
+def test_long_sums_and_products_parse_without_recursion():
+    u, = MultiPoly.variables("u")
+    assert parse_poly("+".join(["u"] * 3000), "u") == 3000 * u
+    assert parse_poly("*".join(["u"] * 3000), "u") == u ** 3000
+    assert parse_poly("-".join(["u"] * 3000)) == -2998 * u
+    g = parse_grammar("u -> " + "+".join(["u*v"] * 3000) + "; v -> u")
+    assert g.rule("u") == 3000 * u.with_letters("u v") * MultiPoly.variable("u v", "v")
+
+
+def test_nesting_limit():
+    u, = MultiPoly.variables("u")
+    deepest = "(" * MAX_NESTING + "u+1" + ")" * MAX_NESTING
+    assert parse_poly(deepest, "u") == u + 1
+    with pytest.raises(ParseError) as err:
+        parse_poly("(" + deepest + ")", "u")
+    assert f"limit of {MAX_NESTING}" in str(err.value)
+    assert (err.value.line, err.value.col) == (1, MAX_NESTING + 1)
+    # The limit is on depth, not on the number of parentheses.
+    assert parse_poly("*".join(["(u)"] * 500), "u") == u ** 500
+
+
+def test_first_error_in_reading_order_is_reported():
+    with pytest.raises(ParseError) as err:
+        parse_grammar("u -> w; u -> u")
+    assert "undeclared letter 'w'" in str(err.value)
+    with pytest.raises(ParseError) as err:
+        parse_poly("u + (v", "u")
+    assert "undeclared letter 'v'" in str(err.value)

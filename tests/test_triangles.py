@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from polygram import triangles as tri
@@ -111,3 +113,20 @@ def test_json_export():
     data = tri.triangle_json_dict(tri.GAMMA_A, 4)
     assert data["offset"] == 1 and data["oeis"] == "A101280"
     assert data["rows"] == [["1"], ["1"], ["1", "2"], ["1", "8"]]
+
+
+def test_rows_far_past_the_recursion_limit():
+    assert sum(tri.EULERIAN_A.row(1200)) == tri.factorial(1200)
+
+
+def test_rows_do_not_depend_on_call_order():
+    names = ("gamma-a", "gamma-b", "eulerian-a", "eulerian-b")
+    in_order = {name: [tri.TRIANGLES[name].row(n) for n in range(1, 41)] for name in names}
+    order = list(range(1, 41))
+    random.Random(7).shuffle(order)
+    for n in order:
+        for name in names:
+            assert tri.TRIANGLES[name].row(n) == in_order[name][n - 1]
+            assert tri.lookup_triangle(name).row(n) == in_order[name][n - 1]
+    for n in reversed(range(1, 41)):
+        assert tri.assoc_gamma_b_by_recurrence(n, n // 2) == tri.assoc_gamma_b(n, n // 2)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from polygram.classical import TruncSeries
 from polygram.poly import MultiPoly
 from polygram.quadratic import QuadraticRing
 from polygram.unipoly import UniPoly
@@ -80,18 +81,47 @@ def test_power_matches_repeated_products():
     ring = QuadraticRing(x * x - 1)
     e = ring.embed(x) + ring.root()
     m = MultiPoly("u v", {(1, 0): 1, (0, 1): -2})
+    s = TruncSeries(6, "x", (1, x, Fraction(-1, 3), 2))
     for value, one in ((p, UniPoly.constant("x", 1)), (e, ring.one()),
-                       (m, MultiPoly.const("u v", 1))):
+                       (m, MultiPoly.const("u v", 1)), (s, TruncSeries.constant(6, "x", 1))):
         product = one
         for k in range(8):
             assert value ** k == product
             product = product * value
 
 
+def test_reversed_subtraction_on_every_ring_type():
+    x = UniPoly.variable("x")
+    ring = QuadraticRing(x * x - 1)
+    values = (
+        MultiPoly("u v", {(1, 0): 3, (0, 2): -1}),
+        x * x - Fraction(1, 2) * x + 5,
+        ring.of(x + 2, x),
+        TruncSeries(4, "x", (2, x, Fraction(1, 3))),
+    )
+    for p in values:
+        assert 1 - p == -(p - 1)
+        assert p - p == 0 * p
+        assert (1 - p) + p == p ** 0
+
+
 def test_power_keeps_each_exponent_check():
     x = UniPoly.variable("x")
     ring = QuadraticRing(x * x - 1)
-    for value in (x, ring.root(), MultiPoly.variable("u", "u")):
+    for value in (x, ring.root(), MultiPoly.variable("u", "u"),
+                  TruncSeries.constant(3, "x", 2)):
         for bad in (-1, 1.0, "2"):
             with pytest.raises(ValueError, match="exponent must be a nonnegative int"):
                 value ** bad
+
+
+def test_str_pins_signs_fractions_and_leading_minus():
+    p = UniPoly("x", (Fraction(-1, 2), -1, 0, Fraction(3, 4), 1, -7))
+    assert str(p) == "-1/2 - x + 3/4*x^3 + x^4 - 7*x^5"
+    assert str(UniPoly("x", (0, -1))) == "-x"
+    assert str(UniPoly("x")) == "0"
+    f, g = MultiPoly.variables("f g")
+    assert str(-3 * f * g**2 + 2 * f - 1 + g) == "-1 + g + 2*f - 3*f*g^2"
+    assert str(-f**2 + g) == "g - f^2"
+    assert str(-g) == "-g"
+    assert str(MultiPoly.zero("f g")) == "0"
