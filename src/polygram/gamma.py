@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .triangles import (ASSOC_GAMMA_A, ASSOC_GAMMA_B, ASSOC_H_A, ASSOC_H_B,
-                        EULERIAN_A, EULERIAN_B, GAMMA_A, GAMMA_B, binomial)
+                        EULERIAN_A, EULERIAN_B, GAMMA_A, GAMMA_B)
 
 __all__ = [
     "FAMILIES",
@@ -65,15 +65,21 @@ class GammaVector:
         return ",".join(str(g) for g in self.gammas)
 
 
+def _add_binomial_row(coeffs: list[int], i: int, gi: int, m: int) -> None:
+    """coeffs += gi x^i (1+x)^m in place, with C(m, j+1) = C(m, j)(m-j)/(j+1)."""
+    c = 1
+    for j in range(m + 1):
+        coeffs[i + j] += gi * c
+        c = c * (m - j) // (j + 1)
+
+
 def gamma_to_h(gamma: GammaVector) -> HPoly:
     """Expand sum_i gamma_i x^i (1+x)^(d-2i) into plain coefficients."""
     d = gamma.d
     coeffs = [0] * (d + 1)
     for i, gi in enumerate(gamma.gammas):
-        if not gi:
-            continue
-        for j in range(d - 2 * i + 1):
-            coeffs[i + j] += gi * binomial(d - 2 * i, j)
+        if gi:
+            _add_binomial_row(coeffs, i, gi, d - 2 * i)
     return HPoly(tuple(coeffs))
 
 
@@ -88,8 +94,7 @@ def h_to_gamma(h: HPoly) -> GammaVector:
         gi = residual[i]
         gammas.append(gi)
         if gi:
-            for j in range(d - 2 * i + 1):
-                residual[i + j] -= gi * binomial(d - 2 * i, j)
+            _add_binomial_row(residual, i, -gi, d - 2 * i)
     if any(residual):
         raise AssertionError("palindromic peel left a nonzero residual")
     return GammaVector(tuple(gammas), d)

@@ -4,6 +4,7 @@ A polynomial carries an ordered alphabet of letters; a monomial is a dense
 exponent tuple over that alphabet.  Alphabets stay tiny here (four or five
 letters at most), so dense exponent vectors beat sparse maps on simplicity.
 Coefficients are plain Python ints, so nothing overflows and nothing rounds.
+A product with a one-term operand is a shift of the other operand's terms.
 
 Values are immutable by convention: every operation returns a new object and
 no method mutates its receiver.  Terms iterate in graded lexicographic order
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -243,10 +245,17 @@ class MultiPoly(_Ring):
         other = self._coerced(other)
         if other is None:
             return NotImplemented
+        big, small = (other, self) if len(self.terms) == 1 else (self, other)
+        if len(small.terms) == 1:
+            # Shifting by one monomial is injective and nonzero ints have a
+            # nonzero product, so no two terms meet and none cancels.
+            [(m, k)] = small.terms.items()
+            return MultiPoly._raw(self.letters,
+                                  {tuple(map(add, e, m)): c * k for e, c in big.terms.items()})
         out: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s

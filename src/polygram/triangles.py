@@ -95,19 +95,17 @@ def _triangle_rows(name: str, first_row: tuple[int, ...], row_len: Callable[[int
     """
 
     def step(n: int, rows: list) -> tuple[int, ...]:
-        prev = rows[-1]
-        out = []
-        for k in range(row_len(n)):
-            val = keep(n, k) * (prev[k] if k < len(prev) else 0)
-            if k >= 1 and k - 1 < len(prev):
-                val += shift(n, k) * prev[k - 1]
-            if lead is not None:
-                div = lead(n)
-                if val % div:
-                    raise ArithmeticError(f"non-exact division at n={n}, k={k}")
-                val //= div
-            out.append(val)
-        return tuple(out)
+        # t(n-1, k) is padded[k + 1] and t(n-1, k-1) is padded[k], zero off the row.
+        padded = (0, *rows[-1], 0)
+        row = [keep(n, k) * padded[k + 1] + shift(n, k) * padded[k]
+               for k in range(row_len(n))]
+        if lead is None:
+            return tuple(row)
+        div = lead(n)
+        for k, val in enumerate(row):
+            if val % div:
+                raise ArithmeticError(f"non-exact division at n={n}, k={k}")
+        return tuple([val // div for val in row])
 
     # Triangle.row reads a row once per k; the one-slot cache answers those
     # repeats without holding more than the row the tip holds anyway.

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -70,3 +71,23 @@ def test_gamma_rows_expand_to_family_h_rows():
             == associahedron_h("A", n)
         assert gamma_to_h(GammaVector(tuple(tri.ASSOC_GAMMA_B.row(n)), n)) \
             == associahedron_h("B", n)
+
+
+def _comb_gamma_to_h(gammas, d):
+    coeffs = [0] * (d + 1)
+    for i, gi in enumerate(gammas):
+        for j in range(d - 2 * i + 1):
+            coeffs[i + j] += gi * math.comb(d - 2 * i, j)
+    return tuple(coeffs)
+
+
+def test_expansion_matches_a_math_comb_reference():
+    rng = random.Random(60)
+    for d in range(61):
+        for _ in range(3):
+            gammas = tuple(rng.choice((0, 1, -1, rng.randint(-10**9, 10**9)))
+                           for _ in range(d // 2 + 1))
+            gv = GammaVector(gammas, d)
+            h = gamma_to_h(gv)
+            assert h.coeffs == _comb_gamma_to_h(gammas, d)
+            assert h_to_gamma(h) == gv

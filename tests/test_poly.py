@@ -34,12 +34,54 @@ def test_mul_examples():
 
 
 def test_alphabet_mismatch():
-    f, _ = MultiPoly.variables("f g")
-    u, _ = MultiPoly.variables("u v")
+    f, g = MultiPoly.variables("f g")
+    u, v = MultiPoly.variables("u v")
     with pytest.raises(AlphabetMismatch):
         f + u
-    with pytest.raises(AlphabetMismatch):
-        f * u
+    # one-term operands on either side, and an alphabet that differs only in order
+    swapped = MultiPoly.variable("g f", "f")
+    for a, b in ((f, u), (f + g, u), (u, f + g), (f + g, u + v), (f, swapped),
+                 (f + g, swapped), (swapped, f + g)):
+        with pytest.raises(AlphabetMismatch):
+            a * b
+
+
+def _naive_product(a, b):
+    # The product by definition: every term pair summed, zero sums dropped.
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def test_one_term_products_match_the_naive_product():
+    rng = random.Random(31)
+    for letters in (("f", "g"), ("f", "g", "h")):
+        one_terms = [MultiPoly(letters, {tuple(rng.randint(0, 4) for _ in letters): c})
+                     for c in (-7, -1, 1, 3, -2, 5)]
+        one_terms += [MultiPoly.const(letters, -3), MultiPoly.const(letters, 1)]
+        others = [random_poly(rng, letters, max_terms=8) for _ in range(40)]
+        others += [MultiPoly.zero(letters), MultiPoly.const(letters, -4), *one_terms]
+        for m in one_terms:
+            assert len(m.terms) == 1
+            for p in others:
+                want = _naive_product(p, m)
+                assert (p * m).terms == want
+                assert (m * p).terms == want
+
+
+def test_products_do_not_share_terms_with_an_operand():
+    f, g, h = MultiPoly.variables("f g h")
+    one = MultiPoly.const("f g h", 1)
+    p = f * g - 2 * h
+    for a, b in ((p, one), (one, p), (p, f), (f, p), (f, g), (p, p)):
+        before = (dict(a.terms), dict(b.terms))
+        product = a * b
+        assert product.terms is not a.terms and product.terms is not b.terms
+        product.terms[(9, 9, 9)] = 1
+        assert (a.terms, b.terms) == before
 
 
 def test_letter_validation():

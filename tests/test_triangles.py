@@ -130,3 +130,58 @@ def test_rows_do_not_depend_on_call_order():
             assert tri.lookup_triangle(name).row(n) == in_order[name][n - 1]
     for n in reversed(range(1, 41)):
         assert tri.assoc_gamma_b_by_recurrence(n, n // 2) == tri.assoc_gamma_b(n, n // 2)
+
+
+# The six recurrence triangles, restated: value -> (first row, row length,
+# keep, shift, lead) for t(n,k) = (keep t(n-1,k) + shift t(n-1,k-1)) / lead.
+RECURRENCES = {
+    tri.gamma_a: ((1,), lambda n: (n - 1) // 2 + 1,
+                  lambda n, k: k + 1, lambda n, k: 2 * n - 4 * k, lambda n: 1),
+    tri.gamma_b: ((1,), lambda n: n // 2 + 1,
+                  lambda n, k: 2 * k + 1, lambda n, k: 4 * (n + 1 - 2 * k), lambda n: 1),
+    tri.eulerian_a: ((1,), lambda n: n,
+                     lambda n, k: k + 1, lambda n, k: n - k, lambda n: 1),
+    tri.eulerian_b: ((1, 1), lambda n: n + 1,
+                     lambda n, k: 2 * k + 1, lambda n, k: 2 * (n - k) + 1, lambda n: 1),
+    tri.assoc_gamma_a_by_recurrence: (
+        (1,), lambda n: (n - 1) // 2 + 1,
+        lambda n, k: n + 2 * k + 1, lambda n, k: 4 * (n - 2 * k), lambda n: n + 1),
+    tri.assoc_gamma_b_by_recurrence: (
+        (1,), lambda n: n // 2 + 1,
+        lambda n, k: n + 2 * k, lambda n, k: 4 * (n - 2 * k + 1), lambda n: n),
+}
+
+
+def _naive_rows(first, row_len, keep, shift, lead, n_max):
+    rows = [list(first)]
+    for n in range(2, n_max + 1):
+        prev = rows[-1]
+        row = []
+        for k in range(row_len(n)):
+            val = 0
+            if k < len(prev):
+                val += keep(n, k) * prev[k]
+            if 1 <= k <= len(prev):
+                val += shift(n, k) * prev[k - 1]
+            quotient, remainder = divmod(val, lead(n))
+            assert remainder == 0
+            row.append(quotient)
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("value", list(RECURRENCES), ids=lambda f: f.__name__)
+def test_recurrence_rows_match_a_per_k_reference(value):
+    row_len = RECURRENCES[value][1]
+    for n, want in enumerate(_naive_rows(*RECURRENCES[value], 60), start=1):
+        assert len(want) == row_len(n)
+        assert [value(n, k) for k in range(-1, len(want) + 1)] == [0, *want, 0]
+
+
+def test_wrong_lead_raises_naming_n_and_k():
+    # Eulerian numbers divided by n + 1: row 2 is (1, 1) before the division.
+    rows = tri._triangle_rows("eulerian-a-wrong-lead", (1,), lambda n: n,
+                              lambda n, k: k + 1, lambda n, k: n - k, lead=lambda n: n + 1)
+    assert rows(1) == (1,)
+    with pytest.raises(ArithmeticError, match=r"n=2, k=0"):
+        rows(2)

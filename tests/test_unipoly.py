@@ -85,7 +85,7 @@ def test_power_matches_repeated_products():
     for value, one in ((p, UniPoly.constant("x", 1)), (e, ring.one()),
                        (m, MultiPoly.const("u v", 1)), (s, TruncSeries.constant(6, "x", 1))):
         product = one
-        for k in range(8):
+        for k in range(21):
             assert value ** k == product
             product = product * value
 
