@@ -259,16 +259,17 @@ def check_scaled_tan_sec(n_max: int) -> Report:
     grammar = parse_grammar(DOUBLE_ANGLE_RULES)
     f, g = MultiPoly.variables(grammar.letters)
     d = DerivOp.plain()
-    iter_f = operator_iterates(grammar, d, f, n_max)
-    iter_g = operator_iterates(grammar, d, g, n_max)
+    iterates = zip(operator_iterates(grammar, d, f, n_max),
+                   operator_iterates(grammar, d, g, n_max))
+    next(iterates)  # n = 0 is not checked
     h = MultiPoly.variable(("h",), "h")
     two_h = 2 * h
     one_plus_h2 = h * h + 1
     report = Report("prop12")
-    for n in range(1, n_max + 1):
+    for n, (d_f, d_g) in enumerate(iterates, start=1):
         cases = (
-            ("D^n(f)", iter_f[n], 1, 2 ** n * secant_derivative_poly(n, "h")),
-            ("D^n(g)", iter_g[n], 0, 2 ** (n + 1) * tangent_derivative_poly(n, "h")),
+            ("D^n(f)", d_f, 1, 2 ** n * secant_derivative_poly(n, "h")),
+            ("D^n(g)", d_g, 0, 2 ** (n + 1) * tangent_derivative_poly(n, "h")),
         )
         for name, value, parity_want, rhs in cases:
             substituted = value.substitute("g", two_h)

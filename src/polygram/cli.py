@@ -17,7 +17,7 @@ from .classical import (chebyshev_t, chebyshev_u, legendre_like, narayana_like,
                         secant_derivative_poly, tangent_derivative_poly)
 from .gamma import FAMILIES, h_to_gamma
 from .grammar import DerivOp, iterate_operator
-from .parser import ParseError, parse_grammar, parse_poly
+from .parser import parse_grammar, parse_poly
 from .triangles import bfile_lines, lookup_triangle, triangle_json_dict
 from .verify import TARGETS, run_all, run_target
 
@@ -211,11 +211,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, configparser.Error) as exc:
+        # ParseError is a ValueError; configparser messages can span lines.
+        print("error:", " ".join(str(exc).splitlines()), file=sys.stderr)
         return 2
 
 

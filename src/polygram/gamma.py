@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .triangles import (ASSOC_GAMMA_A, ASSOC_GAMMA_B, ASSOC_H_A, ASSOC_H_B,
-                        EULERIAN_A, EULERIAN_B, GAMMA_A, GAMMA_B)
+                        EULERIAN_A, EULERIAN_B, GAMMA_A, GAMMA_B, binomial_row)
 
 __all__ = [
     "FAMILIES",
@@ -66,11 +66,9 @@ class GammaVector:
 
 
 def _add_binomial_row(coeffs: list[int], i: int, gi: int, m: int) -> None:
-    """coeffs += gi x^i (1+x)^m in place, with C(m, j+1) = C(m, j)(m-j)/(j+1)."""
-    c = 1
-    for j in range(m + 1):
-        coeffs[i + j] += gi * c
-        c = c * (m - j) // (j + 1)
+    """coeffs += gi x^i (1+x)^m in place."""
+    for j, c in enumerate(binomial_row(m), start=i):
+        coeffs[j] += gi * c
 
 
 def gamma_to_h(gamma: GammaVector) -> HPoly:

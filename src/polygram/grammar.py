@@ -10,8 +10,10 @@ coefficient extraction never special-case them.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from itertools import accumulate, repeat
+from typing import Callable, Iterator, Mapping
 
 from .poly import AlphabetMismatch, MultiPoly, check_letters
 from .report import Check, Report
@@ -130,25 +132,23 @@ class DerivOp:
 
 
 def operator_iterates(grammar: Grammar, op: DerivOp, start: MultiPoly,
-                      n_max: int) -> list[MultiPoly]:
-    """[start, op(start), op^2(start), ...] up to n_max, one pass per step.
+                      n_max: int) -> Iterator[MultiPoly]:
+    """start, op(start), op^2(start), ... up to op^n_max(start), yielded lazily.
 
-    A sweep over n <= n_max therefore costs n_max operator applications in
-    total, not n_max^2.
+    Each iterate is one operator application on the one before, so a sweep
+    over n <= n_max costs n_max applications in total, not n_max^2, and only
+    the iterates a caller keeps stay in memory.  A negative n_max is refused
+    at the call.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    current = start.with_letters(grammar.letters)
-    out = [current]
-    for _ in range(n_max):
-        current = op.apply(grammar, current)
-        out.append(current)
-    return out
+    return accumulate(repeat(op, n_max), lambda p, step: step.apply(grammar, p),
+                      initial=start.with_letters(grammar.letters))
 
 
 def iterate_operator(grammar: Grammar, op: DerivOp, start: MultiPoly, n: int) -> MultiPoly:
     """op applied n times to start; n = 0 returns start."""
-    return operator_iterates(grammar, op, start, n)[n]
+    return deque(operator_iterates(grammar, op, start, n), maxlen=1).pop()
 
 
 class PatternMismatch(ValueError):
@@ -209,28 +209,31 @@ def verify_identity(grammar: Grammar, op: DerivOp, start: MultiPoly, n_max: int,
                     expected, normalization: Callable[[int], int],
                     pattern_for: Callable[[int], PowerPattern],
                     label: str) -> Report:
-    """Compare op^n(start) with normalization(n) * expected(n, k) for n = 1..n_max.
+    """Compare op^n(start) with normalization(n) * expected.row(n) for n = 1..n_max.
 
-    ``expected`` is any triangle-like object with value(n, k) and support(n);
-    ``pattern_for(n)`` names the monomial family carrying coefficient index k.
-    Every n is checked even after a failure.
+    ``expected`` is any triangle-like object with row(n); ``pattern_for(n)``
+    names the monomial family carrying coefficient index k.  Both rows are
+    zero-padded to one length and compared whole; only on a mismatch is the
+    first differing k looked up for the message.  Every n is checked even
+    after a failure.
     """
-    series = operator_iterates(grammar, op, start, n_max)
+    iterates = operator_iterates(grammar, op, start, n_max)
+    next(iterates)  # op^0(start) is not checked
     report = Report(label)
-    for n in range(1, n_max + 1):
+    for n, current in enumerate(iterates, start=1):
         try:
-            got = expansion_coefficients(series[n], pattern_for(n))
+            got = expansion_coefficients(current, pattern_for(n))
         except PatternMismatch as exc:
             report.add(Check(label, n, False, str(exc)))
             continue
         norm = normalization(n)
-        k_hi = max(len(got) - 1, expected.support(n).stop - 1)
+        want = [norm * c for c in expected.row(n)]
+        width = max(len(got), len(want))
+        got += [0] * (width - len(got))
+        want += [0] * (width - len(want))
         failure = ""
-        for k in range(k_hi + 1):
-            want = norm * expected.value(n, k)
-            have = got[k] if k < len(got) else 0
-            if want != have:
-                failure = f"k={k}: got {have}, want {want}"
-                break
+        if got != want:
+            k = next(k for k in range(width) if got[k] != want[k])
+            failure = f"k={k}: got {got[k]}, want {want[k]}"
         report.add(Check(label, n, not failure, failure))
     return report

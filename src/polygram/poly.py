@@ -15,7 +15,6 @@ and JSON forms.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping
 
@@ -352,20 +351,6 @@ class MultiPoly(_Ring):
             if m in buckets:
                 result = result + MultiPoly._raw(union, buckets[m]) * power
         return result
-
-    def eval_rational(self, assignment: Mapping[str, "int | Fraction"]) -> Fraction:
-        """Exact evaluation; every letter used with a nonzero exponent needs a value."""
-        total = Fraction(0)
-        for exps, c in self.terms.items():
-            term = Fraction(c)
-            for name, e in zip(self.letters, exps):
-                if not e:
-                    continue
-                if name not in assignment:
-                    raise ValueError(f"no value assigned to letter {name!r}")
-                term *= Fraction(assignment[name]) ** e
-            total += term
-        return total
 
     # ------------------------------------------------------------------
     # rendering

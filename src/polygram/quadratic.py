@@ -117,9 +117,6 @@ class QuadraticRing:
     def from_int(self, value: int) -> ExtPoly:
         return self.of(value, 0)
 
-    def embed(self, p: UniPoly) -> ExtPoly:
-        return self.of(p, 0)
-
     def root(self) -> ExtPoly:
         return self.of(0, 1)
 
@@ -202,8 +199,9 @@ def check_imaginary_assoc_forms(n_max: int) -> Report:
     grammar = parse_grammar(DOUBLE_ANGLE_RULES)
     f, g = MultiPoly.variables(grammar.letters)
     op = DerivOp.post_mul("f")
-    iter_f = operator_iterates(grammar, op, f, n_max)
-    iter_g = operator_iterates(grammar, op, g, n_max)
+    iterates = zip(operator_iterates(grammar, op, f, n_max),
+                   operator_iterates(grammar, op, g, n_max))
+    next(iterates)  # n = 0 is not checked
     h = MultiPoly.variable(("h",), "h")
     two_h = 2 * h
     one_plus_h2 = h * h + 1
@@ -212,10 +210,10 @@ def check_imaginary_assoc_forms(n_max: int) -> Report:
     i_times_h = ring.of(UniPoly("h"), UniPoly.variable("h"))
     minus_i = -ring.root()
     report = Report("cor33")
-    for n in range(1, n_max + 1):
+    for n, (fd_f, fd_g) in enumerate(iterates, start=1):
         cases = (
-            ("(fD)^n(f)", iter_f[n], legendre_like(n, "h"), factorial(n), n, n + 1),
-            ("(fD)^n(g)", iter_g[n], narayana_like(n, "h"), 2 * factorial(n + 1), n - 1, n + 2),
+            ("(fD)^n(f)", fd_f, legendre_like(n, "h"), factorial(n), n, n + 1),
+            ("(fD)^n(g)", fd_g, narayana_like(n, "h"), 2 * factorial(n + 1), n - 1, n + 2),
         )
         for name, value, witness, scale, unit_power, f_power in cases:
             substituted = value.substitute("g", two_h)
@@ -257,15 +255,15 @@ def check_chebyshev_specialization(n_max: int) -> Report:
     grammar = parse_grammar("u -> u^2*v; v -> u^3")
     u, v = MultiPoly.variables(grammar.letters)
     d = DerivOp.plain()
-    iter_uv = operator_iterates(grammar, d, u * v, n_max)
-    iter_u2 = operator_iterates(grammar, d, u * u, n_max)
+    iterates = zip(operator_iterates(grammar, d, u * v, n_max),
+                   operator_iterates(grammar, d, u * u, n_max))
     ring = QuadraticRing(UniPoly("x", (-1, 0, 1)))
     report = Report("thm42")
-    for n in range(n_max + 1):
+    for n, (d_uv, d_u2) in enumerate(iterates):
         fact = factorial(n)
         cases = (
-            ("uv-specialized", iter_uv[n], chebyshev_t(n + 1), n + 1),
-            ("u^2-specialized", iter_u2[n], chebyshev_u(n), n + 2),
+            ("uv-specialized", d_uv, chebyshev_t(n + 1), n + 1),
+            ("u^2-specialized", d_u2, chebyshev_u(n), n + 2),
         )
         for name, value, cheb, s_power in cases:
             got = _specialize_uv(value, ring)

@@ -2,40 +2,30 @@
 types A and B, Eulerian numbers of both types, Motzkin-path counts and the
 cube face counts.
 
-Every triangle is a plain (n, k) -> int function plus a Triangle record that
-names it and bounds its per-row support.  Values with k outside the support
-row are zero.  Recurrence-backed rows step forward in a loop from the last
+Every triangle is a Triangle record holding the function that builds row n
+as a whole; an entry is read off its row, and entries off the row are zero.
+Most closed forms build a row from one binomial row, each binomial stepped
+from the last.  Recurrence-backed rows step forward in a loop from the last
 row asked for and keep only that row, so sweeping over n is linear.  Where a
-closed form and a recurrence both exist they are implemented separately and
-cross-checked in the tests.
+closed form and a recurrence both exist (the associahedron gamma rows) they
+are implemented separately and cross-checked in the tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 __all__ = [
     "Triangle",
     "TRIANGLES",
     "OEIS_ALIASES",
     "binomial",
+    "binomial_row",
     "catalan",
     "factorial",
-    "gamma_a",
-    "gamma_b",
-    "eulerian_a",
-    "eulerian_b",
-    "narayana_h_a",
-    "assoc_h_b",
     "assoc_gamma_a",
-    "assoc_gamma_a_by_recurrence",
-    "assoc_gamma_b",
-    "assoc_gamma_b_by_recurrence",
-    "motzkin_left_h",
-    "cube_f",
     "plain_triangle",
     "lookup_triangle",
     "bfile_lines",
@@ -107,10 +97,8 @@ def _triangle_rows(name: str, first_row: tuple[int, ...], row_len: Callable[[int
                 raise ArithmeticError(f"non-exact division at n={n}, k={k}")
         return tuple([val // div for val in row])
 
-    # Triangle.row reads a row once per k; the one-slot cache answers those
-    # repeats without holding more than the row the tip holds anyway.
     first = [first_row]
-    return lru_cache(maxsize=1)(lambda n: _recurrence_row(name, n, first, step, first_n=1))
+    return lambda n: _recurrence_row(name, n, first, step, first_n=1)
 
 
 _gamma_a_rows = _triangle_rows(
@@ -140,48 +128,22 @@ _assoc_gamma_b_rows = _triangle_rows(
     lead=lambda n: n)
 
 
-def _row_value(rows, n: int, k: int) -> int:
-    r = rows(n)
-    return r[k] if 0 <= k < len(r) else 0
+def binomial_row(m: int) -> list[int]:
+    """C(m, 0), ..., C(m, m), each entry stepped from the one before."""
+    row = [1]
+    for j in range(m):
+        row.append(row[-1] * (m - j) // (j + 1))
+    return row
 
 
-def gamma_a(n: int, k: int) -> int:
-    """Gamma row of the type A Coxeter complex (Eulerian polynomial expansion)."""
-    return _row_value(_gamma_a_rows, n, k)
-
-
-def gamma_b(n: int, k: int) -> int:
-    """Gamma row of the type B Coxeter complex."""
-    return _row_value(_gamma_b_rows, n, k)
-
-
-def eulerian_a(n: int, k: int) -> int:
-    """Permutations of [n] with k descents."""
-    return _row_value(_eulerian_a_rows, n, k)
-
-
-def eulerian_b(n: int, k: int) -> int:
-    """Signed permutations of [n] with k descents (window read with a leading 0)."""
-    return _row_value(_eulerian_b_rows, n, k)
-
-
-def narayana_h_a(n: int, k: int) -> int:
-    """h-vector entry of the type A associahedron: binom(n,k) binom(n,k+1) / n."""
-    if n < 1:
-        raise ValueError(f"rows start at n=1, got n={n}")
-    num = binomial(n, k) * binomial(n, k + 1)
-    if num == 0:
-        return 0
-    if num % n:
-        raise ArithmeticError(f"Narayana division failed at n={n}, k={k}")
-    return num // n
-
-
-def assoc_h_b(n: int, k: int) -> int:
-    """h-vector entry of the type B associahedron: binom(n,k)^2."""
-    if n < 1:
-        raise ValueError(f"rows start at n=1, got n={n}")
-    return binomial(n, k) ** 2
+def _narayana_h_a_row(n: int) -> list[int]:
+    # h-vector of the type A associahedron: binom(n,k) binom(n,k+1) / n.
+    c = binomial_row(n)
+    row = [a * b for a, b in zip(c, c[1:])]
+    for k, val in enumerate(row):
+        if val % n:
+            raise ArithmeticError(f"Narayana division failed at n={n}, k={k}")
+    return [val // n for val in row]
 
 
 def assoc_gamma_a(n: int, k: int) -> int:
@@ -191,46 +153,12 @@ def assoc_gamma_a(n: int, k: int) -> int:
     return catalan(k) * binomial(n - 1, 2 * k)
 
 
-def assoc_gamma_a_by_recurrence(n: int, k: int) -> int:
-    return _row_value(_assoc_gamma_a_rows, n, k)
-
-
-def assoc_gamma_b(n: int, k: int) -> int:
-    """Gamma row of the type B associahedron: binom(2k,k) binom(n, 2k)."""
-    if n < 1:
-        raise ValueError(f"rows start at n=1, got n={n}")
-    return binomial(2 * k, k) * binomial(n, 2 * k)
-
-
-def assoc_gamma_b_by_recurrence(n: int, k: int) -> int:
-    return _row_value(_assoc_gamma_b_rows, n, k)
-
-
-def motzkin_left_h(n: int, k: int) -> int:
-    """Length-n nonnegative {U,D,H} prefixes with k flat steps."""
-    if n < 0:
-        raise ValueError(f"rows start at n=0, got n={n}")
-    if k < 0 or k > n:
-        return 0
-    return binomial(n, k) * binomial(n - k, (n - k) // 2)
-
-
-def cube_f(n: int, k: int) -> int:
-    """Face count of the n-cube: binom(n,k) 2^(n-k)."""
-    if n < 0:
-        raise ValueError(f"rows start at n=0, got n={n}")
-    if k < 0 or k > n:
-        return 0
-    return binomial(n, k) * 2 ** (n - k)
-
-
 @dataclass(frozen=True)
 class Triangle:
-    """A named integer triangle with explicit per-row support."""
+    """A named integer triangle, given by the function that builds row n."""
 
     name: str
-    value: Callable[[int, int], int]
-    support: Callable[[int], range]
+    row_fn: Callable[[int], Sequence[int]]
     first_n: int = 1
     oeis: str | None = None
     description: str = ""
@@ -238,49 +166,53 @@ class Triangle:
     def row(self, n: int) -> list[int]:
         if n < self.first_n:
             raise ValueError(f"{self.name} rows start at n={self.first_n}")
-        return [self.value(n, k) for k in self.support(n)]
+        return list(self.row_fn(n))
+
+    def value(self, n: int, k: int) -> int:
+        """Entry k of row n; zero off the row."""
+        r = self.row(n)
+        return r[k] if 0 <= k < len(r) else 0
 
 
-def plain_triangle(name: str, value: Callable[[int, int], int],
-                   support: Callable[[int], range]) -> Triangle:
+def plain_triangle(name: str, row_fn: Callable[[int], Sequence[int]]) -> Triangle:
     """Ad hoc triangle wrapper, mainly for one-off expected rows."""
-    return Triangle(name, value, support)
+    return Triangle(name, row_fn)
 
 
 GAMMA_A = Triangle(
-    "gamma-a", gamma_a, lambda n: range((n - 1) // 2 + 1),
+    "gamma-a", _gamma_a_rows,
     oeis="A101280", description="gamma rows of the type A Coxeter complex")
 GAMMA_B = Triangle(
-    "gamma-b", gamma_b, lambda n: range(n // 2 + 1),
+    "gamma-b", _gamma_b_rows,
     description="gamma rows of the type B Coxeter complex")
 EULERIAN_A = Triangle(
-    "eulerian-a", eulerian_a, lambda n: range(n),
+    "eulerian-a", _eulerian_a_rows,
     oeis="A008292", description="descent counts over permutations")
 EULERIAN_B = Triangle(
-    "eulerian-b", eulerian_b, lambda n: range(n + 1),
+    "eulerian-b", _eulerian_b_rows,
     oeis="A060187", description="descent counts over signed permutations")
 ASSOC_H_A = Triangle(
-    "assoc-h-a", narayana_h_a, lambda n: range(n),
+    "assoc-h-a", _narayana_h_a_row,
     description="h rows of the type A associahedron (Narayana numbers)")
 ASSOC_H_B = Triangle(
-    "assoc-h-b", assoc_h_b, lambda n: range(n + 1),
+    "assoc-h-b", lambda n: [c * c for c in binomial_row(n)],
     description="h rows of the type B associahedron (squared binomials)")
 ASSOC_GAMMA_A = Triangle(
-    "assoc-gamma-a", assoc_gamma_a, lambda n: range((n - 1) // 2 + 1),
+    "assoc-gamma-a", lambda n: [assoc_gamma_a(n, k) for k in range((n - 1) // 2 + 1)],
     oeis="A055151", description="gamma rows of the type A associahedron (Motzkin paths by up steps)")
-ASSOC_GAMMA_A_REC = Triangle(
-    "assoc-gamma-a", assoc_gamma_a_by_recurrence, lambda n: range((n - 1) // 2 + 1))
+ASSOC_GAMMA_A_REC = Triangle("assoc-gamma-a", _assoc_gamma_a_rows)
 ASSOC_GAMMA_B = Triangle(
-    "assoc-gamma-b", assoc_gamma_b, lambda n: range(n // 2 + 1),
+    "assoc-gamma-b",
+    lambda n: [binomial(2 * k, k) * c for k, c in enumerate(binomial_row(n)[::2])],
     oeis="A089627", description="gamma rows of the type B associahedron")
-ASSOC_GAMMA_B_REC = Triangle(
-    "assoc-gamma-b", assoc_gamma_b_by_recurrence, lambda n: range(n // 2 + 1))
+ASSOC_GAMMA_B_REC = Triangle("assoc-gamma-b", _assoc_gamma_b_rows)
 MOTZKIN_T = Triangle(
-    "motzkin-T", motzkin_left_h, lambda n: range(n + 1), first_n=0,
-    oeis="A107230", description="Motzkin left factors of length n by flat steps")
+    "motzkin-T",
+    lambda n: [c * binomial(n - k, (n - k) // 2) for k, c in enumerate(binomial_row(n))],
+    first_n=0, oeis="A107230", description="Motzkin left factors of length n by flat steps")
 CUBE_F = Triangle(
-    "cube-f", cube_f, lambda n: range(n + 1), first_n=0,
-    oeis="A038207", description="face counts of the n-cube")
+    "cube-f", lambda n: [c * 2 ** (n - k) for k, c in enumerate(binomial_row(n))],
+    first_n=0, oeis="A038207", description="face counts of the n-cube")
 
 TRIANGLES: dict[str, Triangle] = {
     t.name: t

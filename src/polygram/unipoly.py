@@ -90,9 +90,6 @@ class UniPoly(_Ring):
     def coefficient(self, i: int) -> Scalar:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
-    def rename(self, var: str) -> "UniPoly":
-        return UniPoly(var, self.coeffs)
-
     # ------------------------------------------------------------------
 
     def _coerced(self, other):
@@ -159,23 +156,6 @@ class UniPoly(_Ring):
         return _norm(acc)
 
     # ------------------------------------------------------------------
-
-    def multipoly(self, letters=None) -> MultiPoly:
-        """Integer-coefficient view as a MultiPoly (default alphabet: just the letter)."""
-        letters = check_letters(letters) if letters is not None else (self.var,)
-        if self.var not in letters:
-            raise ValueError(f"alphabet {letters} does not contain {self.var!r}")
-        i = letters.index(self.var)
-        terms: dict[tuple[int, ...], int] = {}
-        for e, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if not isinstance(c, int):
-                raise ValueError(f"coefficient {c} is not an integer")
-            exps = [0] * len(letters)
-            exps[i] = e
-            terms[tuple(exps)] = c
-        return MultiPoly(letters, terms)
 
     @classmethod
     def from_multipoly(cls, p: MultiPoly, var: str) -> "UniPoly":

@@ -19,7 +19,7 @@ from .poly import MultiPoly
 from .report import Check, Report, merge_reports
 from .triangles import (ASSOC_GAMMA_A, ASSOC_GAMMA_A_REC, ASSOC_GAMMA_B,
                         ASSOC_GAMMA_B_REC, EULERIAN_A, EULERIAN_B, GAMMA_A,
-                        GAMMA_B, MOTZKIN_T, CUBE_F, binomial, factorial,
+                        GAMMA_B, MOTZKIN_T, CUBE_F, binomial_row, factorial,
                         plain_triangle)
 
 __all__ = ["TARGETS", "Target", "run_all", "run_target"]
@@ -103,9 +103,9 @@ def _target_thm32(n_max: int) -> Report:
 def _target_prop41(n_max: int) -> Report:
     g = parse_grammar("u -> u^2*v; v -> 4*u^3")
     u, v = MultiPoly.variables(g.letters)
-    expected = plain_triangle("four-power-binomial",
-                              lambda n, k: 4 ** k * binomial(n + 1, 2 * k),
-                              lambda n: range((n + 1) // 2 + 1))
+    expected = plain_triangle(
+        "four-power-binomial",
+        lambda n: [4 ** k * c for k, c in enumerate(binomial_row(n + 1)[::2])])
     part = verify_identity(g, DerivOp.plain(), u * v, n_max, expected, factorial,
                            lambda n: PowerPattern(g.letters, (n + 1, n + 1), (2, -2)),
                            "D^n(uv)")
@@ -115,12 +115,8 @@ def _target_prop41(n_max: int) -> Report:
 def _target_thm42(n_max: int) -> Report:
     g = parse_grammar("u -> u^2*v; v -> u^3")
     u, v = MultiPoly.variables(g.letters)
-    even_slots = plain_triangle("binomial-even-slots",
-                                lambda n, k: binomial(n + 1, 2 * k),
-                                lambda n: range((n + 1) // 2 + 1))
-    odd_slots = plain_triangle("binomial-odd-slots",
-                               lambda n, k: binomial(n + 1, 2 * k + 1),
-                               lambda n: range(n // 2 + 1))
+    even_slots = plain_triangle("binomial-even-slots", lambda n: binomial_row(n + 1)[::2])
+    odd_slots = plain_triangle("binomial-odd-slots", lambda n: binomial_row(n + 1)[1::2])
     parts = [
         verify_identity(g, DerivOp.plain(), u * v, n_max, even_slots, factorial,
                         lambda n: PowerPattern(g.letters, (n + 1, n + 1), (2, -2)),
@@ -136,9 +132,7 @@ def _target_thm42(n_max: int) -> Report:
 def _target_thm43(n_max: int) -> Report:
     g = parse_grammar("u -> u*v; v -> 2*u")
     u, v = MultiPoly.variables(g.letters)
-    shifted = plain_triangle("gamma-a-shifted",
-                             lambda n, k: GAMMA_A.value(n + 1, k),
-                             lambda n: range(n // 2 + 1))
+    shifted = plain_triangle("gamma-a-shifted", lambda n: GAMMA_A.row(n + 1))
     part = verify_identity(g, DerivOp.plain(), u, n_max, shifted, lambda n: 1,
                            lambda n: PowerPattern(g.letters, (1, n), (1, -2)),
                            "D^n(u)")

@@ -76,6 +76,20 @@ def test_derive_config_file(capsys, tmp_path):
     assert code == 2 and "no grammar named" in err
 
 
+@pytest.mark.parametrize("text", [
+    "rules = f -> f*g; g -> 4*f^2\n",
+    "[double-angle]\nrules = f -> f*g\n[double-angle]\nrules = g -> f\n",
+], ids=["no-section-header", "duplicate-section"])
+def test_derive_malformed_config_exits_2(capsys, tmp_path, text):
+    cfg = tmp_path / "grammars.ini"
+    cfg.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "derive", "--grammar", "@double-angle",
+                             "--config", str(cfg), "--start", "f", "--n", "1")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_gamma_families(capsys):
     code, out, _ = run_cli(capsys, "gamma", "--family", "coxeter-a", "--n", "4")
     assert code == 0 and out == "h: 1,11,11,1\ngamma: 1,8\n"

@@ -55,7 +55,7 @@ def test_linearity_and_leibniz():
 def test_pre_mul_operator_matches_definition():
     g = parse_grammar("y -> z^2; z -> y*z")
     y, _ = MultiPoly.variables("y z")
-    seq = operator_iterates(g, DerivOp.pre_mul("y"), y, 6)
+    seq = list(operator_iterates(g, DerivOp.pre_mul("y"), y, 6))
     for n in range(1, 7):
         assert seq[n] == g.derive(y * seq[n - 1])
 
@@ -63,7 +63,7 @@ def test_pre_mul_operator_matches_definition():
 def test_post_mul_operator_matches_definition():
     g = parse_grammar("f -> f*g; g -> 4*f^2")
     f, _ = MultiPoly.variables("f g")
-    seq = operator_iterates(g, DerivOp.post_mul("f"), f, 6)
+    seq = list(operator_iterates(g, DerivOp.post_mul("f"), f, 6))
     for n in range(1, 7):
         assert seq[n] == f * g.derive(seq[n - 1])
 
@@ -82,7 +82,7 @@ def test_bidegree_structure_of_iterates():
     # every term of D^n(f) looks like f^(2k+1) g^(n-2k)
     g1 = parse_grammar("f -> f*g; g -> 4*f^2")
     f, _ = MultiPoly.variables("f g")
-    seq = operator_iterates(g1, DerivOp.plain(), f, 12)
+    seq = list(operator_iterates(g1, DerivOp.plain(), f, 12))
     for n in range(1, 13):
         for ef, eg in seq[n].terms:
             assert ef % 2 == 1
@@ -92,7 +92,7 @@ def test_bidegree_structure_of_iterates():
 def test_homogeneity_under_quartic_rules():
     g2 = parse_grammar("u -> u^2*v; v -> 4*u^3")
     u, v = MultiPoly.variables("u v")
-    seq = operator_iterates(g2, DerivOp.plain(), u * v, 10)
+    seq = list(operator_iterates(g2, DerivOp.plain(), u * v, 10))
     for n in range(11):
         assert all(sum(e) == 2 * n + 2 for e in seq[n].terms)
 
@@ -100,7 +100,7 @@ def test_homogeneity_under_quartic_rules():
 def test_expansion_coefficients_examples():
     g1 = parse_grammar("f -> f*g; g -> 4*f^2")
     f, _ = MultiPoly.variables("f g")
-    seq = operator_iterates(g1, DerivOp.plain(), f, 4)
+    seq = list(operator_iterates(g1, DerivOp.plain(), f, 4))
     letters = ("f", "g")
     assert expansion_coefficients(seq[0], PowerPattern(letters, (1, 0), (2, -2))) == [1]
     assert expansion_coefficients(seq[2], PowerPattern(letters, (1, 2), (2, -2))) == [1, 4]
@@ -125,7 +125,7 @@ def test_verify_identity_passes():
 def test_verify_identity_lists_all_failures():
     g1 = parse_grammar("f -> f*g; g -> 4*f^2")
     _, gg = MultiPoly.variables("f g")
-    wrong = plain_triangle("wrong", lambda n, k: 1, lambda n: range(1))
+    wrong = plain_triangle("wrong", lambda n: [1])
     report = verify_identity(
         g1, DerivOp.plain(), gg, 3, wrong, lambda n: 1,
         lambda n: PowerPattern(("f", "g"), (2, n - 1), (2, -2)), "bad")
@@ -137,13 +137,51 @@ def test_verify_identity_lists_all_failures():
 def test_verify_identity_quartic_binomials():
     g2 = parse_grammar("u -> u^2*v; v -> 4*u^3")
     u, v = MultiPoly.variables("u v")
-    expected = plain_triangle("four-power-binomial",
-                              lambda n, k: 4 ** k * binomial(n + 1, 2 * k),
-                              lambda n: range((n + 1) // 2 + 1))
+    expected = plain_triangle(
+        "four-power-binomial",
+        lambda n: [4 ** k * binomial(n + 1, 2 * k) for k in range((n + 1) // 2 + 1)])
     report = verify_identity(
         g2, DerivOp.plain(), u * v, 12, expected, factorial,
         lambda n: PowerPattern(("u", "v"), (n + 1, n + 1), (2, -2)), "D^n(uv)")
     assert report.ok
+
+
+@pytest.mark.parametrize("rows, details", [
+    (lambda n: GAMMA_A.row(n)[:-1],
+     ["k=0: got 4, want 0", "k=0: got 8, want 0", "k=1: got 32, want 0",
+      "k=1: got 256, want 0", "k=2: got 1024, want 0"]),
+    (lambda n: GAMMA_A.row(n) + [1],
+     ["k=1: got 0, want 4", "k=1: got 0, want 8", "k=2: got 0, want 16",
+      "k=2: got 0, want 32", "k=3: got 0, want 64"]),
+    (lambda n: [c + (n == 5 and k == 1) for k, c in enumerate(GAMMA_A.row(n))],
+     ["", "", "", "", "k=1: got 1408, want 1472"]),
+], ids=["too-short", "too-long", "wrong-middle"])
+def test_verify_identity_failure_text_is_pinned(rows, details):
+    g1 = parse_grammar("f -> f*g; g -> 4*f^2")
+    _, gg = MultiPoly.variables("f g")
+    report = verify_identity(
+        g1, DerivOp.plain(), gg, 5, plain_triangle("rows", rows), lambda n: 2 ** (n + 1),
+        lambda n: PowerPattern(("f", "g"), (2, n - 1), (2, -2)), "D^n(g)")
+    assert [c.n for c in report.checks] == [1, 2, 3, 4, 5]
+    assert [c.detail for c in report.checks] == details
+    assert [c.ok for c in report.checks] == [not d for d in details]
+
+
+def test_negative_bound_is_refused_at_the_call():
+    g = parse_grammar("u -> u*v; v -> u + v")
+    u, _ = MultiPoly.variables(g.letters)
+    with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
+        operator_iterates(g, DerivOp.plain(), u, -1)
+
+
+def test_iterate_operator_is_the_last_iterate():
+    g = parse_grammar("u -> u*v; v -> u + v")
+    u, v = MultiPoly.variables(g.letters)
+    for op in (DerivOp.plain(), DerivOp.pre_mul("v"), DerivOp.post_mul("u")):
+        for n in range(9):
+            seq = list(operator_iterates(g, op, u * v, n))
+            assert len(seq) == n + 1
+            assert iterate_operator(g, op, u * v, n) == seq[-1]
 
 
 def test_grammar_validation():

@@ -1,3 +1,4 @@
+import ast
 import itertools
 
 import pytest
@@ -135,3 +136,19 @@ def test_left_factors_certify_motzkin_triangle():
 def test_alternating_doubling():
     for n in range(1, 8):
         assert orc.count_alternating(n, "B") == 2 ** n * orc.count_alternating(n, "A")
+
+
+def test_oracles_import_nothing_from_polygram():
+    # The oracles are the second route for the triangles and polynomials, so
+    # they must not reach the code they certify.
+    tree = ast.parse(open(orc.__file__, encoding="utf-8").read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0, f"relative import of {node.module!r}"
+            modules = [node.module or ""]
+        elif isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:
+            continue
+        for module in modules:
+            assert module.split(".")[0] != "polygram", module

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -140,16 +139,6 @@ def test_substitute_square_mixed_parity_rejected():
     f, _ = MultiPoly.variables("f g")
     with pytest.raises(MixedParityError):
         (f + f**2).substitute_square_with_parity("f", 1)
-
-
-def test_eval_rational():
-    x, = MultiPoly.variables("x")
-    assert (1 + 8 * x).eval_rational({"x": 1}) == 9
-    assert MultiPoly.zero("x").eval_rational({}) == 0
-    assert (1 + 72 * x + 80 * x**2).eval_rational({"x": 1}) == 153
-    assert (x**2).eval_rational({"x": Fraction(1, 2)}) == Fraction(1, 4)
-    with pytest.raises(ValueError):
-        (x**2).eval_rational({})
 
 
 def test_canonical_text_form():

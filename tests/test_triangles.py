@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -6,46 +7,46 @@ from polygram import triangles as tri
 
 
 def test_gamma_a_values():
-    assert tri.gamma_a(3, 1) == 2
-    assert tri.gamma_a(4, 1) == 8
-    assert tri.gamma_a(4, 2) == 0
+    assert tri.GAMMA_A.value(3, 1) == 2
+    assert tri.GAMMA_A.value(4, 1) == 8
+    assert tri.GAMMA_A.value(4, 2) == 0
     assert tri.GAMMA_A.row(1) == [1]
     assert tri.GAMMA_A.row(2) == [1]
     with pytest.raises(ValueError):
-        tri.gamma_a(0, 0)
+        tri.GAMMA_A.value(0, 0)
 
 
 def test_gamma_b_values():
-    assert tri.gamma_b(2, 1) == 4
-    assert tri.gamma_b(3, 0) == 1 and tri.gamma_b(3, 1) == 20
-    assert tri.gamma_b(4, 1) == 72 and tri.gamma_b(4, 2) == 80
+    assert tri.GAMMA_B.value(2, 1) == 4
+    assert tri.GAMMA_B.value(3, 0) == 1 and tri.GAMMA_B.value(3, 1) == 20
+    assert tri.GAMMA_B.value(4, 1) == 72 and tri.GAMMA_B.value(4, 2) == 80
     with pytest.raises(ValueError):
-        tri.gamma_b(0, 0)
+        tri.GAMMA_B.value(0, 0)
 
 
 def test_eulerian_a_values():
     assert tri.EULERIAN_A.row(4) == [1, 11, 11, 1]
-    assert tri.eulerian_a(5, 2) == 66
-    assert all(tri.eulerian_a(n, 0) == 1 for n in range(1, 10))
-    assert tri.eulerian_a(4, 9) == 0
+    assert tri.EULERIAN_A.value(5, 2) == 66
+    assert all(tri.EULERIAN_A.value(n, 0) == 1 for n in range(1, 10))
+    assert tri.EULERIAN_A.value(4, 9) == 0
 
 
 def test_eulerian_b_values():
     assert tri.EULERIAN_B.row(2) == [1, 6, 1]
     assert sum(tri.EULERIAN_B.row(3)) == 48
-    assert all(tri.eulerian_b(n, 0) == 1 for n in range(1, 8))
+    assert all(tri.EULERIAN_B.value(n, 0) == 1 for n in range(1, 8))
 
 
 def test_narayana_and_squared_binomials():
-    assert tri.narayana_h_a(4, 1) == 6
+    assert tri.ASSOC_H_A.value(4, 1) == 6
     assert tri.ASSOC_H_A.row(2) == [1, 1]
     assert tri.ASSOC_H_B.row(4) == [1, 16, 36, 16, 1]
 
 
 def test_assoc_gamma_values():
-    assert tri.assoc_gamma_b(4, 1) == 12 and tri.assoc_gamma_b(4, 2) == 6
+    assert tri.ASSOC_GAMMA_B.value(4, 1) == 12 and tri.ASSOC_GAMMA_B.value(4, 2) == 6
     assert tri.assoc_gamma_a(3, 1) == 1
-    assert tri.motzkin_left_h(1, 0) == 1 and tri.motzkin_left_h(1, 1) == 1
+    assert tri.MOTZKIN_T.value(1, 0) == 1 and tri.MOTZKIN_T.value(1, 1) == 1
     assert tri.MOTZKIN_T.row(0) == [1]
 
 
@@ -57,13 +58,13 @@ def test_cube_face_counts():
 def test_recurrences_match_closed_forms():
     for n in range(1, 13):
         for k in range(n + 2):
-            assert tri.assoc_gamma_a(n, k) == tri.assoc_gamma_a_by_recurrence(n, k)
-            assert tri.assoc_gamma_b(n, k) == tri.assoc_gamma_b_by_recurrence(n, k)
+            assert tri.assoc_gamma_a(n, k) == tri.ASSOC_GAMMA_A_REC.value(n, k)
+            assert tri.ASSOC_GAMMA_B.value(n, k) == tri.ASSOC_GAMMA_B_REC.value(n, k)
 
 
 def test_left_factor_triangle_recurrence():
     # (n+1) T(n,k) = (2n+1-k) T(n-1,k-1) + 2 T(n-1,k) + 4(k+1) T(n-1,k+1)
-    T = tri.motzkin_left_h
+    T = tri.MOTZKIN_T.value
     for n in range(1, 21):
         for k in range(n + 1):
             lhs = (n + 1) * T(n, k)
@@ -129,25 +130,25 @@ def test_rows_do_not_depend_on_call_order():
             assert tri.TRIANGLES[name].row(n) == in_order[name][n - 1]
             assert tri.lookup_triangle(name).row(n) == in_order[name][n - 1]
     for n in reversed(range(1, 41)):
-        assert tri.assoc_gamma_b_by_recurrence(n, n // 2) == tri.assoc_gamma_b(n, n // 2)
+        assert tri.ASSOC_GAMMA_B_REC.value(n, n // 2) == tri.ASSOC_GAMMA_B.value(n, n // 2)
 
 
-# The six recurrence triangles, restated: value -> (first row, row length,
-# keep, shift, lead) for t(n,k) = (keep t(n-1,k) + shift t(n-1,k-1)) / lead.
+# The six recurrence triangles, restated: name -> (triangle, first row, row
+# length, keep, shift, lead) for t(n,k) = (keep t(n-1,k) + shift t(n-1,k-1)) / lead.
 RECURRENCES = {
-    tri.gamma_a: ((1,), lambda n: (n - 1) // 2 + 1,
-                  lambda n, k: k + 1, lambda n, k: 2 * n - 4 * k, lambda n: 1),
-    tri.gamma_b: ((1,), lambda n: n // 2 + 1,
-                  lambda n, k: 2 * k + 1, lambda n, k: 4 * (n + 1 - 2 * k), lambda n: 1),
-    tri.eulerian_a: ((1,), lambda n: n,
-                     lambda n, k: k + 1, lambda n, k: n - k, lambda n: 1),
-    tri.eulerian_b: ((1, 1), lambda n: n + 1,
-                     lambda n, k: 2 * k + 1, lambda n, k: 2 * (n - k) + 1, lambda n: 1),
-    tri.assoc_gamma_a_by_recurrence: (
-        (1,), lambda n: (n - 1) // 2 + 1,
+    "gamma_a": (tri.GAMMA_A, (1,), lambda n: (n - 1) // 2 + 1,
+                lambda n, k: k + 1, lambda n, k: 2 * n - 4 * k, lambda n: 1),
+    "gamma_b": (tri.GAMMA_B, (1,), lambda n: n // 2 + 1,
+                lambda n, k: 2 * k + 1, lambda n, k: 4 * (n + 1 - 2 * k), lambda n: 1),
+    "eulerian_a": (tri.EULERIAN_A, (1,), lambda n: n,
+                   lambda n, k: k + 1, lambda n, k: n - k, lambda n: 1),
+    "eulerian_b": (tri.EULERIAN_B, (1, 1), lambda n: n + 1,
+                   lambda n, k: 2 * k + 1, lambda n, k: 2 * (n - k) + 1, lambda n: 1),
+    "assoc_gamma_a_by_recurrence": (
+        tri.ASSOC_GAMMA_A_REC, (1,), lambda n: (n - 1) // 2 + 1,
         lambda n, k: n + 2 * k + 1, lambda n, k: 4 * (n - 2 * k), lambda n: n + 1),
-    tri.assoc_gamma_b_by_recurrence: (
-        (1,), lambda n: n // 2 + 1,
+    "assoc_gamma_b_by_recurrence": (
+        tri.ASSOC_GAMMA_B_REC, (1,), lambda n: n // 2 + 1,
         lambda n, k: n + 2 * k, lambda n, k: 4 * (n - 2 * k + 1), lambda n: n),
 }
 
@@ -170,12 +171,13 @@ def _naive_rows(first, row_len, keep, shift, lead, n_max):
     return rows
 
 
-@pytest.mark.parametrize("value", list(RECURRENCES), ids=lambda f: f.__name__)
-def test_recurrence_rows_match_a_per_k_reference(value):
-    row_len = RECURRENCES[value][1]
-    for n, want in enumerate(_naive_rows(*RECURRENCES[value], 60), start=1):
+@pytest.mark.parametrize("name", list(RECURRENCES))
+def test_recurrence_rows_match_a_per_k_reference(name):
+    triangle, *recurrence = RECURRENCES[name]
+    row_len = recurrence[1]
+    for n, want in enumerate(_naive_rows(*recurrence, 60), start=1):
         assert len(want) == row_len(n)
-        assert [value(n, k) for k in range(-1, len(want) + 1)] == [0, *want, 0]
+        assert [triangle.value(n, k) for k in range(-1, len(want) + 1)] == [0, *want, 0]
 
 
 def test_wrong_lead_raises_naming_n_and_k():
@@ -185,3 +187,40 @@ def test_wrong_lead_raises_naming_n_and_k():
     assert rows(1) == (1,)
     with pytest.raises(ArithmeticError, match=r"n=2, k=0"):
         rows(2)
+
+
+@pytest.mark.parametrize("triangle", [*tri.TRIANGLES.values(), tri.ASSOC_GAMMA_A_REC,
+                                      tri.ASSOC_GAMMA_B_REC], ids=lambda t: t.name)
+def test_value_reads_the_row_and_is_zero_off_it(triangle):
+    for n in range(triangle.first_n, 61):
+        row = triangle.row(n)
+        assert row == [triangle.value(n, k) for k in range(len(row))]
+        assert triangle.value(n, -1) == 0 and triangle.value(n, len(row)) == 0
+    with pytest.raises(ValueError, match="rows start at"):
+        triangle.row(triangle.first_n - 1)
+
+
+# The closed forms, restated one entry at a time with math.comb.
+CLOSED_FORMS = {
+    "assoc-h-a": (lambda n: range(n),
+                  lambda n, k: math.comb(n, k) * math.comb(n, k + 1) // n),
+    "assoc-h-b": (lambda n: range(n + 1), lambda n, k: math.comb(n, k) ** 2),
+    "assoc-gamma-b": (lambda n: range(n // 2 + 1),
+                      lambda n, k: math.comb(2 * k, k) * math.comb(n, 2 * k)),
+    "motzkin-T": (lambda n: range(n + 1),
+                  lambda n, k: math.comb(n, k) * math.comb(n - k, (n - k) // 2)),
+    "cube-f": (lambda n: range(n + 1), lambda n, k: math.comb(n, k) * 2 ** (n - k)),
+}
+
+
+@pytest.mark.parametrize("name", list(CLOSED_FORMS))
+def test_closed_form_rows_match_a_per_entry_reference(name):
+    triangle = tri.TRIANGLES[name]
+    support, entry = CLOSED_FORMS[name]
+    for n in range(triangle.first_n, 121):
+        assert triangle.row(n) == [entry(n, k) for k in support(n)]
+
+
+def test_binomial_row_matches_math_comb():
+    for m in range(200):
+        assert tri.binomial_row(m) == [math.comb(m, j) for j in range(m + 1)]

@@ -79,7 +79,7 @@ def test_power_matches_repeated_products():
     x = UniPoly.variable("x")
     p = x + Fraction(1, 2)
     ring = QuadraticRing(x * x - 1)
-    e = ring.embed(x) + ring.root()
+    e = ring.of(x) + ring.root()
     m = MultiPoly("u v", {(1, 0): 1, (0, 1): -2})
     s = TruncSeries(6, "x", (1, x, Fraction(-1, 3), 2))
     for value, one in ((p, UniPoly.constant("x", 1)), (e, ring.one()),
