@@ -1,8 +1,9 @@
 """Command line interface.
 
 Subcommands: derive, gamma, table, oracle, verify, classical.  Exit codes:
-0 success, 1 verification failure, 2 usage or parse errors.  Output for a
-fixed invocation is byte-identical across runs.
+0 success, 1 verification failure, 2 usage or parse errors, 3 an internal
+error (any other exception, reported as one ``internal error:`` line).
+Output for a fixed invocation is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -135,8 +136,8 @@ def _cmd_table(args) -> int:
     elif args.format == "json":
         _dump_json(triangle_json_dict(triangle, args.rows))
     else:
-        for n in range(1, args.rows + 1):
-            print(" ".join(str(v) for v in triangle.row(n)))
+        for row in triangle.first_rows(args.rows):
+            print(" ".join(str(v) for v in row))
     return 0
 
 
@@ -215,6 +216,11 @@ def main(argv=None) -> int:
         # ParseError is a ValueError; configparser messages can span lines.
         print("error:", " ".join(str(exc).splitlines()), file=sys.stderr)
         return 2
+    except Exception as exc:
+        # Last resort: a crash must not read as a failed check (exit 1).
+        print(f"internal error: {type(exc).__name__}:", " ".join(str(exc).splitlines()),
+              file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

@@ -99,14 +99,16 @@ class QuadraticRing:
             raise ValueError("modulus must be nonzero")
         self.modulus = modulus
         self.var = modulus.var
-        self._modulus_powers = [UniPoly.constant(self.var, 1)]
+        self._modulus_powers = [UniPoly._raw(self.var, (1,))]
+
+    def _lift(self, c):
+        # Exact ints take the trusted path; a bool still meets the checks.
+        if type(c) is int:
+            return UniPoly._raw(self.var, (c,) if c else ())
+        return UniPoly.constant(self.var, c) if isinstance(c, int) else c
 
     def of(self, a, b=0) -> ExtPoly:
-        if isinstance(a, int):
-            a = UniPoly.constant(self.var, a)
-        if isinstance(b, int):
-            b = UniPoly.constant(self.var, b)
-        return ExtPoly(a, b, self.modulus)
+        return ExtPoly(self._lift(a), self._lift(b), self.modulus)
 
     def zero(self) -> ExtPoly:
         return self.of(0, 0)
@@ -135,7 +137,7 @@ class QuadraticRing:
             raise ValueError(f"power must be >= 0, got {k}")
         q_pow = self.modulus_power(k // 2)
         if k % 2:
-            return self.of(UniPoly(self.var), q_pow)
+            return self.of(0, q_pow)
         return self.of(q_pow, 0)
 
     def eval_poly(self, p: UniPoly, value: ExtPoly) -> ExtPoly:
@@ -176,7 +178,8 @@ def check_sqrt_gamma_forms(n_max: int) -> Report:
             acc = ring.zero()
             for k, c in enumerate(dpoly.coeffs):
                 if c:
-                    acc = acc + ring.root_power(shift + k) * (ring.modulus_power(shift - k) * c)
+                    # s^(shift+k) q^(shift-k) = s^(3 shift - k), as s^2 = q
+                    acc = acc + ring.root_power(3 * shift - k) * c
             if not acc.is_real:
                 report.add(Check(name, n, False, "odd power of the adjoined root survived"))
                 continue
@@ -238,7 +241,7 @@ def _specialize_uv(p: MultiPoly, ring: QuadraticRing) -> ExtPoly:
     iv = p.letters.index("v")
     acc = ring.zero()
     for exps, c in p.terms.items():
-        x_part = UniPoly(ring.var, [0] * exps[iv] + [c])
+        x_part = UniPoly._raw(ring.var, (0,) * exps[iv] + (c,))
         acc = acc + ring.root_power(exps[iu]) * x_part
     return acc
 

@@ -168,6 +168,10 @@ class Triangle:
             raise ValueError(f"{self.name} rows start at n={self.first_n}")
         return list(self.row_fn(n))
 
+    def first_rows(self, count: int) -> list[list[int]]:
+        """The first ``count`` rows, from row ``first_n`` on."""
+        return [self.row(n) for n in range(self.first_n, self.first_n + count)]
+
     def value(self, n: int, k: int) -> int:
         """Entry k of row n; zero off the row."""
         r = self.row(n)
@@ -233,11 +237,16 @@ def lookup_triangle(name: str) -> Triangle:
 
 
 def bfile_lines(triangle: Triangle, rows: int) -> list[str]:
-    """OEIS-style b-file: one 'index value' line per entry, reading row-major."""
-    out = [f"# {triangle.name} read by rows (rows 1..{rows}), offset 1"]
-    idx = 1
-    for n in range(1, rows + 1):
-        for v in triangle.row(n):
+    """OEIS-style b-file: one 'index value' line per entry, reading row-major.
+
+    Rows and indices both start at the triangle's first row, as OEIS
+    offsets do.
+    """
+    first = triangle.first_n
+    out = [f"# {triangle.name} read by rows (rows {first}..{first + rows - 1}), offset {first}"]
+    idx = first
+    for row in triangle.first_rows(rows):
+        for v in row:
             out.append(f"{idx} {v}")
             idx += 1
     return out
@@ -247,6 +256,6 @@ def triangle_json_dict(triangle: Triangle, rows: int) -> dict:
     return {
         "name": triangle.name,
         "oeis": triangle.oeis,
-        "offset": 1,
-        "rows": [[str(v) for v in triangle.row(n)] for n in range(1, rows + 1)],
+        "offset": triangle.first_n,
+        "rows": [[str(v) for v in row] for row in triangle.first_rows(rows)],
     }

@@ -10,6 +10,11 @@ the letter and every coefficient.  Arithmetic results (``+``, ``-``, ``*``,
 they only pass through ``_trimmed``, which normalizes integral Fractions and
 drops trailing zeros.
 
+A product whose shorter operand has one nonzero coefficient c*x^e is a
+shift, ``[0]*e + [a*c for a in longer]``, as ``MultiPoly.__mul__`` shifts by
+a one-term operand.  Every other product runs the double loop, which skips
+zero coefficients.
+
 Subtraction and ``**`` come from ``poly._Ring``, the operator base shared by
 all four ring types (``MultiPoly``, ``UniPoly``, ``ExtPoly``,
 ``TruncSeries``); the text form comes from ``poly._render``, the renderer
@@ -123,6 +128,14 @@ class UniPoly(_Ring):
             return NotImplemented
         if self.is_zero or other.is_zero:
             return UniPoly._raw(self.var, ())
+        # A shorter operand with one nonzero coefficient c*x^e is a shift:
+        # no two products meet and none cancels.
+        long, short = self.coeffs, other.coeffs
+        if len(long) < len(short):
+            long, short = short, long
+        if not any(short[:-1]):
+            c = short[-1]
+            return _trimmed(self.var, [0] * (len(short) - 1) + [v * c for v in long])
         out: list[Scalar] = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from polygram import cli
 from polygram.cli import main
 
 
@@ -114,7 +115,7 @@ def test_table_rows(capsys):
     assert out == "1\n1 4\n1 20\n1 72 80\n"
     code, out, _ = run_cli(capsys, "table", "--name", "motzkin-T", "--rows", "2")
     assert code == 0
-    assert out == "1 1\n2 2 1\n"
+    assert out == "1\n1 1\n"
     code, out, _ = run_cli(capsys, "table", "--name", "gamma-a", "--rows", "1")
     assert code == 0
     assert out == "1\n"
@@ -135,12 +136,38 @@ def test_table_bfile(capsys):
     assert lines[1:] == ["1 1", "2 1", "3 4"]
 
 
+def test_table_rows_from_zero_keep_the_oeis_offset(capsys):
+    code, out, _ = run_cli(capsys, "table", "--name", "A038207", "--rows", "2",
+                           "--format", "bfile")
+    assert code == 0
+    assert out.splitlines() == ["# cube-f read by rows (rows 0..1), offset 0",
+                                "0 1", "1 2", "2 1"]
+    code, out, _ = run_cli(capsys, "table", "--name", "A107230", "--rows", "3",
+                           "--format", "json")
+    data = json.loads(out)
+    assert code == 0
+    assert data["offset"] == 0
+    assert data["rows"] == [["1"], ["1", "1"], ["2", "2", "1"]]
+
+
 def test_table_json(capsys):
     code, out, _ = run_cli(capsys, "table", "--name", "eulerian-a", "--rows", "3",
                            "--format", "json")
     data = json.loads(out)
     assert code == 0
+    assert data["offset"] == 1
     assert data["rows"] == [["1"], ["1", "1"], ["1", "4", "1"]]
+
+
+def test_internal_error_exits_3_with_one_line(capsys, monkeypatch):
+    def crash(args):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setitem(cli._HANDLERS, "classical", crash)
+    code, out, err = run_cli(capsys, "classical", "--which", "T", "--n", "3")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom second line\n"
 
 
 def test_table_unknown_name_exits_2(capsys):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from polygram import quadratic
 from polygram.quadratic import (ExtPoly, ModulusMismatch, QuadraticRing,
                                 check_chebyshev_specialization,
                                 check_imaginary_assoc_forms, check_sqrt_gamma_forms)
@@ -34,6 +35,15 @@ def test_root_power_reduction():
     q = 4 * x - 1
     assert ring.root_power(4) == ring.of(q * q)
     assert ring.root_power(5) == ring.of(UniPoly("x"), q * q)
+
+
+def test_of_lifts_ints_and_still_refuses_bools():
+    ring = QuadraticRing(UniPoly("x", (-1, 0, 1)))
+    e = ring.of(3, 0)
+    assert e.a.coeffs == (3,) and e.b.coeffs == ()
+    assert ring.from_int(-2) == ring.of(UniPoly("x", (-2,)))
+    with pytest.raises(TypeError):
+        ring.of(True)
 
 
 def test_modulus_mismatch():
@@ -119,3 +129,48 @@ def test_root_power_in_any_order_matches_direct_powers():
         ring.root_power(-1)
     with pytest.raises(ValueError):
         ring.modulus_power(-1)
+
+
+def test_three_shift_rewrite_matches_the_ring_product():
+    # thm31 reads s^(shift+k) q^(shift-k) as s^(3 shift - k), since s^2 = q.
+    x = UniPoly.variable("x")
+    ring = QuadraticRing(4 * x - 1)
+    for shift in range(13):
+        for k in range(shift + 1):
+            assert (ring.root_power(3 * shift - k)
+                    == ring.root_power(shift + k) * ring.modulus_power(shift - k))
+
+
+def _bump_one_coefficient(real, bad_n, slot=-1):
+    def patched(n, *args):
+        p = real(n, *args)
+        if n != bad_n:
+            return p
+        coeffs = list(p.coeffs)
+        coeffs[slot] += 1
+        return UniPoly(p.var, coeffs)
+    return patched
+
+
+@pytest.mark.parametrize("name", ["tangent_derivative_poly", "secant_derivative_poly"])
+@pytest.mark.parametrize("slot, detail", [(-1, "got "), (-2, "odd power of the adjoined root")])
+def test_sqrt_gamma_forms_catch_a_wrong_coefficient(monkeypatch, name, slot, detail):
+    # slot -2 breaks the parity of P_n / Q_n, so an odd power of s survives
+    monkeypatch.setattr(quadratic, name,
+                        _bump_one_coefficient(getattr(quadratic, name), 5, slot))
+    report = check_sqrt_gamma_forms(8)
+    assert not report.ok
+    [bad] = report.failures()
+    assert bad.n == 5 and bad.detail.startswith(detail)
+
+
+@pytest.mark.parametrize("name", ["chebyshev_t", "chebyshev_u"])
+def test_chebyshev_specialization_catches_a_wrong_coefficient(monkeypatch, name):
+    # chebyshev_t is asked for T_(n+1), chebyshev_u for U_n
+    bad_n = 6
+    shift = 1 if name == "chebyshev_t" else 0
+    monkeypatch.setattr(quadratic, name,
+                        _bump_one_coefficient(getattr(quadratic, name), bad_n + shift))
+    report = check_chebyshev_specialization(9)
+    assert not report.ok
+    assert {c.n for c in report.checks if not c.ok} == {bad_n}

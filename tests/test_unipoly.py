@@ -125,3 +125,51 @@ def test_str_pins_signs_fractions_and_leading_minus():
     assert str(-f**2 + g) == "g - f^2"
     assert str(-g) == "-g"
     assert str(MultiPoly.zero("f g")) == "0"
+
+
+def _naive_product(p: UniPoly, q: UniPoly) -> UniPoly:
+    """Reference product: every coefficient pair, no shortcut."""
+    out = [0] * (len(p.coeffs) + len(q.coeffs))
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return UniPoly(p.var, out)
+
+
+def test_one_term_products_match_the_double_loop():
+    half = Fraction(1, 2)
+    one_term = [UniPoly("x", (0,) * e + (c,)) for e in (0, 1, 5, 30)
+                for c in (1, -3, half, Fraction(2, 3))]
+    others = [
+        UniPoly("x"),
+        UniPoly("x", (7,)),
+        UniPoly("x", (1, -1, 0, 2)),
+        UniPoly("x", (2, Fraction(4, 3), 0, 6)),
+        # one-term only from degree 40 up: zeros below, then one coefficient
+        UniPoly("x", (0,) * 40 + (5,)),
+        UniPoly("x", (0,) * 39 + (1, 5)),
+        UniPoly("x", list(range(-20, 21))),
+    ]
+    for p in one_term:
+        for q in others:
+            for got in (p * q, q * p):
+                want = _naive_product(p, q)
+                assert got == want, (p, q)
+                assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+
+
+def test_one_term_product_normalizes_integral_fractions():
+    got = UniPoly("x", (0, Fraction(3, 2))) * UniPoly("x", (Fraction(2, 3), 0, Fraction(4, 3)))
+    assert got.coeffs == (0, 1, 0, 2)
+    _assert_normal(got)
+    got = UniPoly("x", (Fraction(1, 2), Fraction(3, 2))) * UniPoly("x", (2,))
+    assert got.coeffs == (1, 3)
+    _assert_normal(got)
+
+
+def test_product_shares_no_coefficient_tuple_with_an_operand():
+    one = UniPoly("x", (1,))
+    for p in (UniPoly("x", (1, 2, 3)), UniPoly("x", (0, 0, 4))):
+        for got in (p * one, one * p):
+            assert got == p
+            assert got.coeffs is not p.coeffs
