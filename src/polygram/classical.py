@@ -2,14 +2,15 @@
 (Legendre-type, Narayana-type, Chebyshev), and exact series cross-checks.
 
 The series route never consults the polynomial recurrences: tangent and
-secant are rebuilt from factorial sine/cosine series with exact rational
+secant are rebuilt from the sine and cosine series by exact series
 inversion, so the generating-function comparison is a genuinely independent
-second path.
+second path.  The series are exponential, with integer coefficients:
+coefficient n of a ``TruncSeries`` is n! times its t^n coefficient, so
+products are binomial convolutions and no fraction is ever formed.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -18,8 +19,8 @@ from .oracles import count_alternating
 from .parser import parse_grammar
 from .poly import MultiPoly, _Ring
 from .report import Check, Report
-from .triangles import _recurrence_row, binomial, factorial
-from .unipoly import Scalar, UniPoly
+from .triangles import _recurrence_row, binomial, binomial_row
+from .unipoly import UniPoly
 
 __all__ = [
     "DOUBLE_ANGLE_RULES",
@@ -116,10 +117,13 @@ def chebyshev_u(n: int, var: str = "x") -> UniPoly:
 
 
 class TruncSeries(_Ring):
-    """Power series in t, truncated at a fixed order, with UniPoly coefficients.
+    """Exponential power series in t, truncated at a fixed order, with UniPoly
+    coefficients.
 
-    All arithmetic truncates consistently at the carried order; coefficients
-    are exact (int or Fraction entries inside each UniPoly).
+    Coefficient n is n! times the t^n coefficient, so the series of tangent
+    and secant, and of the closed forms built from them, have integer
+    coefficients.  Products are binomial convolutions, truncated at the
+    carried order.
     """
 
     __slots__ = ("order", "var", "coeffs")
@@ -127,13 +131,14 @@ class TruncSeries(_Ring):
     def __init__(self, order: int, var: str, coeffs: Sequence = ()):
         if order < 0:
             raise ValueError(f"order must be >= 0, got {order}")
+        given = list(coeffs)
+        if len(given) > order + 1:
+            raise ValueError(f"{len(given)} coefficients exceed truncation order {order}")
         self.order = order
         self.var = var
-        given = list(coeffs)
         padded: list[UniPoly] = []
-        for i in range(order + 1):
-            c = given[i] if i < len(given) else UniPoly(var)
-            if isinstance(c, (int, Fraction)):
+        for c in given + [0] * (order + 1 - len(given)):
+            if isinstance(c, int):
                 c = UniPoly.constant(var, c)
             if not isinstance(c, UniPoly) or c.var != var:
                 raise ValueError(f"coefficient {c!r} does not live in the {var!r} ring")
@@ -141,7 +146,7 @@ class TruncSeries(_Ring):
         self.coeffs = tuple(padded)
 
     @classmethod
-    def constant(cls, order: int, var: str, value: Scalar) -> "TruncSeries":
+    def constant(cls, order: int, var: str, value: int) -> "TruncSeries":
         return cls(order, var, (value,))
 
     @classmethod
@@ -155,7 +160,7 @@ class TruncSeries(_Ring):
         return self.coeffs[i]
 
     def _coerced(self, other):
-        if isinstance(other, (int, Fraction, UniPoly)):
+        if isinstance(other, (int, UniPoly)):
             return TruncSeries(self.order, self.var, (other,))
         if isinstance(other, TruncSeries):
             if other.order != self.order or other.var != self.var:
@@ -179,30 +184,36 @@ class TruncSeries(_Ring):
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        out = [UniPoly(self.var) for _ in range(self.order + 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j in range(self.order - i + 1):
-                b = other.coeffs[j]
-                if not b.is_zero:
-                    out[i + j] = out[i + j] + a * b
+        out = []
+        for n in range(self.order + 1):
+            acc = UniPoly(self.var)
+            for i, weight in enumerate(binomial_row(n)):
+                a, b = self.coeffs[i], other.coeffs[n - i]
+                if not (a.is_zero or b.is_zero):
+                    acc = acc + a * b * weight
+            out.append(acc)
         return TruncSeries(self.order, self.var, out)
 
     __rmul__ = __mul__
 
     def invert(self) -> "TruncSeries":
-        """Multiplicative inverse; the t^0 coefficient must be a nonzero constant."""
+        """Multiplicative inverse; the t^0 coefficient must be the constant 1 or -1.
+
+        Then 1/c0 = c0, and b_m = -c0 * sum_(j=1..m) C(m, j) a_j b_(m-j)
+        stays integral; any other constant would need a division.
+        """
         c0 = self.coeffs[0]
-        if c0.is_zero or c0.degree > 0:
-            raise ValueError("series inversion needs a nonzero constant leading coefficient")
-        inv0 = Fraction(1) / Fraction(c0.coefficient(0))
-        out = [UniPoly.constant(self.var, inv0)]
+        if c0.coeffs not in ((1,), (-1,)):
+            raise ValueError(f"series inversion needs a t^0 coefficient of 1 or -1, got {c0}")
+        sign = c0.coeffs[0]
+        out = [c0]
         for m in range(1, self.order + 1):
+            row = binomial_row(m)
             acc = UniPoly(self.var)
             for j in range(1, m + 1):
-                acc = acc + self.coeffs[j] * out[m - j]
-            out.append(acc * (-inv0))
+                if not self.coeffs[j].is_zero:
+                    acc = acc + self.coeffs[j] * out[m - j] * row[j]
+            out.append(acc * -sign)
         return TruncSeries(self.order, self.var, out)
 
     def __eq__(self, other):
@@ -220,23 +231,13 @@ class TruncSeries(_Ring):
 
 
 def sine_series(order: int, var: str = "u") -> TruncSeries:
-    coeffs: list[Scalar] = []
-    for m in range(order + 1):
-        if m % 2:
-            coeffs.append(Fraction((-1) ** (m // 2), factorial(m)))
-        else:
-            coeffs.append(0)
-    return TruncSeries(order, var, coeffs)
+    """n! [t^n] sin t: 0, 1, 0, -1, repeating."""
+    return TruncSeries(order, var, [(0, 1, 0, -1)[m % 4] for m in range(order + 1)])
 
 
 def cosine_series(order: int, var: str = "u") -> TruncSeries:
-    coeffs: list[Scalar] = []
-    for m in range(order + 1):
-        if m % 2 == 0:
-            coeffs.append(Fraction((-1) ** (m // 2), factorial(m)))
-        else:
-            coeffs.append(0)
-    return TruncSeries(order, var, coeffs)
+    """n! [t^n] cos t: 1, 0, -1, 0, repeating."""
+    return TruncSeries(order, var, [(1, 0, -1, 0)[m % 4] for m in range(order + 1)])
 
 
 def tangent_series(order: int, var: str = "u") -> TruncSeries:
@@ -288,7 +289,8 @@ def check_generating_functions(n_max: int) -> Report:
     by order, against the recurrence-built polynomials.
 
     The closed forms are (u + tan t) / (1 - u tan t) and sec t / (1 - u tan t);
-    both are assembled by series arithmetic only.
+    both are assembled by series arithmetic only.  They are exponential
+    generating functions, so coefficient n of each is P_n or Q_n itself.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -302,13 +304,12 @@ def check_generating_functions(n_max: int) -> Report:
     sec_side = sec * denom
     report = Report("egf")
     for n in range(n_max + 1):
-        fact = factorial(n)
         cases = (
             ("tan-side", tan_side, tangent_derivative_poly(n, var)),
             ("sec-side", sec_side, secant_derivative_poly(n, var)),
         )
         for name, series, want in cases:
-            got = fact * series.coefficient(n)
+            got = series.coefficient(n)
             ok = got == want
             report.add(Check(name, n, ok, "" if ok else f"got {got}, want {want}"))
     return report

@@ -168,16 +168,6 @@ class MultiPoly(_Ring):
         letters = check_letters(letters)
         return tuple(cls.variable(letters, name) for name in letters)
 
-    @classmethod
-    def monomial(cls, letters, powers: Mapping[str, int], coeff: int = 1) -> "MultiPoly":
-        letters = check_letters(letters)
-        exps = [0] * len(letters)
-        for name, e in powers.items():
-            if name not in letters:
-                raise ValueError(f"unknown letter {name!r} for alphabet {letters}")
-            exps[letters.index(name)] = e
-        return cls(letters, {tuple(exps): coeff})
-
     # ------------------------------------------------------------------
     # basic queries
 

@@ -1,14 +1,10 @@
-"""Dense univariate polynomials with exact integer or rational coefficients.
-
-Coefficients are ints wherever possible; Fractions appear only in series
-work.  A Fraction that reduces to an integer is normalized back to int, so
-equality never depends on how a value was produced.
+"""Dense univariate polynomials with exact integer coefficients.
 
 Coefficients are validated once, where they enter: the constructor checks
-the letter and every coefficient.  Arithmetic results (``+``, ``-``, ``*``,
-``derivative``) are built from values already checked, so they are trusted:
-they only pass through ``_trimmed``, which normalizes integral Fractions and
-drops trailing zeros.
+the letter and refuses every coefficient that is not an ``int``, a ``bool``
+included.  Arithmetic results (``+``, ``-``, ``*``, ``derivative``) are
+built from values already checked, so they are trusted: they only pass
+through ``_trimmed``, which drops trailing zeros.
 
 A product whose shorter operand has one nonzero coefficient c*x^e is a
 shift, ``[0]*e + [a*c for a in longer]``, as ``MultiPoly.__mul__`` shifts by
@@ -23,29 +19,19 @@ all four ring types (``MultiPoly``, ``UniPoly``, ``ExtPoly``,
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import zip_longest
-from typing import Iterable, Union
+from typing import Iterable
 
 from .poly import AlphabetMismatch, MultiPoly, _render, _Ring, check_letters
 
-__all__ = ["Scalar", "UniPoly"]
-
-Scalar = Union[int, Fraction]
+__all__ = ["UniPoly"]
 
 
-def _norm(c: Scalar) -> Scalar:
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
-
-
-def _trimmed(var: str, coeffs: list[Scalar]) -> "UniPoly":
-    # Trusted arithmetic results: no type checks, only the int normal form.
-    out = [int(c) if type(c) is Fraction and c.denominator == 1 else c for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return UniPoly._raw(var, tuple(out))
+def _trimmed(var: str, coeffs: list[int]) -> "UniPoly":
+    # Trusted arithmetic results: no type checks, only trailing zeros dropped.
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return UniPoly._raw(var, tuple(coeffs))
 
 
 class UniPoly(_Ring):
@@ -53,29 +39,28 @@ class UniPoly(_Ring):
 
     __slots__ = ("var", "coeffs")
 
-    def __init__(self, var: str, coeffs: Iterable[Scalar] = ()):
+    def __init__(self, var: str, coeffs: Iterable[int] = ()):
         letters = check_letters([var] if isinstance(var, str) else var)
         if len(letters) != 1:
             raise ValueError(f"UniPoly takes exactly one letter, got {letters}")
         self.var = letters[0]
-        out: list[Scalar] = []
-        for c in coeffs:
-            if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
-                raise TypeError(f"coefficient {c!r} must be int or Fraction")
-            out.append(_norm(c))
+        out = list(coeffs)
+        for c in out:
+            if type(c) is not int:
+                raise TypeError(f"coefficient {c!r} must be an int")
         while out and out[-1] == 0:
             out.pop()
         self.coeffs = tuple(out)
 
     @classmethod
-    def _raw(cls, var: str, coeffs: tuple[Scalar, ...]) -> "UniPoly":
+    def _raw(cls, var: str, coeffs: tuple[int, ...]) -> "UniPoly":
         p = object.__new__(cls)
         p.var = var
         p.coeffs = coeffs
         return p
 
     @classmethod
-    def constant(cls, var: str, value: Scalar) -> "UniPoly":
+    def constant(cls, var: str, value: int) -> "UniPoly":
         return cls(var, (value,))
 
     @classmethod
@@ -92,13 +77,13 @@ class UniPoly(_Ring):
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, i: int) -> Scalar:
+    def coefficient(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     # ------------------------------------------------------------------
 
     def _coerced(self, other):
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+        if type(other) is int:
             return _trimmed(self.var, [other])
         if isinstance(other, UniPoly):
             if other.var != self.var:
@@ -119,10 +104,10 @@ class UniPoly(_Ring):
         return UniPoly._raw(self.var, tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+        if type(other) is int:
             if other == 0:
                 return UniPoly._raw(self.var, ())
-            return _trimmed(self.var, [c * other for c in self.coeffs])
+            return UniPoly._raw(self.var, tuple(c * other for c in self.coeffs))
         other = self._coerced(other)
         if other is None:
             return NotImplemented
@@ -136,7 +121,7 @@ class UniPoly(_Ring):
         if not any(short[:-1]):
             c = short[-1]
             return _trimmed(self.var, [0] * (len(short) - 1) + [v * c for v in long])
-        out: list[Scalar] = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -148,7 +133,7 @@ class UniPoly(_Ring):
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+        if type(other) is int:
             other = UniPoly(self.var, (other,))
         if not isinstance(other, UniPoly):
             return NotImplemented
@@ -162,11 +147,11 @@ class UniPoly(_Ring):
     def derivative(self) -> "UniPoly":
         return _trimmed(self.var, [i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def __call__(self, x: Scalar) -> Scalar:
-        acc: Scalar = 0
+    def __call__(self, x):
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return _norm(acc)
+        return acc
 
     # ------------------------------------------------------------------
 

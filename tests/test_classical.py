@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from polygram import classical
 from polygram.classical import (TruncSeries, check_alternating_counts,
                                 check_generating_functions, check_scaled_tan_sec,
                                 chebyshev_t, chebyshev_u, cosine_series,
                                 legendre_like, narayana_like, secant_derivative_poly,
                                 secant_series, sine_series, tangent_derivative_poly,
                                 tangent_series)
-from polygram.triangles import binomial
+from polygram.triangles import binomial, factorial
 from polygram.unipoly import UniPoly
 
 
@@ -89,17 +90,60 @@ def test_chebyshev_values():
 
 
 def test_series_expansions():
+    # Exponential coefficients: the tangent and secant numbers themselves.
     tan = tangent_series(7)
-    assert tan.coefficient(0) == 0
-    assert tan.coefficient(1) == 1
-    assert tan.coefficient(3) == Fraction(1, 3)
-    assert tan.coefficient(5) == Fraction(2, 15)
-    assert tan.coefficient(7) == Fraction(17, 315)
+    assert [tan.coefficient(n) for n in range(8)] == [0, 1, 0, 2, 0, 16, 0, 272]
     sec = secant_series(6)
-    assert sec.coefficient(0) == 1
-    assert sec.coefficient(2) == Fraction(1, 2)
-    assert sec.coefficient(4) == Fraction(5, 24)
-    assert sec.coefficient(6) == Fraction(61, 720)
+    assert [sec.coefficient(n) for n in range(7)] == [1, 0, 1, 0, 5, 0, 61]
+    assert [sine_series(5).coefficient(n) for n in range(6)] == [0, 1, 0, -1, 0, 1]
+    assert [cosine_series(5).coefficient(n) for n in range(6)] == [1, 0, -1, 0, 1, 0]
+
+
+def _random_series(rng, order, c0=None):
+    """Integer coefficient lists; some zero, some constant, some of degree 3."""
+    coeffs = [[rng.randint(-9, 9) for _ in range(rng.choice((0, 1, 4)))]
+              for _ in range(order + 1)]
+    if c0 is not None:
+        coeffs[0] = [c0]
+    return coeffs
+
+
+def _as_series(order, coeffs):
+    return TruncSeries(order, "u", [UniPoly("u", c) for c in coeffs])
+
+
+def _reference_product(a, b, order):
+    """n! sum_k a_k/k! b_(n-k)/(n-k)!, in Fractions, coefficient by coefficient of u."""
+    out = []
+    for n in range(order + 1):
+        acc = [Fraction(0)] * 9
+        for k in range(n + 1):
+            w = factorial(n) * Fraction(1, factorial(k)) * Fraction(1, factorial(n - k))
+            for i, x in enumerate(a[k]):
+                for j, y in enumerate(b[n - k]):
+                    acc[i + j] += w * x * y
+        assert all(c.denominator == 1 for c in acc)
+        out.append(UniPoly("u", [int(c) for c in acc]))
+    return out
+
+
+def test_series_product_is_the_binomial_convolution():
+    rng = random.Random(8)
+    for _ in range(40):
+        order = rng.randint(0, 9)
+        a, b = _random_series(rng, order), _random_series(rng, order)
+        got = _as_series(order, a) * _as_series(order, b)
+        assert list(got.coeffs) == _reference_product(a, b, order)
+
+
+def test_series_inverse_times_series_is_one():
+    rng = random.Random(9)
+    for _ in range(40):
+        order = rng.randint(0, 9)
+        s = _as_series(order, _random_series(rng, order, c0=rng.choice((1, -1))))
+        one = TruncSeries.constant(order, "u", 1)
+        assert s * s.invert() == one
+        assert s.invert() * s == one
 
 
 def test_series_inversion_is_exact():
@@ -107,6 +151,34 @@ def test_series_inversion_is_exact():
     assert cos * cos.invert() == TruncSeries.constant(10, "u", 1)
     with pytest.raises(ValueError):
         sine_series(5).invert()
+
+
+@pytest.mark.parametrize("c0", [0, 2, -2, UniPoly("u", (0, 1)), UniPoly("u", (1, 1))])
+def test_series_inversion_refuses_other_constant_terms(c0):
+    with pytest.raises(ValueError, match="t\\^0 coefficient of 1 or -1"):
+        TruncSeries(5, "u", (c0, 1, 3)).invert()
+
+
+def test_series_refuses_coefficients_past_its_order():
+    with pytest.raises(ValueError, match="exceed truncation order 2"):
+        TruncSeries(2, "u", (1, 0, 3, 4))
+    assert TruncSeries(2, "u", (1, 0, 3)).coefficient(2) == 3
+
+
+@pytest.mark.parametrize("name", ["tangent_derivative_poly", "secant_derivative_poly"])
+def test_generating_functions_catch_a_wrong_coefficient(monkeypatch, name):
+    real = getattr(classical, name)
+
+    def bumped(n, *args):
+        p = real(n, *args)
+        if n != 5:
+            return p
+        return UniPoly(p.var, p.coeffs[:-1] + (p.coeffs[-1] + 1,))
+
+    monkeypatch.setattr(classical, name, bumped)
+    report = check_generating_functions(8)
+    assert not report.ok
+    assert [c.n for c in report.checks if not c.ok] == [5]
 
 
 def test_series_mixed_arithmetic():
