@@ -6,6 +6,29 @@ products) given by D(p) = sum over letters x of rule(x) * dp/dx.  The
 weighted one-sided variants, p -> D(w*p) and p -> w*D(p) for a weight
 letter w, are first-class operator values so that iteration and
 coefficient extraction never special-case them.
+
+All three operators run on one packed kernel.  A monomial is one int: the
+exponent of letter i sits in bits [i*W, (i+1)*W).  A grammar and an
+operator compile once into a tuple of moves, one per term t of each rule
+x -> rule(x): (field shift of x, packed delta t - x + w, coefficient of t,
+bump), where w is the weight letter (nothing for plain D) and the bump is 1
+only for x = w under preD, whose D(w*m) sees the exponent of w one higher
+(so its delta is t alone).  One step applies every move to every term:
+e = field + bump; if e: out[key + delta] += c * (e * rc), then drops the
+zero coefficients.
+
+W is derived, never set.  No exponent of op^n(start), n <= n_max, exceeds
+B = deg(start) + n_max * max(0, (max rule degree) - 1 + [weighted]), so
+W = bit_length(B) + 1: every field stays below 2^(W-1), one guard bit
+under its neighbour, and no field carries into the next.  Python ints are
+unbounded, so there is no fixed width to overflow.
+
+Coefficients of a PowerPattern family base + k*step are read straight off
+the packed keys: k comes from one field, and the whole key must equal the
+packed base + k*step, with k kept to the range in which every field of
+base + k*step lies in [0, 2^(W-1)), so a carry between fields can never
+pass for a match.  Keys are unpacked only to build a MultiPoly or to name
+a stray term.
 """
 
 from __future__ import annotations
@@ -13,6 +36,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, repeat
+from math import inf
 from typing import Callable, Iterator, Mapping
 
 from .poly import AlphabetMismatch, MultiPoly, check_letters
@@ -55,15 +79,7 @@ class Grammar:
 
     def derive(self, p: MultiPoly) -> MultiPoly:
         """Apply the induced derivation D."""
-        if p.letters != self.letters:
-            raise AlphabetMismatch(
-                f"polynomial alphabet {p.letters} differs from grammar alphabet {self.letters}")
-        out = MultiPoly.zero(self.letters)
-        for name in self.letters:
-            dp = p.partial_derivative(name)
-            if not dp.is_zero:
-                out = out + self.rules[name] * dp
-        return out
+        return DerivOp.plain().apply(self, p)
 
     def __eq__(self, other):
         if not isinstance(other, Grammar):
@@ -120,36 +136,98 @@ class DerivOp:
             f"bad operator {text!r}: use D, preD:<letter> or postD:<letter>")
 
     def apply(self, grammar: Grammar, p: MultiPoly) -> MultiPoly:
-        if self.kind == "D":
-            return grammar.derive(p)
-        w = MultiPoly.variable(grammar.letters, self.weight)
-        if self.kind == "preD":
-            return grammar.derive(w * p)
-        return w * grammar.derive(p)
+        if p.letters != grammar.letters:
+            raise AlphabetMismatch(
+                f"polynomial alphabet {p.letters} differs from grammar alphabet {grammar.letters}")
+        return iterate_operator(grammar, self, p, 1)
 
     def __str__(self):
         return self.kind if self.kind == "D" else f"{self.kind}:{self.weight}"
+
+
+# ----------------------------------------------------------------------
+# the packed kernel
+
+def _compile(grammar: Grammar, op: DerivOp, degree: int, n_max: int):
+    """(W, moves) for n_max applications of op to a start of total degree ``degree``.
+
+    An unknown weight letter is refused here, before any step runs.
+    """
+    letters = grammar.letters
+    if op.weight is not None and op.weight not in letters:
+        raise ValueError(f"unknown weight letter {op.weight!r} for alphabet {letters}")
+    weighted = op.weight is not None
+    top = max((rule.degree() for rule in grammar.rules.values()), default=0)
+    width = (max(degree, 0) + n_max * max(0, top - 1 + weighted)).bit_length() + 1
+    unit = [1 << (i * width) for i in range(len(letters))]
+    weight_bit = unit[letters.index(op.weight)] if weighted else 0
+    moves = []
+    for i, name in enumerate(letters):
+        bump = int(op.kind == "preD" and name == op.weight)
+        for exps, rc in grammar.rules[name].terms.items():
+            moves.append((i * width, _pack(exps, width) - unit[i] + weight_bit, rc, bump))
+    return width, tuple(moves)
+
+
+def _pack(exps, width: int) -> int:
+    key = 0
+    for i, e in enumerate(exps):
+        key += e << (i * width)
+    return key
+
+
+def _unpacked(letters: tuple[str, ...], terms: dict[int, int], width: int) -> MultiPoly:
+    mask = (1 << width) - 1
+    shifts = range(0, len(letters) * width, width)
+    return MultiPoly._raw(letters, {tuple(key >> shift & mask for shift in shifts): c
+                                    for key, c in terms.items()})
+
+
+def _step(terms: dict[int, int], moves, mask: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    get = out.get
+    for key, c in terms.items():
+        for shift, delta, rc, bump in moves:
+            e = (key >> shift & mask) + bump
+            if e:
+                k = key + delta
+                out[k] = get(k, 0) + c * (e * rc)
+    return {key: c for key, c in out.items() if c}
+
+
+def _packed_iterates(grammar: Grammar, op: DerivOp, start: MultiPoly, n_max: int):
+    """(W, iterator over packed op^n(start) for n = 0..n_max)."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    start = start.with_letters(grammar.letters)
+    width, moves = _compile(grammar, op, start.degree(), n_max)
+    mask = (1 << width) - 1
+    terms = {_pack(exps, width): c for exps, c in start.terms.items()}
+    return width, accumulate(repeat(moves, n_max),
+                             lambda t, ms: _step(t, ms, mask), initial=terms)
 
 
 def operator_iterates(grammar: Grammar, op: DerivOp, start: MultiPoly,
                       n_max: int) -> Iterator[MultiPoly]:
     """start, op(start), op^2(start), ... up to op^n_max(start), yielded lazily.
 
-    Each iterate is one operator application on the one before, so a sweep
-    over n <= n_max costs n_max applications in total, not n_max^2, and only
-    the iterates a caller keeps stay in memory.  A negative n_max is refused
-    at the call.
+    Each iterate is one kernel step on the one before, so a sweep over
+    n <= n_max costs n_max steps in total, not n_max^2, and only the
+    iterates a caller keeps stay in memory.  A negative n_max or an unknown
+    weight letter is refused at the call.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    return accumulate(repeat(op, n_max), lambda p, step: step.apply(grammar, p),
-                      initial=start.with_letters(grammar.letters))
+    width, iterates = _packed_iterates(grammar, op, start, n_max)
+    return (_unpacked(grammar.letters, terms, width) for terms in iterates)
 
 
 def iterate_operator(grammar: Grammar, op: DerivOp, start: MultiPoly, n: int) -> MultiPoly:
     """op applied n times to start; n = 0 returns start."""
-    return deque(operator_iterates(grammar, op, start, n), maxlen=1).pop()
+    width, iterates = _packed_iterates(grammar, op, start, n)
+    return _unpacked(grammar.letters, deque(iterates, maxlen=1).pop(), width)
 
+
+# ----------------------------------------------------------------------
+# reading coefficients off packed terms
 
 class PatternMismatch(ValueError):
     """A term fell outside the monomial family being read off."""
@@ -163,25 +241,39 @@ class PowerPattern:
     base: tuple[int, ...]
     step: tuple[int, ...]
 
-    def exponents(self, k: int) -> tuple[int, ...]:
-        return tuple(b + k * s for b, s in zip(self.base, self.step))
 
-    def match(self, exps) -> int | None:
-        """The unique k with exps == exponents(k), or None."""
-        k = None
-        for b, s, e in zip(self.base, self.step, exps):
-            if s == 0:
-                if e != b:
-                    return None
-            else:
-                d = e - b
-                if d % s:
-                    return None
-                kk = d // s
-                if kk < 0 or (k is not None and kk != k):
-                    return None
-                k = kk
-        return 0 if k is None else k
+def _read_off(letters: tuple[str, ...], terms: dict[int, int], width: int,
+              pattern: PowerPattern) -> list[int]:
+    """Coefficients of the packed terms along the family, densely indexed from k = 0."""
+    if letters != pattern.letters:
+        raise AlphabetMismatch(
+            f"polynomial alphabet {letters} differs from pattern alphabet {pattern.letters}")
+    cap = (1 << (width - 1)) - 1
+    # k is read from the first field that moves with k; with no such field
+    # a zero mask reads every key as k = 0.
+    shift, mask, b0, s0 = 0, 0, 0, 1
+    lo, hi = 0, inf
+    for i, (b, s) in enumerate(zip(pattern.base, pattern.step)):
+        if s and not mask:
+            shift, mask, b0, s0 = i * width, (1 << width) - 1, b, s
+        # Keep every field of base + k*step inside [0, cap].
+        if s > 0:
+            lo, hi = max(lo, -(b // s)), min(hi, (cap - b) // s)
+        elif s < 0:
+            lo, hi = max(lo, -((cap - b) // -s)), min(hi, b // -s)
+        elif not 0 <= b <= cap:
+            hi = -1
+    base, step = _pack(pattern.base, width), _pack(pattern.step, width)
+    found: dict[int, int] = {}
+    for key, c in terms.items():
+        k, r = divmod((key >> shift & mask) - b0, s0)
+        if r or not lo <= k <= hi or key != base + k * step:
+            stray = _unpacked(letters, {key: c}, width)
+            raise PatternMismatch(f"term {stray} does not fit the expected monomial family")
+        found[k] = c
+    if not found:
+        return []
+    return [found.get(k, 0) for k in range(max(found) + 1)]
 
 
 def expansion_coefficients(p: MultiPoly, pattern: PowerPattern) -> list[int]:
@@ -190,19 +282,9 @@ def expansion_coefficients(p: MultiPoly, pattern: PowerPattern) -> list[int]:
     Raises PatternMismatch if any term of p lies outside the family; that is
     how a falsified structural identity announces itself.
     """
-    if p.letters != pattern.letters:
-        raise AlphabetMismatch(
-            f"polynomial alphabet {p.letters} differs from pattern alphabet {pattern.letters}")
-    found: dict[int, int] = {}
-    for exps, coeff in p.terms.items():
-        k = pattern.match(exps)
-        if k is None:
-            stray = MultiPoly._raw(p.letters, {exps: coeff})
-            raise PatternMismatch(f"term {stray} does not fit the expected monomial family")
-        found[k] = coeff
-    if not found:
-        return []
-    return [found.get(k, 0) for k in range(max(found) + 1)]
+    width = max(p.degree(), 0).bit_length() + 1
+    terms = {_pack(exps, width): c for exps, c in p.terms.items()}
+    return _read_off(p.letters, terms, width, pattern)
 
 
 def verify_identity(grammar: Grammar, op: DerivOp, start: MultiPoly, n_max: int,
@@ -212,28 +294,29 @@ def verify_identity(grammar: Grammar, op: DerivOp, start: MultiPoly, n_max: int,
     """Compare op^n(start) with normalization(n) * expected.row(n) for n = 1..n_max.
 
     ``expected`` is any triangle-like object with row(n); ``pattern_for(n)``
-    names the monomial family carrying coefficient index k.  Both rows are
+    names the monomial family carrying coefficient index k.  The iterates
+    stay packed: coefficients are read off the packed keys.  Both rows are
     zero-padded to one length and compared whole; only on a mismatch is the
     first differing k looked up for the message.  Every n is checked even
     after a failure.
     """
-    iterates = operator_iterates(grammar, op, start, n_max)
+    width, iterates = _packed_iterates(grammar, op, start, n_max)
     next(iterates)  # op^0(start) is not checked
     report = Report(label)
-    for n, current in enumerate(iterates, start=1):
+    for n, terms in enumerate(iterates, start=1):
         try:
-            got = expansion_coefficients(current, pattern_for(n))
+            got = _read_off(grammar.letters, terms, width, pattern_for(n))
         except PatternMismatch as exc:
             report.add(Check(label, n, False, str(exc)))
             continue
         norm = normalization(n)
         want = [norm * c for c in expected.row(n)]
-        width = max(len(got), len(want))
-        got += [0] * (width - len(got))
-        want += [0] * (width - len(want))
+        size = max(len(got), len(want))
+        got += [0] * (size - len(got))
+        want += [0] * (size - len(want))
         failure = ""
         if got != want:
-            k = next(k for k in range(width) if got[k] != want[k])
+            k = next(k for k in range(size) if got[k] != want[k])
             failure = f"k={k}: got {got[k]}, want {want[k]}"
         report.add(Check(label, n, not failure, failure))
     return report

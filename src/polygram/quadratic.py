@@ -237,12 +237,19 @@ def check_imaginary_assoc_forms(n_max: int) -> Report:
 
 def _specialize_uv(p: MultiPoly, ring: QuadraticRing) -> ExtPoly:
     # u -> s, v -> x over s^2 = x^2 - 1
+    # The x coefficients are grouped by u-exponent first, so each distinct
+    # power of s costs one product and one add.
     iu = p.letters.index("u")
     iv = p.letters.index("v")
-    acc = ring.zero()
+    by_u: dict[int, dict[int, int]] = {}
     for exps, c in p.terms.items():
-        x_part = UniPoly._raw(ring.var, (0,) * exps[iv] + (c,))
-        acc = acc + ring.root_power(exps[iu]) * x_part
+        by_u.setdefault(exps[iu], {})[exps[iv]] = c
+    acc = ring.zero()
+    for e, x_terms in by_u.items():
+        coeffs = [0] * (max(x_terms) + 1)
+        for j, c in x_terms.items():
+            coeffs[j] = c
+        acc = acc + ring.root_power(e) * UniPoly._raw(ring.var, tuple(coeffs))
     return acc
 
 

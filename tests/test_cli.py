@@ -65,6 +65,16 @@ def test_derive_bad_operator_exits_2(capsys):
     assert "operator" in err
 
 
+@pytest.mark.parametrize("op", ["preD:q", "postD:q"])
+@pytest.mark.parametrize("n", ["0", "3"])
+def test_derive_unknown_weight_letter_exits_2_before_any_step(capsys, op, n):
+    code, out, err = run_cli(capsys, "derive", "--grammar", "u->u*v; v->u+v",
+                             "--start", "u", "--op", op, "--n", n)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: unknown weight letter 'q' for alphabet ('u', 'v')"]
+
+
 def test_derive_config_file(capsys, tmp_path):
     cfg = tmp_path / "grammars.ini"
     cfg.write_text("[double-angle]\nrules = f -> f*g; g -> 4*f^2\n", encoding="utf-8")

@@ -1,0 +1,323 @@
+"""The packed derivation kernel and the packed pattern matcher of
+``polygram.grammar``, against references kept in this file.
+
+The derivation reference is the per-letter Leibniz route,
+D(p) = sum over letters x of rule(x) * dp/dx, built from MultiPoly
+``partial_derivative``, ``*`` and ``+``; the matcher reference reads k off
+exponent tuples one letter at a time.
+"""
+
+import random
+from math import factorial
+
+import pytest
+
+from polygram.grammar import (DerivOp, Grammar, PatternMismatch, PowerPattern,
+                              _packed_iterates, expansion_coefficients, iterate_operator,
+                              operator_iterates, verify_identity)
+from polygram.poly import AlphabetMismatch, MultiPoly
+from polygram.triangles import plain_triangle
+
+ALPHABETS = ("u", "u v", "t u v", "s t u v")
+
+
+def leibniz_derive(grammar, p):
+    out = MultiPoly.zero(grammar.letters)
+    for name in grammar.letters:
+        dp = p.partial_derivative(name)
+        if not dp.is_zero:
+            out = out + grammar.rule(name) * dp
+    return out
+
+
+def reference_apply(grammar, op, p):
+    if op.kind == "D":
+        return leibniz_derive(grammar, p)
+    w = MultiPoly.variable(grammar.letters, op.weight)
+    if op.kind == "preD":
+        return leibniz_derive(grammar, w * p)
+    return w * leibniz_derive(grammar, p)
+
+
+def reference_iterates(grammar, op, start, n_max):
+    seq = [start.with_letters(grammar.letters)]
+    for _ in range(n_max):
+        seq.append(reference_apply(grammar, op, seq[-1]))
+    return seq
+
+
+def random_terms(rng, letters, max_terms, max_exp, max_coeff=5):
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        exps = tuple(rng.randint(0, max_exp) for _ in letters)
+        coeff = rng.randint(-max_coeff, max_coeff)
+        if coeff:
+            terms[exps] = coeff
+    return MultiPoly(letters, terms)
+
+
+def random_rule(rng, letters):
+    shape = rng.choice(("constant", "linear", "any", "any", "zero"))
+    if shape == "zero":
+        return MultiPoly.zero(letters)
+    if shape == "constant":
+        return MultiPoly.const(letters, rng.choice((-3, -1, 1, 2)))
+    # Degree-lowering rules (linear or constant parts) mix with growing ones.
+    return random_terms(rng, letters, 3, 1 if shape == "linear" else 2)
+
+
+def every_op(letters):
+    yield DerivOp.plain()
+    for w in letters:
+        yield DerivOp.pre_mul(w)
+        yield DerivOp.post_mul(w)
+
+
+def assert_kernel_matches(grammar, start, n_max):
+    for op in every_op(grammar.letters):
+        want = reference_iterates(grammar, op, start, n_max)
+        got = list(operator_iterates(grammar, op, start, n_max))
+        assert got == want, (str(grammar), str(op), str(start))
+        assert all(0 not in p.terms.values() for p in got)
+        assert iterate_operator(grammar, op, start, n_max) == want[-1]
+        assert op.apply(grammar, want[0]) == want[1]
+        if op.kind == "D":
+            assert grammar.derive(want[0]) == want[1]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_random_grammars_match_the_leibniz_route(seed):
+    rng = random.Random(9100 + seed)
+    letters = tuple(ALPHABETS[seed % 4].split())
+    grammar = Grammar(letters, {x: random_rule(rng, letters) for x in letters})
+    for _ in range(3):
+        start = random_terms(rng, letters, 3, 3)
+        assert_kernel_matches(grammar, start, rng.randint(1, 5))
+
+
+@pytest.mark.parametrize("letters", ALPHABETS)
+def test_start_over_some_of_the_letters(letters):
+    rng = random.Random(len(letters))
+    letters = tuple(letters.split())
+    grammar = Grammar(letters, {x: random_terms(rng, letters, 2, 2) + 1 for x in letters})
+    first = letters[:1]
+    start = MultiPoly(first, {(2,): 3})
+    for op in every_op(letters):
+        assert list(operator_iterates(grammar, op, start, 3)) == \
+            reference_iterates(grammar, op, start, 3)
+    # The same start written over the whole alphabet, one letter unused.
+    last = MultiPoly.variable(letters, letters[-1]) * 2 - 1
+    assert_kernel_matches(grammar, last, 3)
+
+
+def test_zero_start_stays_zero():
+    grammar = Grammar(("u", "v"), {"u": MultiPoly(("u", "v"), {(1, 1): 1}),
+                                   "v": MultiPoly(("u", "v"), {(2, 0): -4})})
+    zero = MultiPoly.zero(("u", "v"))
+    for op in every_op(grammar.letters):
+        assert [p.terms for p in operator_iterates(grammar, op, zero, 4)] == [{}] * 5
+    assert_kernel_matches(grammar, MultiPoly.const(("u", "v"), 7), 3)
+
+
+def test_cancelling_coefficients_drop_out():
+    # u -> v, v -> -u is a rotation: D(u^2 + v^2) = 2uv - 2vu = 0.
+    u, v = MultiPoly.variables("u v")
+    grammar = Grammar(("u", "v"), {"u": v, "v": -u})
+    assert iterate_operator(grammar, DerivOp.plain(), u * u + v * v, 1).terms == {}
+    assert iterate_operator(grammar, DerivOp.post_mul("u"), u * u + v * v, 2).terms == {}
+    assert_kernel_matches(grammar, u * u - 3 * v * v + u * v, 4)
+
+
+def test_constant_rules_lower_the_degree():
+    u, v = MultiPoly.variables("u v")
+    grammar = Grammar(("u", "v"), {"u": MultiPoly.const(("u", "v"), 1),
+                                   "v": MultiPoly.const(("u", "v"), -2)})
+    assert iterate_operator(grammar, DerivOp.plain(), u**5, 5) == MultiPoly.const(("u", "v"), 120)
+    assert iterate_operator(grammar, DerivOp.plain(), u**5, 6).is_zero
+    assert_kernel_matches(grammar, u**4 * v**3 + v, 6)
+
+
+def test_exponents_past_two_to_the_sixteen():
+    u, v = MultiPoly.variables("u v")
+    grammar = Grammar(("u", "v"), {"u": u * u * v, "v": -u})
+    assert_kernel_matches(grammar, u**70000 * v**65537 + 3 * v**131072, 3)
+
+
+def test_three_billionth_power_rule():
+    u = MultiPoly.variable(("u",), "u")
+    big = 3_000_000_000
+    grammar = Grammar(("u",), {"u": u**big})
+    seq = list(operator_iterates(grammar, DerivOp.plain(), u, 3))
+    assert seq[1] == u**big
+    assert seq[2] == big * u**(2 * big - 1)
+    assert seq[3] == big * (2 * big - 1) * u**(3 * big - 2)
+    assert_kernel_matches(grammar, u, 3)
+
+
+def test_width_is_derived_from_the_degree_bound():
+    u, v = MultiPoly.variables("u v")
+    cubic = Grammar(("u", "v"), {"u": u * u * v, "v": u**3})
+    constant = Grammar(("u", "v"), {"u": MultiPoly.const(("u", "v"), 1), "v": v})
+    cases = [
+        # (grammar, op, start, n_max, bound on every exponent)
+        (cubic, DerivOp.plain(), u * v, 10, 2 + 10 * 2),
+        (cubic, DerivOp.pre_mul("u"), u * v, 10, 2 + 10 * 3),
+        (cubic, DerivOp.post_mul("v"), u, 7, 1 + 7 * 3),
+        (cubic, DerivOp.plain(), MultiPoly.zero(("u", "v")), 5, 0 + 5 * 2),
+        (constant, DerivOp.plain(), u**8, 20, 8),
+        (constant, DerivOp.pre_mul("v"), u**8, 20, 8 + 20 * 1),
+    ]
+    for grammar, op, start, n_max, bound in cases:
+        width, _ = _packed_iterates(grammar, op, start, n_max)
+        assert width == bound.bit_length() + 1, (str(op), n_max)
+
+
+def test_unknown_weight_letter_is_refused_at_the_call():
+    u, v = MultiPoly.variables("u v")
+    grammar = Grammar(("u", "v"), {"u": u * v, "v": u + v})
+    for op in (DerivOp.pre_mul("q"), DerivOp.post_mul("q")):
+        with pytest.raises(ValueError, match="unknown weight letter 'q'"):
+            operator_iterates(grammar, op, u, 0)
+        with pytest.raises(ValueError, match="unknown weight letter 'q'"):
+            iterate_operator(grammar, op, u, 0)
+
+
+def test_apply_refuses_another_alphabet():
+    u, v = MultiPoly.variables("u v")
+    grammar = Grammar(("u", "v"), {"u": u * v, "v": u + v})
+    with pytest.raises(AlphabetMismatch):
+        DerivOp.post_mul("u").apply(grammar, MultiPoly.variable(("u",), "u"))
+    with pytest.raises(AlphabetMismatch):
+        grammar.derive(MultiPoly.variable(("v", "u"), "u"))
+
+
+# ----------------------------------------------------------------------
+# the packed matcher
+
+def reference_match(pattern, exps):
+    k = None
+    for b, s, e in zip(pattern.base, pattern.step, exps):
+        if s == 0:
+            if e != b:
+                return None
+        else:
+            d = e - b
+            if d % s:
+                return None
+            kk = d // s
+            if kk < 0 or (k is not None and kk != k):
+                return None
+            k = kk
+    return 0 if k is None else k
+
+
+def reference_coefficients(p, pattern):
+    found = {}
+    for exps, coeff in p.terms.items():
+        k = reference_match(pattern, exps)
+        if k is None:
+            stray = MultiPoly(p.letters, {exps: coeff})
+            raise PatternMismatch(f"term {stray} does not fit the expected monomial family")
+        found[k] = coeff
+    return [found.get(k, 0) for k in range(max(found) + 1)] if found else []
+
+
+def outcome(read, p, pattern):
+    try:
+        return read(p, pattern)
+    except PatternMismatch as exc:
+        return "mismatch: " + str(exc)
+
+
+def test_packed_matcher_agrees_with_the_tuple_matcher():
+    rng = random.Random(4242)
+    mismatches = 0
+    for case in range(600):
+        letters = tuple(ALPHABETS[case % 4].split())
+        step = tuple(rng.randint(-3, 3) for _ in letters)
+        base = tuple(rng.randint(-2, 9) + 3 * max(0, -s) * rng.randint(0, 3) for s in step)
+        pattern = PowerPattern(letters, base, step)
+        terms = {}
+        for k in rng.sample(range(6), rng.randint(0, 4)):
+            exps = tuple(b + k * s for b, s in zip(base, step))
+            if min(exps) >= 0:
+                terms[exps] = rng.choice((-7, -1, 1, 3, 10**30))
+        if rng.random() < 0.4:
+            terms[tuple(rng.randint(0, 12) for _ in letters)] = rng.choice((-2, 5))
+        p = MultiPoly(letters, terms)
+        want = outcome(reference_coefficients, p, pattern)
+        assert outcome(expansion_coefficients, p, pattern) == want, (p, pattern)
+        mismatches += isinstance(want, str)
+    assert 50 < mismatches < 550
+
+
+@pytest.mark.parametrize("coeff, text", [(1, "f*g"), (-3, "-3*f*g"), (10**20, "100000000000000000000*f*g")])
+def test_stray_term_text(coeff, text):
+    f, g = MultiPoly.variables("f g")
+    with pytest.raises(PatternMismatch) as info:
+        expansion_coefficients(f * g**2 + coeff * f * g + f**3,
+                               PowerPattern(("f", "g"), (1, 2), (2, -2)))
+    assert str(info.value) == f"term {text} does not fit the expected monomial family"
+
+
+def test_pattern_alphabet_must_match():
+    f, g = MultiPoly.variables("f g")
+    with pytest.raises(AlphabetMismatch):
+        expansion_coefficients(f * g, PowerPattern(("g", "f"), (1, 1), (0, 0)))
+
+
+def carry_patterns(width):
+    """Families whose packed base + k*step equals the packed (1, 1, 1) only
+    by carrying out of the middle field, with k read from the first field
+    (k = 0 and k = 1), and a 2-letter one with no moving field at all."""
+    top = 1 << width
+    return [
+        PowerPattern(("t", "u", "v"), (1, 1 + top, 0), (1, 0, 0)),
+        PowerPattern(("t", "u", "v"), (0, 1, 0), (1, top, 0)),
+        PowerPattern(("t", "u", "v"), (1, 1, 1 + top), (0, 0, 0)),
+    ]
+
+
+def test_a_carry_between_fields_is_reported_not_matched():
+    # t -> 0, u -> 0, v -> v: every iterate of t*u*v is t*u*v itself.
+    t, u, v = MultiPoly.variables("t u v")
+    zero = MultiPoly.zero(("t", "u", "v"))
+    grammar = Grammar(("t", "u", "v"), {"t": zero, "u": zero, "v": v})
+    start = t * u * v
+    width, _ = _packed_iterates(grammar, DerivOp.plain(), start, 1)
+    row = plain_triangle("one", lambda n: [1])
+    for pattern in carry_patterns(width):
+        report = verify_identity(grammar, DerivOp.plain(), start, 1, row, lambda n: 1,
+                                 lambda n: pattern, "carry")
+        assert not report.ok
+        assert report.checks[0].detail == "term t*u*v does not fit the expected monomial family"
+    # expansion_coefficients packs t*u*v at the width of its own degree.
+    for pattern in carry_patterns(max(start.degree(), 0).bit_length() + 1):
+        with pytest.raises(PatternMismatch, match="term t\\*u\\*v does not fit"):
+            expansion_coefficients(start, pattern)
+    # The honest family is read as before.
+    report = verify_identity(grammar, DerivOp.plain(), start, 1, row, lambda n: 1,
+                             lambda n: PowerPattern(("t", "u", "v"), (1, 1, 1), (0, 0, 1)),
+                             "honest")
+    assert report.ok
+
+
+def test_two_letter_carry_without_a_moving_field():
+    f, g = MultiPoly.variables("f g")
+    width = (2).bit_length() + 1  # f*g packs at the width of its degree
+    with pytest.raises(PatternMismatch):
+        expansion_coefficients(f * g, PowerPattern(("f", "g"), (1 + (1 << width), 0), (0, 0)))
+    assert expansion_coefficients(f * g, PowerPattern(("f", "g"), (1, 1), (0, 0))) == [1]
+
+
+def test_exponents_at_the_top_of_the_width_are_read():
+    # u -> u^2 from u: D^n(u) = n! u^(n+1) reaches the degree bound exactly,
+    # so the family meets the top of the fields the width allows.
+    u = MultiPoly.variable(("u",), "u")
+    grammar = Grammar(("u",), {"u": u * u})
+    factorials = plain_triangle("fact", lambda n: [1])
+    for n_max in (1, 3, 7, 15, 31):
+        report = verify_identity(grammar, DerivOp.plain(), u, n_max, factorials,
+                                 factorial,
+                                 lambda n: PowerPattern(("u",), (n + 1,), (1,)), "top")
+        assert report.ok, report.failures()
