@@ -5,20 +5,30 @@ derivation operator; on top of that sit the gamma vectors of the type A/B
 Coxeter complexes and associahedra, Eulerian numbers of both types,
 derivative polynomials of tangent and secant, Legendre/Chebyshev relatives,
 and brute-force enumeration oracles that certify every closed form.
+
+``import polygram`` loads no submodule: each name below is imported from
+its submodule on first use (PEP 562), so a CLI subcommand pays only for
+the modules it runs.
 """
 
-from .gamma import (FAMILIES, GammaVector, HPoly, associahedron_h, coxeter_h,
-                    gamma_to_h, h_to_gamma)
-from .grammar import (DerivOp, Grammar, PatternMismatch, PowerPattern,
-                      expansion_coefficients, iterate_operator,
-                      operator_iterates, verify_identity)
-from .parser import ParseError, parse_grammar, parse_poly
-from .poly import AlphabetMismatch, MixedParityError, MultiPoly
-from .report import Check, Report
-from .unipoly import UniPoly
-from .verify import TARGETS, run_all, run_target
+import importlib
 
 __version__ = "0.1.0"
+
+# Submodule -> the public names it defines.
+_EXPORTS = {
+    "gamma": ("FAMILIES", "GammaVector", "HPoly", "associahedron_h", "coxeter_h",
+              "gamma_to_h", "h_to_gamma"),
+    "grammar": ("DerivOp", "Grammar", "PatternMismatch", "PowerPattern",
+                "expansion_coefficients", "iterate_operator", "operator_iterates",
+                "verify_identity"),
+    "parser": ("ParseError", "parse_grammar", "parse_poly"),
+    "poly": ("AlphabetMismatch", "MixedParityError", "MultiPoly"),
+    "report": ("Check", "Report"),
+    "unipoly": ("UniPoly",),
+    "verify": ("TARGETS", "run_all", "run_target"),
+}
+_SOURCES = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = [
     "AlphabetMismatch",
@@ -50,3 +60,11 @@ __all__ = [
     "verify_identity",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SOURCES[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -1,12 +1,13 @@
 """Derivative polynomials of tangent and secant, their classical relatives
-(Legendre-type, Narayana-type, Chebyshev), and exact series cross-checks.
+(Legendre-type, Narayana-type, Chebyshev), and exact truncated series.
 
-The series route never consults the polynomial recurrences: tangent and
-secant are rebuilt from the sine and cosine series by exact series
-inversion, so the generating-function comparison is a genuinely independent
-second path.  The series are exponential, with integer coefficients:
-coefficient n of a ``TruncSeries`` is n! times its t^n coefficient, so
-products are binomial convolutions and no fraction is ever formed.
+The series never consult the polynomial recurrences: tangent and secant
+are rebuilt from the sine and cosine series by exact series inversion, so
+``verify`` can compare their generating functions with the recurrences as a
+genuinely independent second path.  The series are exponential, with
+integer coefficients: coefficient n of a ``TruncSeries`` is n! times its
+t^n coefficient, so products are binomial convolutions and no fraction is
+ever formed.
 """
 
 from __future__ import annotations
@@ -14,20 +15,13 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from .grammar import DerivOp, operator_iterates
-from .oracles import count_alternating
-from .parser import parse_grammar
-from .poly import MultiPoly, _Ring
-from .report import Check, Report
+from .poly import _Ring
 from .triangles import _recurrence_row, binomial, binomial_row
 from .unipoly import UniPoly
 
 __all__ = [
     "DOUBLE_ANGLE_RULES",
     "TruncSeries",
-    "check_alternating_counts",
-    "check_generating_functions",
-    "check_scaled_tan_sec",
     "chebyshev_t",
     "chebyshev_u",
     "cosine_series",
@@ -246,89 +240,3 @@ def tangent_series(order: int, var: str = "u") -> TruncSeries:
 
 def secant_series(order: int, var: str = "u") -> TruncSeries:
     return cosine_series(order, var).invert()
-
-
-def check_scaled_tan_sec(n_max: int) -> Report:
-    """Derivative iterates of the double-angle system against scaled P_n / Q_n.
-
-    D^n(f) reduces to 2^n f Q_n(h) and D^n(g) to 2^(n+1) P_n(h) once g = 2h
-    and f^2 = 1 + h^2 are substituted; the square substitution records the
-    leftover parity of f, which must be 1 on the f side and 0 on the g side.
-    """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    grammar = parse_grammar(DOUBLE_ANGLE_RULES)
-    f, g = MultiPoly.variables(grammar.letters)
-    d = DerivOp.plain()
-    iterates = zip(operator_iterates(grammar, d, f, n_max),
-                   operator_iterates(grammar, d, g, n_max))
-    next(iterates)  # n = 0 is not checked
-    h = MultiPoly.variable(("h",), "h")
-    two_h = 2 * h
-    one_plus_h2 = h * h + 1
-    report = Report("prop12")
-    for n, (d_f, d_g) in enumerate(iterates, start=1):
-        cases = (
-            ("D^n(f)", d_f, 1, 2 ** n * secant_derivative_poly(n, "h")),
-            ("D^n(g)", d_g, 0, 2 ** (n + 1) * tangent_derivative_poly(n, "h")),
-        )
-        for name, value, parity_want, rhs in cases:
-            substituted = value.substitute("g", two_h)
-            parity, reduced = substituted.substitute_square_with_parity("f", one_plus_h2)
-            if parity != parity_want:
-                report.add(Check(name, n, False, f"parity {parity}, expected {parity_want}"))
-                continue
-            got = UniPoly.from_multipoly(reduced, "h")
-            ok = got == rhs
-            report.add(Check(name, n, ok, "" if ok else f"got {got}, want {rhs}"))
-    return report
-
-
-def check_generating_functions(n_max: int) -> Report:
-    """Coefficients of the closed tangent/secant generating functions, order
-    by order, against the recurrence-built polynomials.
-
-    The closed forms are (u + tan t) / (1 - u tan t) and sec t / (1 - u tan t);
-    both are assembled by series arithmetic only.  They are exponential
-    generating functions, so coefficient n of each is P_n or Q_n itself.
-    """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    var = "u"
-    tan = tangent_series(n_max, var)
-    sec = secant_series(n_max, var)
-    u = TruncSeries.coefficient_variable(n_max, var)
-    one = TruncSeries.constant(n_max, var, 1)
-    denom = (one - u * tan).invert()
-    tan_side = (u + tan) * denom
-    sec_side = sec * denom
-    report = Report("egf")
-    for n in range(n_max + 1):
-        cases = (
-            ("tan-side", tan_side, tangent_derivative_poly(n, var)),
-            ("sec-side", sec_side, secant_derivative_poly(n, var)),
-        )
-        for name, series, want in cases:
-            got = series.coefficient(n)
-            ok = got == want
-            report.add(Check(name, n, ok, "" if ok else f"got {got}, want {want}"))
-    return report
-
-
-def check_alternating_counts(n_max_plain: int, n_max_signed: int) -> Report:
-    """Alternating-element counts by brute force versus P_n(0) + Q_n(0).
-
-    The signed family must come out as exactly 2^n times the plain one.
-    """
-    report = Report("alternating")
-    for n in range(1, n_max_plain + 1):
-        want = tangent_derivative_poly(n)(0) + secant_derivative_poly(n)(0)
-        got = count_alternating(n, "A")
-        report.add(Check("plain", n, got == want,
-                         "" if got == want else f"got {got}, want {want}"))
-    for n in range(1, n_max_signed + 1):
-        want = 2 ** n * (tangent_derivative_poly(n)(0) + secant_derivative_poly(n)(0))
-        got = count_alternating(n, "B")
-        report.add(Check("signed", n, got == want,
-                         "" if got == want else f"got {got}, want {want}"))
-    return report

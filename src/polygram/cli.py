@@ -4,25 +4,24 @@ Subcommands: derive, gamma, table, oracle, verify, classical.  Exit codes:
 0 success, 1 verification failure, 2 usage or parse errors, 3 an internal
 error (any other exception, reported as one ``internal error:`` line).
 Output for a fixed invocation is byte-identical across runs.
+
+Each handler imports the modules it runs, so a subcommand loads only what
+it needs; building the parser loads none of them.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
-import json
 import sys
 
-from . import oracles
-from .classical import (chebyshev_t, chebyshev_u, legendre_like, narayana_like,
-                        secant_derivative_poly, tangent_derivative_poly)
-from .gamma import FAMILIES, h_to_gamma
-from .grammar import DerivOp, iterate_operator
-from .parser import parse_grammar, parse_poly
-from .triangles import bfile_lines, lookup_triangle, triangle_json_dict
-from .verify import TARGETS, run_all, run_target
-
 __all__ = ["build_parser", "entry", "main"]
+
+# The keys of verify.TARGETS and gamma.FAMILIES, sorted, spelled out here so
+# that --help and usage errors need neither module.  tests/test_imports.py
+# keeps them in step.
+TARGET_NAMES = ("alternating", "cor33", "egf", "prop12", "prop41", "thm11", "thm21",
+                "thm22", "thm31", "thm32", "thm42", "thm43", "thm44")
+FAMILY_NAMES = ("assoc-a", "assoc-b", "coxeter-a", "coxeter-b")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("gamma", help="h-row and gamma-row of a complex family")
-    p.add_argument("--family", required=True, choices=sorted(FAMILIES))
+    p.add_argument("--family", required=True, choices=FAMILY_NAMES)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -60,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="single histogram entry instead of the whole row")
 
     p = sub.add_parser("verify", help="run a named verification target")
-    p.add_argument("--target", required=True, choices=sorted(TARGETS) + ["all"])
+    p.add_argument("--target", required=True, choices=TARGET_NAMES + ("all",))
     p.add_argument("--n-max", type=int, default=None,
                    help="sweep bound (default: per-target budget)")
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -74,6 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _dump_json(payload) -> None:
+    import json
+
     print(json.dumps(payload, separators=(",", ":")))
 
 
@@ -83,16 +84,24 @@ def _load_grammar_text(args) -> str:
         return text
     if not args.config:
         raise ValueError(f"grammar reference {text!r} needs --config")
+    import configparser
+
     cfg = configparser.ConfigParser()
-    with open(args.config, encoding="utf-8") as fh:
-        cfg.read_file(fh)
     section = text[1:]
-    if section not in cfg or "rules" not in cfg[section]:
-        raise ValueError(f"config has no grammar named {section!r}")
-    return cfg[section]["rules"]
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            cfg.read_file(fh)
+        if section not in cfg or "rules" not in cfg[section]:
+            raise ValueError(f"config has no grammar named {section!r}")
+        return cfg[section]["rules"]
+    except configparser.Error as exc:
+        raise ValueError(str(exc)) from exc
 
 
 def _cmd_derive(args) -> int:
+    from .grammar import DerivOp, iterate_operator
+    from .parser import parse_grammar, parse_poly
+
     grammar = parse_grammar(_load_grammar_text(args))
     start = parse_poly(args.start, grammar.letters)
     op = DerivOp.parse(args.op)
@@ -105,6 +114,8 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_gamma(args) -> int:
+    from .gamma import FAMILIES, h_to_gamma
+
     h_of, triangle = FAMILIES[args.family]
     h = h_of(args.n)
     gamma = h_to_gamma(h)
@@ -129,6 +140,8 @@ def _cmd_gamma(args) -> int:
 def _cmd_table(args) -> int:
     if args.rows < 1:
         raise ValueError(f"--rows must be >= 1, got {args.rows}")
+    from .triangles import bfile_lines, lookup_triangle, triangle_json_dict
+
     triangle = lookup_triangle(args.name)
     if args.format == "bfile":
         for line in bfile_lines(triangle, args.rows):
@@ -142,6 +155,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import oracles
+
     which = args.which
     if which == "alternating-a":
         print(oracles.count_alternating(args.n, "A"))
@@ -163,6 +178,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_all, run_target
+
     if args.target == "all":
         reports = run_all(args.n_max)
         ok = all(r.ok for r in reports)
@@ -185,6 +202,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_classical(args) -> int:
+    from .classical import (chebyshev_t, chebyshev_u, legendre_like, narayana_like,
+                            secant_derivative_poly, tangent_derivative_poly)
+
     family = {
         "P": tangent_derivative_poly,
         "Q": secant_derivative_poly,
@@ -212,8 +232,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (ValueError, OSError, configparser.Error) as exc:
-        # ParseError is a ValueError; configparser messages can span lines.
+    except (ValueError, OSError) as exc:
+        # ParseError and the re-raised configparser errors are ValueErrors;
+        # configparser messages can span lines.
         print("error:", " ".join(str(exc).splitlines()), file=sys.stderr)
         return 2
     except Exception as exc:

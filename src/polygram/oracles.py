@@ -108,7 +108,10 @@ def motzkin_up_histogram(length: int) -> tuple[int, ...]:
     def walk(remaining: int, height: int, ups: int) -> None:
         if height > remaining:
             return
-        if remaining == 0:
+        if remaining == 1:
+            # Height 0 or 1 is left: the one step that returns is H or D.
+            # Counting it here rather than by another call saves the calls
+            # of the last level.
             counts[ups] += 1
             return
         walk(remaining - 1, height + 1, ups + 1)
@@ -116,7 +119,10 @@ def motzkin_up_histogram(length: int) -> tuple[int, ...]:
             walk(remaining - 1, height - 1, ups)
         walk(remaining - 1, height, ups)
 
-    walk(length, 0, 0)
+    if length:
+        walk(length, 0, 0)
+    else:
+        counts[0] += 1  # the empty path
     return tuple(counts)
 
 
@@ -132,15 +138,22 @@ def left_factor_h_histogram(length: int) -> tuple[int, ...]:
     counts = [0] * (length + 1)
 
     def walk(remaining: int, height: int, flats: int) -> None:
-        if remaining == 0:
-            counts[flats] += 1
+        if remaining == 1:
+            # The last step is counted here rather than by another call.
+            counts[flats] += 1  # U
+            if height:
+                counts[flats] += 1  # D
+            counts[flats + 1] += 1  # H
             return
         walk(remaining - 1, height + 1, flats)
         if height:
             walk(remaining - 1, height - 1, flats)
         walk(remaining - 1, height, flats + 1)
 
-    walk(length, 0, 0)
+    if length:
+        walk(length, 0, 0)
+    else:
+        counts[0] += 1  # the empty path
     return tuple(counts)
 
 

@@ -12,8 +12,8 @@ from typing import Callable
 
 from . import classical, quadratic
 from .gamma import GammaVector, associahedron_h, coxeter_h, gamma_to_h, h_to_gamma
-from .grammar import DerivOp, PowerPattern, verify_identity
-from .oracles import MAX_PLAIN_N, MAX_SIGNED_N
+from .grammar import DerivOp, PowerPattern, operator_iterates, verify_identity
+from .oracles import MAX_PLAIN_N, MAX_SIGNED_N, count_alternating
 from .parser import parse_grammar
 from .poly import MultiPoly
 from .report import Check, Report, merge_reports
@@ -21,8 +21,10 @@ from .triangles import (ASSOC_GAMMA_A, ASSOC_GAMMA_A_REC, ASSOC_GAMMA_B,
                         ASSOC_GAMMA_B_REC, EULERIAN_A, EULERIAN_B, GAMMA_A,
                         GAMMA_B, MOTZKIN_T, CUBE_F, binomial_row, factorial,
                         plain_triangle)
+from .unipoly import UniPoly
 
-__all__ = ["TARGETS", "Target", "run_all", "run_target"]
+__all__ = ["TARGETS", "Target", "check_alternating_counts", "check_generating_functions",
+           "check_scaled_tan_sec", "run_all", "run_target"]
 
 
 def _target_thm11(n_max: int) -> Report:
@@ -154,10 +156,97 @@ def _target_thm44(n_max: int) -> Report:
     return merge_reports("thm44", parts)
 
 
+def check_scaled_tan_sec(n_max: int) -> Report:
+    """Derivative iterates of the double-angle system against scaled P_n / Q_n.
+
+    D^n(f) reduces to 2^n f Q_n(h) and D^n(g) to 2^(n+1) P_n(h) once g = 2h
+    and f^2 = 1 + h^2 are substituted; the square substitution records the
+    leftover parity of f, which must be 1 on the f side and 0 on the g side.
+    """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    grammar = parse_grammar(classical.DOUBLE_ANGLE_RULES)
+    f, g = MultiPoly.variables(grammar.letters)
+    d = DerivOp.plain()
+    iterates = zip(operator_iterates(grammar, d, f, n_max),
+                   operator_iterates(grammar, d, g, n_max))
+    next(iterates)  # n = 0 is not checked
+    h = MultiPoly.variable(("h",), "h")
+    two_h = 2 * h
+    one_plus_h2 = h * h + 1
+    report = Report("prop12")
+    for n, (d_f, d_g) in enumerate(iterates, start=1):
+        cases = (
+            ("D^n(f)", d_f, 1, 2 ** n * classical.secant_derivative_poly(n, "h")),
+            ("D^n(g)", d_g, 0, 2 ** (n + 1) * classical.tangent_derivative_poly(n, "h")),
+        )
+        for name, value, parity_want, rhs in cases:
+            substituted = value.substitute("g", two_h)
+            parity, reduced = substituted.substitute_square_with_parity("f", one_plus_h2)
+            if parity != parity_want:
+                report.add(Check(name, n, False, f"parity {parity}, expected {parity_want}"))
+                continue
+            got = UniPoly.from_multipoly(reduced, "h")
+            ok = got == rhs
+            report.add(Check(name, n, ok, "" if ok else f"got {got}, want {rhs}"))
+    return report
+
+
+def check_generating_functions(n_max: int) -> Report:
+    """Coefficients of the closed tangent/secant generating functions, order
+    by order, against the recurrence-built polynomials.
+
+    The closed forms are (u + tan t) / (1 - u tan t) and sec t / (1 - u tan t);
+    both are assembled by series arithmetic only.  They are exponential
+    generating functions, so coefficient n of each is P_n or Q_n itself.
+    """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    var = "u"
+    tan = classical.tangent_series(n_max, var)
+    sec = classical.secant_series(n_max, var)
+    u = classical.TruncSeries.coefficient_variable(n_max, var)
+    one = classical.TruncSeries.constant(n_max, var, 1)
+    denom = (one - u * tan).invert()
+    tan_side = (u + tan) * denom
+    sec_side = sec * denom
+    report = Report("egf")
+    for n in range(n_max + 1):
+        cases = (
+            ("tan-side", tan_side, classical.tangent_derivative_poly(n, var)),
+            ("sec-side", sec_side, classical.secant_derivative_poly(n, var)),
+        )
+        for name, series, want in cases:
+            got = series.coefficient(n)
+            ok = got == want
+            report.add(Check(name, n, ok, "" if ok else f"got {got}, want {want}"))
+    return report
+
+
+def check_alternating_counts(n_max_plain: int, n_max_signed: int) -> Report:
+    """Alternating-element counts by brute force versus P_n(0) + Q_n(0).
+
+    The signed family must come out as exactly 2^n times the plain one.
+    """
+    p, q = classical.tangent_derivative_poly, classical.secant_derivative_poly
+    report = Report("alternating")
+    for n in range(1, n_max_plain + 1):
+        want = p(n)(0) + q(n)(0)
+        got = count_alternating(n, "A")
+        report.add(Check("plain", n, got == want,
+                         "" if got == want else f"got {got}, want {want}"))
+    for n in range(1, n_max_signed + 1):
+        want = 2 ** n * (p(n)(0) + q(n)(0))
+        got = count_alternating(n, "B")
+        report.add(Check("signed", n, got == want,
+                         "" if got == want else f"got {got}, want {want}"))
+    return report
+
+
 def _target_alternating(n_max: int) -> Report:
     # Clamped to the oracle's enumeration guards.
-    return classical.check_alternating_counts(min(n_max, MAX_PLAIN_N),
-                                              min(n_max, MAX_SIGNED_N))
+    return check_alternating_counts(min(n_max, MAX_PLAIN_N),
+                                    min(n_max, MAX_SIGNED_N))
 
 
 @dataclass(frozen=True)
@@ -174,7 +263,7 @@ TARGETS: dict[str, Target] = {
         Target("thm11", 15, "weighted iterates carry scaled Eulerian rows of both types",
                _target_thm11),
         Target("prop12", 12, "derivative iterates reduce to scaled tangent/secant polynomials",
-               classical.check_scaled_tan_sec),
+               check_scaled_tan_sec),
         Target("thm21", 12, "type A gamma rows expand to the Coxeter and associahedron h-rows",
                _target_thm21),
         Target("thm22", 12, "type B gamma rows expand to the Coxeter and associahedron h-rows",
@@ -194,7 +283,7 @@ TARGETS: dict[str, Target] = {
         Target("thm44", 15, "three-letter grammar carries Motzkin prefix and cube face rows",
                _target_thm44),
         Target("egf", 12, "closed tangent/secant generating functions match the recurrences",
-               classical.check_generating_functions),
+               check_generating_functions),
         Target("alternating", 8, "alternating counts match polynomial values at zero",
                _target_alternating),
     )

@@ -18,7 +18,7 @@ from polygram.gamma import GammaVector, associahedron_h, coxeter_h, gamma_to_h, 
 from polygram.grammar import DerivOp, iterate_operator
 from polygram.parser import parse_grammar, parse_poly
 from polygram.poly import MultiPoly
-from polygram.verify import run_target
+from polygram.verify import check_alternating_counts, check_generating_functions, run_target
 
 
 def _finish(number: int, label: str, ok: bool, t0: float, budget: float) -> None:
@@ -107,8 +107,8 @@ def test_criterion_07_quadratic_extension_identities():
 
 def test_criterion_08_generating_function_checks():
     t0 = time.perf_counter()
-    egf = classical.check_generating_functions(12)
-    alt = classical.check_alternating_counts(8, 6)
+    egf = check_generating_functions(12)
+    alt = check_alternating_counts(8, 6)
     ok = egf.ok and alt.ok and oracles.count_alternating(4, "A") == 5
     _finish(8, "series coefficients and alternating counts", ok, t0, 10.0)
 

@@ -4,14 +4,14 @@ from fractions import Fraction
 import pytest
 
 from polygram import classical
-from polygram.classical import (TruncSeries, check_alternating_counts,
-                                check_generating_functions, check_scaled_tan_sec,
-                                chebyshev_t, chebyshev_u, cosine_series,
+from polygram.classical import (TruncSeries, chebyshev_t, chebyshev_u, cosine_series,
                                 legendre_like, narayana_like, secant_derivative_poly,
                                 secant_series, sine_series, tangent_derivative_poly,
                                 tangent_series)
 from polygram.triangles import binomial, factorial
 from polygram.unipoly import UniPoly
+from polygram.verify import (check_alternating_counts, check_generating_functions,
+                             check_scaled_tan_sec)
 
 
 def test_tangent_and_secant_polys_small():

@@ -133,6 +133,48 @@ def test_left_factors_certify_motzkin_triangle():
         assert list(hist) == tri.MOTZKIN_T.row(n)
 
 
+# Reference walks: every step, the last one included, is its own call, and
+# each complete path is counted when no steps remain.
+def unfolded_motzkin_walk(length):
+    counts = [0] * (length // 2 + 1)
+
+    def walk(remaining, height, ups):
+        if height > remaining:
+            return
+        if remaining == 0:
+            counts[ups] += 1
+            return
+        walk(remaining - 1, height + 1, ups + 1)
+        if height:
+            walk(remaining - 1, height - 1, ups)
+        walk(remaining - 1, height, ups)
+
+    walk(length, 0, 0)
+    return tuple(counts)
+
+
+def unfolded_left_factor_walk(length):
+    counts = [0] * (length + 1)
+
+    def walk(remaining, height, flats):
+        if remaining == 0:
+            counts[flats] += 1
+            return
+        walk(remaining - 1, height + 1, flats)
+        if height:
+            walk(remaining - 1, height - 1, flats)
+        walk(remaining - 1, height, flats + 1)
+
+    walk(length, 0, 0)
+    return tuple(counts)
+
+
+def test_path_walks_match_the_unfolded_walks():
+    for n in range(15):
+        assert orc.motzkin_up_histogram(n) == unfolded_motzkin_walk(n), n
+        assert orc.left_factor_h_histogram(n) == unfolded_left_factor_walk(n), n
+
+
 def test_alternating_doubling():
     for n in range(1, 8):
         assert orc.count_alternating(n, "B") == 2 ** n * orc.count_alternating(n, "A")
