@@ -23,7 +23,7 @@ _EXPORTS = {
                 "expansion_coefficients", "iterate_operator", "operator_iterates",
                 "verify_identity"),
     "parser": ("ParseError", "parse_grammar", "parse_poly"),
-    "poly": ("AlphabetMismatch", "MixedParityError", "MultiPoly"),
+    "poly": ("AlphabetMismatch", "MultiPoly"),
     "report": ("Check", "Report"),
     "unipoly": ("UniPoly",),
     "verify": ("TARGETS", "run_all", "run_target"),
@@ -38,7 +38,6 @@ __all__ = [
     "GammaVector",
     "Grammar",
     "HPoly",
-    "MixedParityError",
     "MultiPoly",
     "ParseError",
     "PatternMismatch",

@@ -230,6 +230,12 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Exact results and rule literals can pass CPython's 4300-digit limit on
+    # int <-> str (3.10.7 on).  Lift it while the handler runs and restore it
+    # after, as main is also called in process.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return _HANDLERS[args.command](args)
     except (ValueError, OSError) as exc:
@@ -242,6 +248,9 @@ def main(argv=None) -> int:
         print(f"internal error: {type(exc).__name__}:", " ".join(str(exc).splitlines()),
               file=sys.stderr)
         return 3
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def entry() -> None:

@@ -20,7 +20,6 @@ from typing import Iterable, Mapping
 
 __all__ = [
     "AlphabetMismatch",
-    "MixedParityError",
     "MultiPoly",
     "check_letters",
 ]
@@ -30,10 +29,6 @@ _LETTER_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
 
 class AlphabetMismatch(ValueError):
     """Two polynomials over different alphabets were combined."""
-
-
-class MixedParityError(ValueError):
-    """A square substitution met both odd and even exponents of the letter."""
 
 
 def check_letters(letters: Iterable[str] | str) -> tuple[str, ...]:
@@ -265,7 +260,7 @@ class MultiPoly(_Ring):
         return hash((self.letters, frozenset(self.terms.items())))
 
     # ------------------------------------------------------------------
-    # calculus and substitution
+    # calculus
 
     def partial_derivative(self, name: str) -> "MultiPoly":
         """Formal partial derivative with respect to one letter."""
@@ -296,52 +291,6 @@ class MultiPoly(_Ring):
             out[tuple(new)] = c
         return MultiPoly._raw(letters, out)
 
-    def _union_with(self, other: "MultiPoly") -> tuple[tuple[str, ...], "MultiPoly", "MultiPoly"]:
-        union = self.letters + tuple(l for l in other.letters if l not in self.letters)
-        return union, self.with_letters(union), other.with_letters(union)
-
-    def substitute(self, name: str, replacement) -> "MultiPoly":
-        """Replace a letter by a polynomial; the result lives over the union alphabet."""
-        self._index(name)
-        return self._substitute_powers(name, replacement, 1)
-
-    def substitute_square_with_parity(self, name: str, replacement) -> tuple[int, "MultiPoly"]:
-        """Replace the square of a letter, writing x^(2m+eps) as x^eps * r^m.
-
-        Every monomial must carry the same parity eps of the x-exponent; the
-        leftover single factor x^eps is reported through eps rather than
-        expanded.  Mixed parities raise MixedParityError, which signals that
-        the identity under test is malformed.
-        """
-        i = self._index(name)
-        parities = {exps[i] % 2 for exps in self.terms}
-        if len(parities) > 1:
-            exps_seen = sorted({exps[i] for exps in self.terms})
-            raise MixedParityError(
-                f"mixed parity of {name!r} exponents {exps_seen}")
-        parity = parities.pop() if parities else 0
-        return parity, self._substitute_powers(name, replacement, 2)
-
-    def _substitute_powers(self, name: str, replacement, step: int) -> "MultiPoly":
-        # Buckets the terms by m = (the letter's exponent) // step, strips the
-        # letter and sums bucket_m * replacement^m, one power from the last.
-        if isinstance(replacement, int):
-            replacement = MultiPoly.const(self.letters, replacement)
-        union, base, rep = self._union_with(replacement)
-        i = union.index(name)
-        buckets: dict[int, dict[tuple[int, ...], int]] = {}
-        for exps, c in base.terms.items():
-            stripped = exps[:i] + (0,) + exps[i + 1:]
-            buckets.setdefault(exps[i] // step, {})[stripped] = c
-        result = MultiPoly._raw(union, {})
-        power = MultiPoly.const(union, 1)
-        for m in range(max(buckets, default=-1) + 1):
-            if m:
-                power = power * rep
-            if m in buckets:
-                result = result + MultiPoly._raw(union, buckets[m]) * power
-        return result
-
     # ------------------------------------------------------------------
     # rendering
 
@@ -361,9 +310,3 @@ class MultiPoly(_Ring):
                 {"coeff": str(c), "exps": list(e)} for e, c in self.sorted_terms()
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "MultiPoly":
-        letters = check_letters(data["letters"])
-        terms = {tuple(t["exps"]): int(t["coeff"]) for t in data["terms"]}
-        return cls(letters, terms)

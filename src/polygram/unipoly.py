@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import zip_longest
 from typing import Iterable
 
-from .poly import AlphabetMismatch, MultiPoly, _render, _Ring, check_letters
+from .poly import AlphabetMismatch, _render, _Ring, check_letters
 
 __all__ = ["UniPoly"]
 
@@ -152,28 +152,6 @@ class UniPoly(_Ring):
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_multipoly(cls, p: MultiPoly, var: str) -> "UniPoly":
-        """Extract a univariate view; every other letter must be unused."""
-        if var not in p.letters:
-            raise ValueError(f"alphabet {p.letters} does not contain {var!r}")
-        i = p.letters.index(var)
-        coeffs: dict[int, int] = {}
-        for exps, c in p.terms.items():
-            for j, e in enumerate(exps):
-                if e and j != i:
-                    raise ValueError(
-                        f"polynomial is not univariate in {var!r}: uses {p.letters[j]!r}")
-            coeffs[exps[i]] = c
-        if not coeffs:
-            return cls(var)
-        out = [0] * (max(coeffs) + 1)
-        for e, c in coeffs.items():
-            out[e] = c
-        return cls(var, out)
 
     # ------------------------------------------------------------------
 

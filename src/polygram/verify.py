@@ -3,6 +3,12 @@
 Each target rebuilds its grammar or ring setup from scratch, sweeps
 n = 1..n_max and returns a Report with one entry per check.  The default
 n_max per target is sized to finish comfortably within a few seconds.
+
+The square-root targets (prop12, thm31, cor33, thm42) clear every
+denominator up front, so identities involving 1/sqrt(q) or half-integer
+powers of q become equalities in ``QuadraticRing``: a two-letter iterate is
+read straight into the ring by ``_specialize``, with no rational function
+arithmetic anywhere.
 """
 
 from __future__ import annotations
@@ -10,12 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from . import classical, quadratic
+from . import classical
 from .gamma import GammaVector, associahedron_h, coxeter_h, gamma_to_h, h_to_gamma
 from .grammar import DerivOp, PowerPattern, operator_iterates, verify_identity
 from .oracles import MAX_PLAIN_N, MAX_SIGNED_N, count_alternating
 from .parser import parse_grammar
 from .poly import MultiPoly
+from .quadratic import ExtPoly, QuadraticRing
 from .report import Check, Report, merge_reports
 from .triangles import (ASSOC_GAMMA_A, ASSOC_GAMMA_A_REC, ASSOC_GAMMA_B,
                         ASSOC_GAMMA_B_REC, EULERIAN_A, EULERIAN_B, GAMMA_A,
@@ -23,8 +30,25 @@ from .triangles import (ASSOC_GAMMA_A, ASSOC_GAMMA_A_REC, ASSOC_GAMMA_B,
                         plain_triangle)
 from .unipoly import UniPoly
 
-__all__ = ["TARGETS", "Target", "check_alternating_counts", "check_generating_functions",
-           "check_scaled_tan_sec", "run_all", "run_target"]
+__all__ = ["TARGETS", "Target", "check_alternating_counts", "check_chebyshev_specialization",
+           "check_generating_functions", "check_imaginary_assoc_forms", "check_scaled_tan_sec",
+           "check_sqrt_gamma_forms", "run_all", "run_target"]
+
+
+def _specialize(p: MultiPoly, ring: QuadraticRing, scale: int) -> ExtPoly:
+    # Two-letter p with its first letter -> s and its second -> scale*x, over
+    # s^2 = q(x).  The x coefficients are grouped by the first letter's
+    # exponent, so each distinct power of s costs one product and one add.
+    by_s: dict[int, dict[int, int]] = {}
+    for (a, b), c in p.terms.items():
+        by_s.setdefault(a, {})[b] = c * scale ** b
+    acc = ring.zero()
+    for a, x_terms in by_s.items():
+        coeffs = [0] * (max(x_terms) + 1)
+        for b, c in x_terms.items():
+            coeffs[b] = c
+        acc = acc + ring.root_power(a) * UniPoly._raw(ring.var, tuple(coeffs))
+    return acc
 
 
 def _target_thm11(n_max: int) -> Report:
@@ -126,7 +150,7 @@ def _target_thm42(n_max: int) -> Report:
         verify_identity(g, DerivOp.plain(), u * u, n_max, odd_slots, factorial,
                         lambda n: PowerPattern(g.letters, (n + 2, n), (2, -2)),
                         "D^n(u^2)"),
-        quadratic.check_chebyshev_specialization(n_max),
+        check_chebyshev_specialization(n_max),
     ]
     return merge_reports("thm42", parts)
 
@@ -159,9 +183,9 @@ def _target_thm44(n_max: int) -> Report:
 def check_scaled_tan_sec(n_max: int) -> Report:
     """Derivative iterates of the double-angle system against scaled P_n / Q_n.
 
-    D^n(f) reduces to 2^n f Q_n(h) and D^n(g) to 2^(n+1) P_n(h) once g = 2h
-    and f^2 = 1 + h^2 are substituted; the square substitution records the
-    leftover parity of f, which must be 1 on the f side and 0 on the g side.
+    Under g = 2h and f = s with s^2 = 1 + h^2, D^n(f) must read 2^n Q_n(h) s
+    and D^n(g) must read 2^(n+1) P_n(h); a term of the wrong parity in f
+    leaves a component that should be zero.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -171,24 +195,128 @@ def check_scaled_tan_sec(n_max: int) -> Report:
     iterates = zip(operator_iterates(grammar, d, f, n_max),
                    operator_iterates(grammar, d, g, n_max))
     next(iterates)  # n = 0 is not checked
-    h = MultiPoly.variable(("h",), "h")
-    two_h = 2 * h
-    one_plus_h2 = h * h + 1
+    ring = QuadraticRing(UniPoly("h", (1, 0, 1)))
     report = Report("prop12")
     for n, (d_f, d_g) in enumerate(iterates, start=1):
         cases = (
-            ("D^n(f)", d_f, 1, 2 ** n * classical.secant_derivative_poly(n, "h")),
-            ("D^n(g)", d_g, 0, 2 ** (n + 1) * classical.tangent_derivative_poly(n, "h")),
+            ("D^n(f)", d_f, ring.of(0, 2 ** n * classical.secant_derivative_poly(n, "h"))),
+            ("D^n(g)", d_g, ring.of(2 ** (n + 1) * classical.tangent_derivative_poly(n, "h"))),
         )
-        for name, value, parity_want, rhs in cases:
-            substituted = value.substitute("g", two_h)
-            parity, reduced = substituted.substitute_square_with_parity("f", one_plus_h2)
-            if parity != parity_want:
-                report.add(Check(name, n, False, f"parity {parity}, expected {parity_want}"))
+        for name, value, want in cases:
+            got = _specialize(value, ring, 2)
+            ok = got == want
+            report.add(Check(name, n, ok, "" if ok else f"got {got}, want {want}"))
+    return report
+
+
+def check_sqrt_gamma_forms(n_max: int) -> Report:
+    """Row generating functions of both gamma triangles against tangent and
+    secant derivative polynomials taken at 1/sqrt(4x-1).
+
+    With s adjoined as sqrt(4x-1) =: sqrt(q), 1/s is s/q, so after clearing
+    q powers both sides are ordinary polynomials.  The parities of P_n and
+    Q_n force every surviving power of s to be even; any odd power left over
+    is reported as a failure.
+    """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    x = UniPoly.variable("x")
+    ring = QuadraticRing(4 * x - 1)
+    report = Report("thm31")
+    for n in range(1, n_max + 1):
+        row_a = UniPoly("x", GAMMA_A.row(n))
+        row_b = UniPoly("x", GAMMA_B.row(n))
+        cases = (
+            # 2^(n+1) x a_n(x) q^(n+1) == sum_k [P_n]_k s^(n+1+k) q^(n+1-k)
+            ("gamma-a-gf", classical.tangent_derivative_poly(n), n + 1,
+             2 ** (n + 1) * x * row_a * ring.modulus_power(n + 1)),
+            # b_n(x) q^n == sum_k [Q_n]_k s^(n+k) q^(n-k)
+            ("gamma-b-gf", classical.secant_derivative_poly(n), n,
+             row_b * ring.modulus_power(n)),
+        )
+        for name, dpoly, shift, lhs in cases:
+            acc = ring.zero()
+            for k, c in enumerate(dpoly.coeffs):
+                if c:
+                    # s^(shift+k) q^(shift-k) = s^(3 shift - k), as s^2 = q
+                    acc = acc + ring.root_power(3 * shift - k) * c
+            if not acc.is_real:
+                report.add(Check(name, n, False, "odd power of the adjoined root survived"))
                 continue
-            got = UniPoly.from_multipoly(reduced, "h")
-            ok = got == rhs
-            report.add(Check(name, n, ok, "" if ok else f"got {got}, want {rhs}"))
+            ok = acc.a == lhs
+            report.add(Check(name, n, ok, "" if ok else f"got {acc.a}, want {lhs}"))
+    return report
+
+
+def check_imaginary_assoc_forms(n_max: int) -> Report:
+    """Weighted derivative iterates against Legendre/Narayana-type values at
+    an imaginary argument.
+
+    Under the double-angle rules, (fD)^n(f) equals n! f^(n+1) (-i)^n L_n(i h)
+    and (fD)^n(g) equals 2 (n+1)! f^(n+2) (-i)^(n-1) N_n(i h), with i adjoined
+    as the root of -1 over the letter h.  Both right-hand sides must come out
+    with zero imaginary component; the left-hand sides are read with g = 2h
+    and f = s, s^2 = 1 + h^2.
+    """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    grammar = parse_grammar(classical.DOUBLE_ANGLE_RULES)
+    f, g = MultiPoly.variables(grammar.letters)
+    op = DerivOp.post_mul("f")
+    iterates = zip(operator_iterates(grammar, op, f, n_max),
+                   operator_iterates(grammar, op, g, n_max))
+    next(iterates)  # n = 0 is not checked
+    f_ring = QuadraticRing(UniPoly("h", (1, 0, 1)))
+    ring = QuadraticRing(UniPoly("h", (-1,)))
+    i_times_h = ring.of(UniPoly("h"), UniPoly.variable("h"))
+    minus_i = -ring.root()
+    report = Report("cor33")
+    for n, (fd_f, fd_g) in enumerate(iterates, start=1):
+        cases = (
+            ("(fD)^n(f)", fd_f, classical.legendre_like(n, "h"), factorial(n), n, n + 1),
+            ("(fD)^n(g)", fd_g, classical.narayana_like(n, "h"), 2 * factorial(n + 1),
+             n - 1, n + 2),
+        )
+        for name, value, witness, scale, unit_power, f_power in cases:
+            rhs = (minus_i ** unit_power) * ring.eval_poly(witness, i_times_h) * scale
+            if not rhs.is_real:
+                report.add(Check(name, n, False, "imaginary component survived"))
+                continue
+            got = _specialize(value, f_ring, 2)
+            want = f_ring.root_power(f_power) * rhs.a
+            ok = got == want
+            report.add(Check(name, n, ok, "" if ok else f"got {got}, want {want}"))
+    return report
+
+
+def check_chebyshev_specialization(n_max: int) -> Report:
+    """Derivative iterates of the cubic-rule grammar under u -> s, v -> x with
+    s^2 = x^2 - 1, against n! s^(n+1) T_(n+1)(x) and n! s^(n+2) U_n(x).
+
+    Half-integer powers of x^2 - 1 are exactly the odd powers of s, so the
+    comparison is plain equality of reduced ring elements.
+    """
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    grammar = parse_grammar("u -> u^2*v; v -> u^3")
+    u, v = MultiPoly.variables(grammar.letters)
+    d = DerivOp.plain()
+    iterates = zip(operator_iterates(grammar, d, u * v, n_max),
+                   operator_iterates(grammar, d, u * u, n_max))
+    ring = QuadraticRing(UniPoly("x", (-1, 0, 1)))
+    report = Report("thm42")
+    for n, (d_uv, d_u2) in enumerate(iterates):
+        fact = factorial(n)
+        cases = (
+            ("uv-specialized", d_uv, classical.chebyshev_t(n + 1), n + 1),
+            ("u^2-specialized", d_u2, classical.chebyshev_u(n), n + 2),
+        )
+        for name, value, cheb, s_power in cases:
+            got = _specialize(value, ring, 1)
+            want = ring.root_power(s_power) * (cheb * fact)
+            ok = got == want
+            report.add(Check(name, n, ok,
+                             "" if ok else f"got {got}, want {want}"))
     return report
 
 
@@ -269,11 +397,11 @@ TARGETS: dict[str, Target] = {
         Target("thm22", 12, "type B gamma rows expand to the Coxeter and associahedron h-rows",
                _target_thm22),
         Target("thm31", 12, "gamma row generating functions via the square root of 4x-1",
-               quadratic.check_sqrt_gamma_forms),
+               check_sqrt_gamma_forms),
         Target("thm32", 25, "the four coefficient expansions over the double-angle rules",
                _target_thm32),
         Target("cor33", 10, "weighted iterates against Legendre/Narayana values at i*h",
-               quadratic.check_imaginary_assoc_forms),
+               check_imaginary_assoc_forms),
         Target("prop41", 15, "quartic-rule iterates carry 4^k binomial rows",
                _target_prop41),
         Target("thm42", 12, "cubic-rule expansions and their Chebyshev specialization",

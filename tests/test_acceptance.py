@@ -12,13 +12,15 @@ import sys
 import time
 
 from conftest import random_poly
-from polygram import classical, oracles, quadratic
+from polygram import classical, oracles
 from polygram import triangles as tri
 from polygram.gamma import GammaVector, associahedron_h, coxeter_h, gamma_to_h, h_to_gamma
 from polygram.grammar import DerivOp, iterate_operator
 from polygram.parser import parse_grammar, parse_poly
 from polygram.poly import MultiPoly
-from polygram.verify import check_alternating_counts, check_generating_functions, run_target
+from polygram.verify import (check_alternating_counts, check_chebyshev_specialization,
+                             check_generating_functions, check_imaginary_assoc_forms,
+                             check_sqrt_gamma_forms, run_target)
 
 
 def _finish(number: int, label: str, ok: bool, t0: float, budget: float) -> None:
@@ -99,9 +101,9 @@ def test_criterion_06_grammar_coefficient_identities_to_15():
 
 def test_criterion_07_quadratic_extension_identities():
     t0 = time.perf_counter()
-    ok = (quadratic.check_sqrt_gamma_forms(12).ok
-          and quadratic.check_imaginary_assoc_forms(10).ok
-          and quadratic.check_chebyshev_specialization(12).ok)
+    ok = (check_sqrt_gamma_forms(12).ok
+          and check_imaginary_assoc_forms(10).ok
+          and check_chebyshev_specialization(12).ok)
     _finish(7, "square-root and imaginary-unit identities", ok, t0, 5.0)
 
 

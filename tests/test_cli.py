@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from polygram import cli
+from polygram import classical, cli
 from polygram.cli import main
 
 
@@ -178,6 +178,44 @@ def test_internal_error_exits_3_with_one_line(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: RuntimeError: boom second line\n"
+
+
+def test_derive_past_the_4300_digit_limit_exits_0(capsys):
+    # CPython refuses int <-> str past 4300 digits; main lifts that limit
+    # for the handler only and puts the caller's value back
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run_cli(capsys, "derive", "--grammar", "u->3*u", "--start", "u",
+                                 "--n", "9100")
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert code == 0 and err == ""
+    coeff, star, rest = out.partition("*")
+    assert (star, rest) == ("*", "u\n")
+    assert len(coeff) == 4342 and coeff.isdigit()
+    assert int(coeff[-30:]) == pow(3, 9100, 10 ** 30)
+
+
+def test_rule_literal_past_the_4300_digit_limit_parses(capsys):
+    big = "7" * 5000
+    code, out, _ = run_cli(capsys, "derive", "--grammar", f"u -> {big}*u", "--start", "u",
+                           "--n", "1")
+    assert code == 0
+    assert out == f"{big}*u\n"
+
+
+@pytest.mark.parametrize("target", ["prop12", "cor33"])
+def test_mixed_parity_rules_fail_the_check(capsys, monkeypatch, target):
+    # f -> f*g + g mixes odd and even powers of f in every iterate: a
+    # falsified identity (exit 1), not a usage error (exit 2)
+    monkeypatch.setattr(classical, "DOUBLE_ANGLE_RULES", "f -> f*g + g; g -> 4*f^2")
+    code, out, err = run_cli(capsys, "verify", "--target", target, "--n-max", "3")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert lines[-1] == f"{target}: FAIL"
+    assert any(": FAIL (got " in line for line in lines[:-1])
 
 
 def test_table_unknown_name_exits_2(capsys):

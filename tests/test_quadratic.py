@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from polygram import quadratic
-from polygram.quadratic import (ExtPoly, ModulusMismatch, QuadraticRing,
-                                check_chebyshev_specialization,
-                                check_imaginary_assoc_forms, check_sqrt_gamma_forms)
+from polygram import classical
+from polygram.quadratic import ExtPoly, ModulusMismatch, QuadraticRing
 from polygram.unipoly import UniPoly
+from polygram.verify import (check_chebyshev_specialization, check_imaginary_assoc_forms,
+                             check_scaled_tan_sec, check_sqrt_gamma_forms)
 
 
 def test_defining_relation():
@@ -156,8 +156,8 @@ def _bump_one_coefficient(real, bad_n, slot=-1):
 @pytest.mark.parametrize("slot, detail", [(-1, "got "), (-2, "odd power of the adjoined root")])
 def test_sqrt_gamma_forms_catch_a_wrong_coefficient(monkeypatch, name, slot, detail):
     # slot -2 breaks the parity of P_n / Q_n, so an odd power of s survives
-    monkeypatch.setattr(quadratic, name,
-                        _bump_one_coefficient(getattr(quadratic, name), 5, slot))
+    monkeypatch.setattr(classical, name,
+                        _bump_one_coefficient(getattr(classical, name), 5, slot))
     report = check_sqrt_gamma_forms(8)
     assert not report.ok
     [bad] = report.failures()
@@ -169,8 +169,27 @@ def test_chebyshev_specialization_catches_a_wrong_coefficient(monkeypatch, name)
     # chebyshev_t is asked for T_(n+1), chebyshev_u for U_n
     bad_n = 6
     shift = 1 if name == "chebyshev_t" else 0
-    monkeypatch.setattr(quadratic, name,
-                        _bump_one_coefficient(getattr(quadratic, name), bad_n + shift))
+    monkeypatch.setattr(classical, name,
+                        _bump_one_coefficient(getattr(classical, name), bad_n + shift))
     report = check_chebyshev_specialization(9)
     assert not report.ok
     assert {c.n for c in report.checks if not c.ok} == {bad_n}
+
+
+@pytest.mark.parametrize("name", ["legendre_like", "narayana_like"])
+@pytest.mark.parametrize("slot, detail", [(-1, "got "), (-2, "imaginary component survived")])
+def test_imaginary_assoc_forms_catch_a_wrong_coefficient(monkeypatch, name, slot, detail):
+    # slot -2 breaks the parity of L_n / N_n, so the value at i*h is not real
+    monkeypatch.setattr(classical, name,
+                        _bump_one_coefficient(getattr(classical, name), 4, slot))
+    report = check_imaginary_assoc_forms(7)
+    [bad] = report.failures()
+    assert bad.n == 4 and bad.detail.startswith(detail)
+
+
+@pytest.mark.parametrize("name", ["tangent_derivative_poly", "secant_derivative_poly"])
+def test_scaled_tan_sec_catches_a_wrong_coefficient(monkeypatch, name):
+    monkeypatch.setattr(classical, name,
+                        _bump_one_coefficient(getattr(classical, name), 5))
+    report = check_scaled_tan_sec(8)
+    assert {c.n for c in report.checks if not c.ok} == {5}

@@ -1,7 +1,13 @@
-from polygram.report import Check, Report
-from polygram.verify import TARGETS, run_all, run_target
+import random
 
 import pytest
+
+from conftest import random_poly
+from polygram.poly import MultiPoly
+from polygram.quadratic import QuadraticRing
+from polygram.report import Check, Report
+from polygram.unipoly import UniPoly
+from polygram.verify import TARGETS, _specialize, run_all, run_target
 
 EXPECTED_TARGETS = [
     "alternating", "cor33", "egf", "prop12", "prop41",
@@ -63,3 +69,28 @@ def test_report_shapes():
     data = report.to_json_dict()
     assert data["ok"] is True and len(data["checks"]) == 16
     assert report.lines()[-1] == "thm32: PASS"
+
+
+@pytest.mark.parametrize("scale", [1, 2])
+@pytest.mark.parametrize("parity", [None, 0, 1])
+def test_specialize_matches_a_term_by_term_sum(scale, parity):
+    # first letter -> s, second -> scale*x, one term at a time; parity None
+    # leaves the first letter's exponents mixed
+    rng = random.Random(f"{scale}-{parity}")
+    x = UniPoly.variable("x")
+    for modulus in (x * x - 1, x * x + 1, 4 * x - 1, UniPoly("x", (-1,))):
+        ring = QuadraticRing(modulus)
+        for _ in range(150):
+            p = random_poly(rng, ("f", "g"), max_terms=6)
+            if parity is not None:
+                p = MultiPoly(p.letters, {(a - a % 2 + parity, b): c
+                                          for (a, b), c in p.terms.items()})
+            want = ring.zero()
+            for (a, b), c in p.terms.items():
+                want = want + ring.root() ** a * ring.of(c * scale ** b * x ** b)
+            got = _specialize(p, ring, scale)
+            assert got == want
+            if parity == 0:
+                assert got.b.is_zero
+            elif parity == 1:
+                assert got.a.is_zero
