@@ -13,11 +13,12 @@ ever formed.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add, sub
 from typing import Sequence
 
 from .poly import _Ring
 from .triangles import _recurrence_row, binomial, binomial_row
-from .unipoly import UniPoly
+from .unipoly import UniPoly, _mac, _trimmed
 
 __all__ = [
     "DOUBLE_ANGLE_RULES",
@@ -59,16 +60,18 @@ def _horner_binomial_sum(weights: list[int], var: str) -> UniPoly:
     """sum_k weights[k] (x+1)^k (x-1)^(m-k) with m = len(weights) - 1.
 
     Homogeneous Horner: total = total*(x+1) + weights[k] (x-1)^(m-k) for k
-    from m down to 0, so only the powers of x-1 are kept.
+    from m down to 0, so only the powers of x-1 are kept.  Everything runs on
+    int lists, trimmed once at the end.
     """
-    x = UniPoly.variable(var)
-    up, down = x + 1, [UniPoly.constant(var, 1)]
-    for _ in range(len(weights) - 1):
-        down.append(down[-1] * (x - 1))
-    total = UniPoly(var)
-    for k in reversed(range(len(weights))):
-        total = total * up + weights[k] * down[len(weights) - 1 - k]
-    return total
+    m = len(weights) - 1
+    down = [[1]]
+    for _ in range(m):
+        down.append(list(map(sub, [0] + down[-1], down[-1] + [0])))
+    total: list[int] = []
+    for k in reversed(range(m + 1)):
+        total = list(map(add, [0] + total, total + [0]))
+        _mac(total, down[m - k], (weights[k],))
+    return _trimmed(var, total)
 
 
 def legendre_like(n: int, var: str = "x") -> UniPoly:
@@ -180,12 +183,10 @@ class TruncSeries(_Ring):
             return NotImplemented
         out = []
         for n in range(self.order + 1):
-            acc = UniPoly(self.var)
+            acc: list[int] = []
             for i, weight in enumerate(binomial_row(n)):
-                a, b = self.coeffs[i], other.coeffs[n - i]
-                if not (a.is_zero or b.is_zero):
-                    acc = acc + a * b * weight
-            out.append(acc)
+                _mac(acc, self.coeffs[i].coeffs, other.coeffs[n - i].coeffs, weight)
+            out.append(_trimmed(self.var, acc))
         return TruncSeries(self.order, self.var, out)
 
     __rmul__ = __mul__
@@ -203,11 +204,10 @@ class TruncSeries(_Ring):
         out = [c0]
         for m in range(1, self.order + 1):
             row = binomial_row(m)
-            acc = UniPoly(self.var)
+            acc: list[int] = []
             for j in range(1, m + 1):
-                if not self.coeffs[j].is_zero:
-                    acc = acc + self.coeffs[j] * out[m - j] * row[j]
-            out.append(acc * -sign)
+                _mac(acc, self.coeffs[j].coeffs, out[m - j].coeffs, -sign * row[j])
+            out.append(_trimmed(self.var, acc))
         return TruncSeries(self.order, self.var, out)
 
     def __eq__(self, other):

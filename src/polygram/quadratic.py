@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .poly import _Ring
-from .unipoly import UniPoly
+from .unipoly import UniPoly, _mac, _trimmed
 
 __all__ = ["ExtPoly", "ModulusMismatch", "QuadraticRing"]
 
@@ -58,7 +58,8 @@ class ExtPoly(_Ring):
         return ExtPoly(-self.a, -self.b, self.modulus)
 
     def __mul__(self, other):
-        # Scalar fast path: thm31 multiplies by a UniPoly in its inner loop.
+        # Scalar fast path: the want sides of thm42 and cor33 multiply a root
+        # power by a UniPoly.
         if isinstance(other, (int, UniPoly)):
             return ExtPoly(self.a * other, self.b * other, self.modulus)
         other = self._coerced(other)
@@ -93,15 +94,6 @@ class QuadraticRing:
     def of(self, a, b=0) -> ExtPoly:
         return ExtPoly(self._lift(a), self._lift(b), self.modulus)
 
-    def zero(self) -> ExtPoly:
-        return self.of(0, 0)
-
-    def one(self) -> ExtPoly:
-        return self.of(1, 0)
-
-    def from_int(self, value: int) -> ExtPoly:
-        return self.of(value, 0)
-
     def root(self) -> ExtPoly:
         return self.of(0, 1)
 
@@ -124,8 +116,22 @@ class QuadraticRing:
         return self.of(q_pow, 0)
 
     def eval_poly(self, p: UniPoly, value: ExtPoly) -> ExtPoly:
-        """Horner evaluation of an integer polynomial at a ring element."""
-        acc = self.zero()
+        """Horner evaluation of an integer polynomial at a ring element.
+
+        Both components run as int lists through ``_mac``:
+        (a + b s)(va + vb s) = (a va + b vb q) + (a vb + b va) s.
+        """
+        if value.modulus != self.modulus:
+            raise ModulusMismatch(f"moduli differ: {self.modulus} vs {value.modulus}")
+        va, vb = value.a.coeffs, value.b.coeffs
+        vbq = (value.b * self.modulus).coeffs
+        a: list[int] = []
+        b: list[int] = []
         for c in reversed(p.coeffs):
-            acc = acc * value + self.from_int(c)
-        return acc
+            next_a, next_b = [c], []
+            _mac(next_a, a, va)
+            _mac(next_a, b, vbq)
+            _mac(next_b, a, vb)
+            _mac(next_b, b, va)
+            a, b = next_a, next_b
+        return self.of(_trimmed(self.var, a), _trimmed(self.var, b))

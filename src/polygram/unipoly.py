@@ -6,10 +6,13 @@ included.  Arithmetic results (``+``, ``-``, ``*``, ``derivative``) are
 built from values already checked, so they are trusted: they only pass
 through ``_trimmed``, which drops trailing zeros.
 
-A product whose shorter operand has one nonzero coefficient c*x^e is a
-shift, ``[0]*e + [a*c for a in longer]``, as ``MultiPoly.__mul__`` shifts by
-a one-term operand.  Every other product runs the double loop, which skips
-zero coefficients.
+Every dense sum of products in the package, here and in ``quadratic``,
+``classical`` and ``verify``, goes through one kernel, ``_mac``: it adds
+w*a*b*x^shift into a plain int list, one slice update per nonzero
+coefficient of the shorter operand, so a sum is trimmed once at the end and
+builds no ``UniPoly`` per product.  A product whose shorter operand has one
+nonzero coefficient c*x^e is a shift, ``[0]*e + [a*c for a in longer]``, as
+``MultiPoly.__mul__`` shifts by a one-term operand.
 
 Subtraction and ``**`` come from ``poly._Ring``, the operator base shared by
 all four ring types (``MultiPoly``, ``UniPoly``, ``ExtPoly``,
@@ -20,11 +23,33 @@ all four ring types (``MultiPoly``, ``UniPoly``, ``ExtPoly``,
 from __future__ import annotations
 
 from itertools import zip_longest
+from operator import add
 from typing import Iterable
 
 from .poly import AlphabetMismatch, _render, _Ring, check_letters
 
 __all__ = ["UniPoly"]
+
+
+def _mac(out: list[int], a, b, w: int = 1, shift: int = 0) -> None:
+    """Add w * a * b * x^shift into the coefficient list ``out``, in place.
+
+    ``a`` and ``b`` are coefficient sequences; ``out`` grows with zeros to
+    cover the product and must alias neither of them.  An empty operand or
+    w = 0 leaves ``out`` as it is.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    if not b or not w:
+        return
+    n = len(a)
+    need = shift + n + len(b) - 1
+    if len(out) < need:
+        out.extend([0] * (need - len(out)))
+    for j, y in enumerate(b, shift):
+        if y:
+            y *= w
+            out[j:j + n] = map(add, out[j:j + n], [x * y for x in a])
 
 
 def _trimmed(var: str, coeffs: list[int]) -> "UniPoly":
@@ -121,13 +146,8 @@ class UniPoly(_Ring):
         if not any(short[:-1]):
             c = short[-1]
             return _trimmed(self.var, [0] * (len(short) - 1) + [v * c for v in long])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b != 0:
-                    out[i + j] += a * b
+        out: list[int] = []
+        _mac(out, long, short)
         return _trimmed(self.var, out)
 
     __rmul__ = __mul__

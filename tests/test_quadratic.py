@@ -19,14 +19,14 @@ def test_defining_relation():
 def test_conjugate_product_collapses():
     x = UniPoly.variable("x")
     ring = QuadraticRing(x**2 - 1)
-    assert (ring.of(x) + ring.root()) * (ring.of(x) - ring.root()) == ring.one()
+    assert (ring.of(x) + ring.root()) * (ring.of(x) - ring.root()) == ring.of(1)
 
 
 def test_gaussian_unit():
     ring = QuadraticRing(UniPoly("h", (-1,)))
     i = ring.root()
-    assert i * i == ring.from_int(-1)
-    assert i ** 4 == ring.one()
+    assert i * i == ring.of(-1)
+    assert i ** 4 == ring.of(1)
 
 
 def test_root_power_reduction():
@@ -41,7 +41,7 @@ def test_of_lifts_ints_and_still_refuses_bools():
     ring = QuadraticRing(UniPoly("x", (-1, 0, 1)))
     e = ring.of(3, 0)
     assert e.a.coeffs == (3,) and e.b.coeffs == ()
-    assert ring.from_int(-2) == ring.of(UniPoly("x", (-2,)))
+    assert ring.of(-2) == ring.of(UniPoly("x", (-2,)))
     with pytest.raises(TypeError):
         ring.of(True)
 
@@ -50,6 +50,34 @@ def test_modulus_mismatch():
     x = UniPoly.variable("x")
     with pytest.raises(ModulusMismatch):
         QuadraticRing(4 * x - 1).root() * QuadraticRing(x**2 - 1).root()
+
+
+@pytest.mark.parametrize("var, modulus", [("h", (1, 0, 1)), ("h", (-1,)), ("x", (-1, 4)),
+                                          ("x", (-1, 0, 1))])
+def test_eval_poly_matches_a_sum_of_powers(var, modulus):
+    rng = random.Random(f"eval-{var}-{modulus}")
+    ring = QuadraticRing(UniPoly(var, modulus))
+
+    def nonzero_poly():
+        return UniPoly(var, [rng.randint(-5, 5) for _ in range(rng.randint(0, 2))]
+                       + [rng.choice((-3, -1, 1, 2))])
+
+    for trial in range(60):
+        p = UniPoly(var, [rng.randint(-9, 9) for _ in range(trial % 8)])  # 0 and constants too
+        value = ring.of(nonzero_poly(), nonzero_poly())
+        want = ring.of(0)
+        for k, c in enumerate(p.coeffs):
+            want = want + c * value ** k
+        assert ring.eval_poly(p, value) == want
+
+
+def test_eval_poly_refuses_a_value_over_another_modulus():
+    h = UniPoly.variable("h")
+    ring = QuadraticRing(UniPoly("h", (-1,)))
+    other = QuadraticRing(h * h + 1).of(h, h)
+    for p in (h + 2, UniPoly("h")):
+        with pytest.raises(ModulusMismatch):
+            ring.eval_poly(p, other)
 
 
 def _random_element(rng, ring):
@@ -72,7 +100,7 @@ def test_ring_axioms_random_moduli():
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
-        assert a * ring.one() == a
+        assert a * ring.of(1) == a
 
 
 def test_square_modulus_gives_plain_substitution():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from polygram.classical import TruncSeries
 from polygram.poly import MultiPoly
 from polygram.quadratic import QuadraticRing
-from polygram.unipoly import UniPoly
+from polygram.unipoly import UniPoly, _mac
 
 
 def _fresh(p: UniPoly) -> UniPoly:
@@ -58,7 +59,7 @@ def test_power_matches_repeated_products():
     e = ring.of(x) + ring.root()
     m = MultiPoly("u v", {(1, 0): 1, (0, 1): -2})
     s = TruncSeries(6, "x", (1, x, -3, 2))
-    for value, one in ((p, UniPoly.constant("x", 1)), (e, ring.one()),
+    for value, one in ((p, UniPoly.constant("x", 1)), (e, ring.of(1)),
                        (m, MultiPoly.const("u v", 1)), (s, TruncSeries.constant(6, "x", 1))):
         product = one
         for k in range(21):
@@ -139,3 +140,43 @@ def test_product_shares_no_coefficient_tuple_with_an_operand():
         for got in (p * one, one * p):
             assert got == p
             assert got.coeffs is not p.coeffs
+
+
+def _mac_reference(out, a, b, w, shift):
+    # The double loop _mac replaced, on a copy; out grows only when a term is added.
+    out = list(out)
+    if a and b and w:
+        out += [0] * (shift + len(a) + len(b) - 1 - len(out))
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[shift + i + j] += w * x * y
+    return out
+
+
+def _random_coeff(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return 0
+    if kind == 3:
+        return rng.choice((-1, 1)) * rng.randrange(10 ** 199, 10 ** 200)
+    return rng.randint(-9, 9)
+
+
+@pytest.mark.parametrize("w", [0, 1, -3, 10 ** 50])
+def test_mac_matches_a_double_loop(w):
+    rng = random.Random(f"mac-{w}")
+    cases = [((), (), 0), ((), (1, 2), 3), ((5, 0, -1), (), 0)]
+    for _ in range(200):
+        a = tuple(_random_coeff(rng) for _ in range(rng.randint(0, 7)))
+        b = tuple(_random_coeff(rng) for _ in range(rng.randint(0, 7)))
+        cases.append((a, b, rng.randint(0, 5)))
+    for a, b, shift in cases:
+        span = shift + len(a) + len(b) - 1 if a and b else 0
+        # out shorter than, as long as and longer than the product
+        for out_len in (max(span - 2, 0), span, span + 3):
+            out = [_random_coeff(rng) for _ in range(out_len)]
+            want = _mac_reference(out, a, b, w, shift)
+            a_list, b_list = list(a), list(b)
+            _mac(out, a_list, b_list, w, shift)
+            assert out == want
+            assert (a_list, b_list) == (list(a), list(b))
