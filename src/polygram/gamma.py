@@ -9,8 +9,6 @@ legitimate).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .triangles import (ASSOC_GAMMA_A, ASSOC_GAMMA_B, ASSOC_H_A, ASSOC_H_B,
                         EULERIAN_A, EULERIAN_B, GAMMA_A, GAMMA_B, binomial_row)
 
@@ -25,14 +23,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class HPoly:
     """Coefficients h_0..h_d; d is structural, so trailing zeros are kept."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+    def __init__(self, coeffs: tuple[int, ...]):
+        self.coeffs = tuple(coeffs)
         if not self.coeffs:
             raise ValueError("an h-polynomial needs at least h_0")
 
@@ -44,25 +41,48 @@ class HPoly:
         c = self.coeffs
         return all(c[i] == c[len(c) - 1 - i] for i in range(len(c) // 2 + 1))
 
+    def __eq__(self, other):
+        if not isinstance(other, HPoly):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
     def __str__(self):
         return ",".join(str(c) for c in self.coeffs)
 
+    def __repr__(self):
+        return f"HPoly(coeffs={self.coeffs!r})"
 
-@dataclass(frozen=True)
+
 class GammaVector:
-    gammas: tuple[int, ...]
-    d: int
+    """gamma_0..gamma_(d//2), the coefficients of x^i (1+x)^(d-2i)."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "gammas", tuple(self.gammas))
-        if self.d < 0:
+    __slots__ = ("gammas", "d")
+
+    def __init__(self, gammas: tuple[int, ...], d: int):
+        self.gammas = tuple(gammas)
+        self.d = d
+        if d < 0:
             raise ValueError("degree bound must be >= 0")
-        want = self.d // 2 + 1
+        want = d // 2 + 1
         if len(self.gammas) != want:
-            raise ValueError(f"need {want} entries for d={self.d}, got {len(self.gammas)}")
+            raise ValueError(f"need {want} entries for d={d}, got {len(self.gammas)}")
+
+    def __eq__(self, other):
+        if not isinstance(other, GammaVector):
+            return NotImplemented
+        return self.gammas == other.gammas and self.d == other.d
+
+    def __hash__(self):
+        return hash((self.gammas, self.d))
 
     def __str__(self):
         return ",".join(str(g) for g in self.gammas)
+
+    def __repr__(self):
+        return f"GammaVector(gammas={self.gammas!r}, d={self.d!r})"
 
 
 def _add_binomial_row(coeffs: list[int], i: int, gi: int, m: int) -> None:

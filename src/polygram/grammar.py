@@ -33,8 +33,7 @@ a stray term.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from itertools import accumulate, repeat
 from math import inf
 from typing import Callable, Iterator, Mapping
@@ -77,10 +76,6 @@ class Grammar:
     def rule(self, name: str) -> MultiPoly:
         return self.rules[name]
 
-    def derive(self, p: MultiPoly) -> MultiPoly:
-        """Apply the induced derivation D."""
-        return DerivOp.plain().apply(self, p)
-
     def __eq__(self, other):
         if not isinstance(other, Grammar):
             return NotImplemented
@@ -96,7 +91,6 @@ class Grammar:
         return f"Grammar[{self}]"
 
 
-@dataclass(frozen=True)
 class DerivOp:
     """The derivation D, or a weighted variant with weight letter w.
 
@@ -104,14 +98,15 @@ class DerivOp:
     derives first (p -> w*D(p)).
     """
 
-    kind: str
-    weight: str | None = None
+    __slots__ = ("kind", "weight")
 
-    def __post_init__(self):
-        if self.kind not in ("D", "preD", "postD"):
-            raise ValueError(f"unknown operator kind {self.kind!r}")
-        if (self.weight is None) != (self.kind == "D"):
+    def __init__(self, kind: str, weight: str | None = None):
+        if kind not in ("D", "preD", "postD"):
+            raise ValueError(f"unknown operator kind {kind!r}")
+        if (weight is None) != (kind == "D"):
             raise ValueError("weighted operators need a weight letter, plain D takes none")
+        self.kind = kind
+        self.weight = weight
 
     @classmethod
     def plain(cls) -> "DerivOp":
@@ -135,14 +130,19 @@ class DerivOp:
         raise ValueError(
             f"bad operator {text!r}: use D, preD:<letter> or postD:<letter>")
 
-    def apply(self, grammar: Grammar, p: MultiPoly) -> MultiPoly:
-        if p.letters != grammar.letters:
-            raise AlphabetMismatch(
-                f"polynomial alphabet {p.letters} differs from grammar alphabet {grammar.letters}")
-        return iterate_operator(grammar, self, p, 1)
+    def __eq__(self, other):
+        if not isinstance(other, DerivOp):
+            return NotImplemented
+        return self.kind == other.kind and self.weight == other.weight
+
+    def __hash__(self):
+        return hash((self.kind, self.weight))
 
     def __str__(self):
         return self.kind if self.kind == "D" else f"{self.kind}:{self.weight}"
+
+    def __repr__(self):
+        return f"DerivOp(kind={self.kind!r}, weight={self.weight!r})"
 
 
 # ----------------------------------------------------------------------
@@ -233,13 +233,10 @@ class PatternMismatch(ValueError):
     """A term fell outside the monomial family being read off."""
 
 
-@dataclass(frozen=True)
-class PowerPattern:
+class PowerPattern(namedtuple("PowerPattern", "letters base step")):
     """Monomial family exps(k) = base + k*step over a fixed alphabet, k = 0, 1, ..."""
 
-    letters: tuple[str, ...]
-    base: tuple[int, ...]
-    step: tuple[int, ...]
+    __slots__ = ()
 
 
 def _read_off(letters: tuple[str, ...], terms: dict[int, int], width: int,

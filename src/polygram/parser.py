@@ -15,7 +15,7 @@ nest at most ``MAX_NESTING`` deep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .grammar import Grammar
 from .poly import MultiPoly, check_letters
@@ -34,12 +34,8 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # NAME, INT, SYM, ARROW, SEP, END
-    value: str
-    line: int
-    col: int
+# kind is one of NAME, INT, SYM, ARROW, SEP, END.
+_Token = namedtuple("_Token", "kind value line col")
 
 
 def _tokenize(text: str, newline_sep: bool) -> list[_Token]:

@@ -6,8 +6,6 @@ any base letter.  Elements are kept reduced: no s^2 survives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .poly import _Ring
 from .unipoly import UniPoly, _mac, _trimmed
 
@@ -18,17 +16,17 @@ class ModulusMismatch(ValueError):
     """Two extension elements over different moduli were combined."""
 
 
-@dataclass(frozen=True)
 class ExtPoly(_Ring):
     """a + b*s with s^2 = modulus; both components share the base letter."""
 
-    a: UniPoly
-    b: UniPoly
-    modulus: UniPoly
+    __slots__ = ("a", "b", "modulus")
 
-    def __post_init__(self):
-        if not (self.a.var == self.b.var == self.modulus.var):
+    def __init__(self, a: UniPoly, b: UniPoly, modulus: UniPoly):
+        if not (a.var == b.var == modulus.var):
             raise ValueError("components and modulus must share one letter")
+        self.a = a
+        self.b = b
+        self.modulus = modulus
 
     @property
     def is_real(self) -> bool:
@@ -71,8 +69,19 @@ class ExtPoly(_Ring):
 
     __rmul__ = __mul__
 
+    def __eq__(self, other):
+        if not isinstance(other, ExtPoly):
+            return NotImplemented
+        return self.a == other.a and self.b == other.b and self.modulus == other.modulus
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.modulus))
+
     def __str__(self):
         return f"({self.a}) + ({self.b})*s  [s^2 = {self.modulus}]"
+
+    def __repr__(self):
+        return f"ExtPoly(a={self.a!r}, b={self.b!r}, modulus={self.modulus!r})"
 
 
 class QuadraticRing:

@@ -7,22 +7,30 @@ in one row cannot hide later ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Iterable
 
-
-@dataclass(frozen=True)
-class Check:
-    name: str
-    n: int
-    ok: bool
-    detail: str = ""
+Check = namedtuple("Check", "name n ok detail", defaults=("",))
 
 
-@dataclass
 class Report:
-    target: str
-    checks: list[Check] = field(default_factory=list)
+    """The checks of one target, in the order they ran."""
+
+    __slots__ = ("target", "checks")
+
+    def __init__(self, target: str, checks: list[Check] | None = None):
+        self.target = target
+        self.checks = [] if checks is None else checks
+
+    def __eq__(self, other):
+        if not isinstance(other, Report):
+            return NotImplemented
+        return self.target == other.target and self.checks == other.checks
+
+    __hash__ = None  # mutable: checks are added as a sweep runs
+
+    def __repr__(self):
+        return f"Report(target={self.target!r}, checks={self.checks!r})"
 
     @property
     def ok(self) -> bool:

@@ -14,7 +14,6 @@ are implemented separately and cross-checked in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 __all__ = [
@@ -153,15 +152,32 @@ def assoc_gamma_a(n: int, k: int) -> int:
     return catalan(k) * binomial(n - 1, 2 * k)
 
 
-@dataclass(frozen=True)
 class Triangle:
     """A named integer triangle, given by the function that builds row n."""
 
-    name: str
-    row_fn: Callable[[int], Sequence[int]]
-    first_n: int = 1
-    oeis: str | None = None
-    description: str = ""
+    # No __slots__: perfbench/tracer.py rebinds ``value`` on each instance.
+
+    def __init__(self, name: str, row_fn: Callable[[int], Sequence[int]], first_n: int = 1,
+                 oeis: str | None = None, description: str = ""):
+        self.name = name
+        self.row_fn = row_fn
+        self.first_n = first_n
+        self.oeis = oeis
+        self.description = description
+
+    def _key(self):
+        return self.name, self.row_fn, self.first_n, self.oeis, self.description
+
+    def __eq__(self, other):
+        if not isinstance(other, Triangle):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"Triangle(name={self.name!r}, first_n={self.first_n!r}, oeis={self.oeis!r})"
 
     def row(self, n: int) -> list[int]:
         if n < self.first_n:

@@ -27,10 +27,26 @@ def test_h_to_gamma_rejects_non_palindromic():
 
 
 def test_gamma_vector_length_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need 1 entries for d=1, got 2"):
         GammaVector((1, 2), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="degree bound must be >= 0"):
         GammaVector((1,), -1)
+
+
+def test_h_polynomial_needs_h0():
+    with pytest.raises(ValueError, match="an h-polynomial needs at least h_0"):
+        HPoly(())
+
+
+@pytest.mark.parametrize("cls, fields, others", [
+    (HPoly, ((1, 2, 1),), [((1, 2, 1, 0),), ((1, 3, 1),)]),
+    (GammaVector, ((1, 2), 3), [((1, 3), 3), ((1, 2), 2)]),
+], ids=["HPoly", "GammaVector"])
+def test_equal_fields_give_equal_values(cls, fields, others):
+    a, b = cls(*fields), cls(*(list(f) if isinstance(f, tuple) else f for f in fields))
+    assert a == b and hash(a) == hash(b)
+    for other in others:
+        assert a != cls(*other)
 
 
 def test_family_h_polynomials():

@@ -11,10 +11,14 @@ from polygram.poly import MultiPoly
 from polygram.triangles import GAMMA_A, binomial, factorial, plain_triangle
 
 
+def derive(g, p):
+    return iterate_operator(g, DerivOp.plain(), p, 1)
+
+
 def test_derive_worked_example():
     g = parse_grammar("u -> u*v; v -> v")
     u, v = MultiPoly.variables("u v")
-    assert g.derive(u) == u * v
+    assert derive(g, u) == u * v
     assert iterate_operator(g, DerivOp.plain(), u, 2) == u * v + u * v**2
     assert str(iterate_operator(g, DerivOp.plain(), u, 3)) == "u*v + 3*u*v^2 + u*v^3"
 
@@ -27,7 +31,7 @@ def test_derive_double_angle_twice():
 
 def test_derivative_of_constant_is_zero():
     g = parse_grammar("u -> u*v; v -> v")
-    assert g.derive(MultiPoly.const("u v", 1)).is_zero
+    assert derive(g, MultiPoly.const("u v", 1)).is_zero
 
 
 def test_iterate_zero_times_returns_start():
@@ -48,8 +52,8 @@ def test_linearity_and_leibniz():
     for _ in range(CASES):
         a = random_poly(rng, g.letters, max_exp=4)
         b = random_poly(rng, g.letters, max_exp=4)
-        assert g.derive(a + b) == g.derive(a) + g.derive(b)
-        assert g.derive(a * b) == g.derive(a) * b + a * g.derive(b)
+        assert derive(g, a + b) == derive(g, a) + derive(g, b)
+        assert derive(g, a * b) == derive(g, a) * b + a * derive(g, b)
 
 
 def test_pre_mul_operator_matches_definition():
@@ -57,7 +61,7 @@ def test_pre_mul_operator_matches_definition():
     y, _ = MultiPoly.variables("y z")
     seq = list(operator_iterates(g, DerivOp.pre_mul("y"), y, 6))
     for n in range(1, 7):
-        assert seq[n] == g.derive(y * seq[n - 1])
+        assert seq[n] == derive(g, y * seq[n - 1])
 
 
 def test_post_mul_operator_matches_definition():
@@ -65,7 +69,29 @@ def test_post_mul_operator_matches_definition():
     f, _ = MultiPoly.variables("f g")
     seq = list(operator_iterates(g, DerivOp.post_mul("f"), f, 6))
     for n in range(1, 7):
-        assert seq[n] == f * g.derive(seq[n - 1])
+        assert seq[n] == f * derive(g, seq[n - 1])
+
+
+@pytest.mark.parametrize("cls, fields, others", [
+    (DerivOp, ("preD", "y"), [("postD", "y"), ("preD", "z")]),
+    (PowerPattern, (("f", "g"), (1, 0), (2, -2)),
+     [(("g", "f"), (1, 0), (2, -2)), (("f", "g"), (1, 1), (2, -2)),
+      (("f", "g"), (1, 0), (2, -1))]),
+], ids=["DerivOp", "PowerPattern"])
+def test_equal_fields_give_equal_values(cls, fields, others):
+    a, b = cls(*fields), cls(*fields)
+    assert a == b and hash(a) == hash(b)
+    for other in others:
+        assert a != cls(*other)
+
+
+def test_operator_constructor_refusals():
+    with pytest.raises(ValueError, match="unknown operator kind 'X'"):
+        DerivOp("X")
+    with pytest.raises(ValueError, match="plain D takes none"):
+        DerivOp("D", "u")
+    with pytest.raises(ValueError, match="weighted operators need a weight letter"):
+        DerivOp("preD")
 
 
 def test_operator_parse():

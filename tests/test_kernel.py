@@ -80,9 +80,7 @@ def assert_kernel_matches(grammar, start, n_max):
         assert got == want, (str(grammar), str(op), str(start))
         assert all(0 not in p.terms.values() for p in got)
         assert iterate_operator(grammar, op, start, n_max) == want[-1]
-        assert op.apply(grammar, want[0]) == want[1]
-        if op.kind == "D":
-            assert grammar.derive(want[0]) == want[1]
+        assert iterate_operator(grammar, op, want[0], 1) == want[1]
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -182,13 +180,15 @@ def test_unknown_weight_letter_is_refused_at_the_call():
             iterate_operator(grammar, op, u, 0)
 
 
-def test_apply_refuses_another_alphabet():
+def test_a_start_is_read_over_the_grammar_alphabet():
     u, v = MultiPoly.variables("u v")
     grammar = Grammar(("u", "v"), {"u": u * v, "v": u + v})
-    with pytest.raises(AlphabetMismatch):
-        DerivOp.post_mul("u").apply(grammar, MultiPoly.variable(("u",), "u"))
-    with pytest.raises(AlphabetMismatch):
-        grammar.derive(MultiPoly.variable(("v", "u"), "u"))
+    op = DerivOp.post_mul("u")
+    want = iterate_operator(grammar, op, u, 3)
+    for start in (MultiPoly.variable(("u",), "u"), MultiPoly.variable(("v", "u"), "u")):
+        assert iterate_operator(grammar, op, start, 3) == want
+    with pytest.raises(ValueError, match="cannot drop letter 'w'"):
+        iterate_operator(grammar, op, MultiPoly.variable(("u", "w"), "w"), 1)
 
 
 # ----------------------------------------------------------------------

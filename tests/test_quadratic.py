@@ -16,6 +16,28 @@ def test_defining_relation():
     assert s * s == ring.of(4 * x - 1)
 
 
+_X = UniPoly.variable("x")
+
+
+@pytest.mark.parametrize("cls, fields, others", [
+    (ExtPoly, (_X, 2 * _X, 4 * _X - 1),
+     [(_X + 1, 2 * _X, 4 * _X - 1), (_X, 2 * _X + 1, 4 * _X - 1), (_X, 2 * _X, 4 * _X)]),
+], ids=["ExtPoly"])
+def test_equal_fields_give_equal_values(cls, fields, others):
+    a, b = cls(*fields), cls(*(UniPoly(f.var, f.coeffs) for f in fields))
+    assert a == b and hash(a) == hash(b)
+    for other in others:
+        assert a != cls(*other)
+
+
+def test_components_must_share_one_letter():
+    x, y = UniPoly.variable("x"), UniPoly.variable("y")
+    with pytest.raises(ValueError, match="components and modulus must share one letter"):
+        ExtPoly(x, y, 4 * x - 1)
+    with pytest.raises(ValueError, match="components and modulus must share one letter"):
+        ExtPoly(x, x, 4 * y - 1)
+
+
 def test_conjugate_product_collapses():
     x = UniPoly.variable("x")
     ring = QuadraticRing(x**2 - 1)

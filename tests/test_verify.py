@@ -44,6 +44,25 @@ def test_report_without_checks_is_not_ok():
     assert Report("x", [Check("c", 1, True)]).ok is True
 
 
+@pytest.mark.parametrize("cls, fields, others", [
+    (Check, ("c", 1, True, ""), [("d", 1, True, ""), ("c", 2, True, ""),
+                                 ("c", 1, False, ""), ("c", 1, True, "x")]),
+], ids=["Check"])
+def test_equal_fields_give_equal_values(cls, fields, others):
+    a, b = cls(*fields), cls(*fields[:-1])
+    assert a == b and hash(a) == hash(b)
+    for other in others:
+        assert a != cls(*other)
+
+
+def test_reports_compare_by_value_and_stay_unhashable():
+    assert Report("x", [Check("c", 1, True)]) == Report("x", [Check("c", 1, True)])
+    assert Report("x") != Report("y")
+    assert Report("x") != Report("x", [Check("c", 1, True)])
+    with pytest.raises(TypeError):
+        hash(Report("x"))
+
+
 def test_run_all_covers_each_target_exactly_once():
     reports = run_all(3)
     assert [r.target for r in reports] == EXPECTED_TARGETS
