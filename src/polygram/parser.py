@@ -15,6 +15,7 @@ nest at most ``MAX_NESTING`` deep.
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 
 from .grammar import Grammar
@@ -37,62 +38,28 @@ class ParseError(ValueError):
 # kind is one of NAME, INT, SYM, ARROW, SEP, END.
 _Token = namedtuple("_Token", "kind value line col")
 
+# Whitespace other than a newline matches with no named group.
+_TOKEN = re.compile(r"[ \t\r]+|(?P<NL>\n)|(?P<ARROW>->)|(?P<SYM>[-+*^()])|(?P<SEP>;)"
+                    r"|(?P<INT>[0-9]+)|(?P<NAME>[A-Za-z][A-Za-z0-9]*)")
+
 
 def _tokenize(text: str, newline_sep: bool) -> list[_Token]:
     toks: list[_Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    line, line_start, pos = 1, 0, 0
+    while pos < len(text):
+        col = pos - line_start + 1
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        kind = m.lastgroup
+        if kind == "NL":
             if newline_sep:
                 toks.append(_Token("SEP", ";", line, col))
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == ";":
-            toks.append(_Token("SEP", ";", line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == "-":
-            if i + 1 < n and text[i + 1] == ">":
-                toks.append(_Token("ARROW", "->", line, col))
-                i += 2
-                col += 2
-                continue
-            toks.append(_Token("SYM", "-", line, col))
-            i += 1
-            col += 1
-            continue
-        if ch in "+*^()":
-            toks.append(_Token("SYM", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isascii() and ch.isdigit():
-            j = i
-            while j < n and text[j].isascii() and text[j].isdigit():
-                j += 1
-            toks.append(_Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isascii() and ch.isalpha():
-            j = i
-            while j < n and text[j].isascii() and text[j].isalnum():
-                j += 1
-            toks.append(_Token("NAME", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Token("END", "", line, col))
+            line, line_start = line + 1, m.end()
+        elif kind:
+            toks.append(_Token(kind, m.group(), line, col))
+        pos = m.end()
+    toks.append(_Token("END", "", line, pos - line_start + 1))
     return toks
 
 

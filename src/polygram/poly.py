@@ -4,6 +4,8 @@ A polynomial carries an ordered alphabet of letters; a monomial is a dense
 exponent tuple over that alphabet.  Alphabets stay tiny here (four or five
 letters at most), so dense exponent vectors beat sparse maps on simplicity.
 Coefficients are plain Python ints, so nothing overflows and nothing rounds.
+The constructor and ``const`` refuse every coefficient or exponent that is
+not an ``int``, a ``bool`` included, as ``UniPoly`` does.
 A product with a one-term operand is a shift of the other operand's terms.
 
 Values are immutable by convention: every operation returns a new object and
@@ -116,9 +118,11 @@ class MultiPoly(_Ring):
             exps = tuple(exps)
             if len(exps) != width:
                 raise ValueError(f"exponent vector {exps} does not fit alphabet {self.letters}")
+            if any(type(e) is not int for e in exps):
+                raise TypeError(f"exponent vector {exps} holds a non-int")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
-            if not isinstance(coeff, int):
+            if type(coeff) is not int:
                 raise TypeError(f"coefficient {coeff!r} is not an int")
             if coeff:
                 clean[exps] = coeff
@@ -142,7 +146,7 @@ class MultiPoly(_Ring):
     @classmethod
     def const(cls, letters, value: int) -> "MultiPoly":
         letters = check_letters(letters)
-        if not isinstance(value, int):
+        if type(value) is not int:
             raise TypeError(f"constant {value!r} is not an int")
         if not value:
             return cls._raw(letters, {})
@@ -194,7 +198,7 @@ class MultiPoly(_Ring):
     # ring operations
 
     def _coerced(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             return MultiPoly.const(self.letters, other)
         if isinstance(other, MultiPoly):
             if other.letters != self.letters:
@@ -222,7 +226,7 @@ class MultiPoly(_Ring):
         return MultiPoly._raw(self.letters, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             if not other:
                 return MultiPoly._raw(self.letters, {})
             return MultiPoly._raw(self.letters, {e: c * other for e, c in self.terms.items()})
@@ -250,7 +254,7 @@ class MultiPoly(_Ring):
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             other = MultiPoly.const(self.letters, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented

@@ -124,23 +124,15 @@ class QuadraticRing:
             return self.of(0, q_pow)
         return self.of(q_pow, 0)
 
-    def eval_poly(self, p: UniPoly, value: ExtPoly) -> ExtPoly:
-        """Horner evaluation of an integer polynomial at a ring element.
+    def collect(self, terms) -> ExtPoly:
+        """Sum c * s^e * x^b over (e, b, c) triples, reduced by s^2 = q.
 
-        Both components run as int lists through ``_mac``:
-        (a + b s)(va + vb s) = (a va + b vb q) + (a vb + b va) s.
+        Each term adds c * q^(e//2) * x^b through ``_mac`` into the int list of
+        its s-parity component; c = 0 is skipped and both components are
+        trimmed once at the end.
         """
-        if value.modulus != self.modulus:
-            raise ModulusMismatch(f"moduli differ: {self.modulus} vs {value.modulus}")
-        va, vb = value.a.coeffs, value.b.coeffs
-        vbq = (value.b * self.modulus).coeffs
-        a: list[int] = []
-        b: list[int] = []
-        for c in reversed(p.coeffs):
-            next_a, next_b = [c], []
-            _mac(next_a, a, va)
-            _mac(next_a, b, vbq)
-            _mac(next_b, a, vb)
-            _mac(next_b, b, va)
-            a, b = next_a, next_b
-        return self.of(_trimmed(self.var, a), _trimmed(self.var, b))
+        parts: tuple[list[int], list[int]] = ([], [])
+        for e, b, c in terms:
+            if c:
+                _mac(parts[e % 2], self.modulus_power(e // 2).coeffs, (c,), shift=b)
+        return self.of(_trimmed(self.var, parts[0]), _trimmed(self.var, parts[1]))

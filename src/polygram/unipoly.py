@@ -6,8 +6,8 @@ included.  Arithmetic results (``+``, ``-``, ``*``, ``derivative``) are
 built from values already checked, so they are trusted: they only pass
 through ``_trimmed``, which drops trailing zeros.
 
-Every dense sum of products in the package, here and in ``quadratic``,
-``classical`` and ``verify``, goes through one kernel, ``_mac``: it adds
+Every dense sum of products in the package, here and in ``quadratic`` and
+``classical``, goes through one kernel, ``_mac``: it adds
 w*a*b*x^shift into a plain int list, one slice update per nonzero
 coefficient of the shorter operand, so a sum is trimmed once at the end and
 builds no ``UniPoly`` per product.  A product whose shorter operand has one

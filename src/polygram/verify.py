@@ -6,9 +6,10 @@ n_max per target is sized to finish comfortably within a few seconds.
 
 The square-root targets (prop12, thm31, cor33, thm42) clear every
 denominator up front, so identities involving 1/sqrt(q) or half-integer
-powers of q become equalities in ``QuadraticRing``: a two-letter iterate is
-read straight into the ring by ``_specialize``, with no rational function
-arithmetic anywhere.
+powers of q become equalities in ``QuadraticRing``.  Every polynomial in
+the adjoined root (a two-letter iterate, thm31's shifted sums, cor33's
+values at i*h) enters the ring through one reduction,
+``QuadraticRing.collect``, with no rational function arithmetic anywhere.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .triangles import (ASSOC_GAMMA_A, ASSOC_GAMMA_A_REC, ASSOC_GAMMA_B,
                         ASSOC_GAMMA_B_REC, EULERIAN_A, EULERIAN_B, GAMMA_A,
                         GAMMA_B, MOTZKIN_T, CUBE_F, binomial_row, factorial,
                         plain_triangle)
-from .unipoly import UniPoly, _mac, _trimmed
+from .unipoly import UniPoly
 
 __all__ = ["TARGETS", "Target", "check_alternating_counts", "check_chebyshev_specialization",
            "check_generating_functions", "check_imaginary_assoc_forms", "check_scaled_tan_sec",
@@ -37,12 +38,8 @@ __all__ = ["TARGETS", "Target", "check_alternating_counts", "check_chebyshev_spe
 
 def _specialize(p: MultiPoly, ring: QuadraticRing, scale: int) -> ExtPoly:
     # Two-letter p with its first letter -> s and its second -> scale*x, over
-    # s^2 = q(x).  A term c u^a v^b is c scale^b x^b q^(a//2) s^(a%2), so it
-    # is accumulated into the int list of its s-parity component.
-    parts: tuple[list[int], list[int]] = ([], [])
-    for (a, b), c in p.terms.items():
-        _mac(parts[a % 2], ring.modulus_power(a // 2).coeffs, (c * scale ** b,), shift=b)
-    return ring.of(_trimmed(ring.var, parts[0]), _trimmed(ring.var, parts[1]))
+    # s^2 = q(x): a term c u^a v^b is c scale^b s^a x^b.
+    return ring.collect((a, b, c * scale ** b) for (a, b), c in p.terms.items())
 
 
 def _target_thm11(n_max: int) -> Report:
@@ -229,18 +226,13 @@ def check_sqrt_gamma_forms(n_max: int) -> Report:
              row_b * ring.modulus_power(n)),
         )
         for name, dpoly, shift, lhs in cases:
-            parts: tuple[list[int], list[int]] = ([], [])
-            for k, c in enumerate(dpoly.coeffs):
-                if c:
-                    # s^(shift+k) q^(shift-k) = s^e with e = 3 shift - k, as s^2 = q
-                    e = 3 * shift - k
-                    _mac(parts[e % 2], ring.modulus_power(e // 2).coeffs, (c,))
-            if any(parts[1]):
+            # s^(shift+k) q^(shift-k) = s^(3 shift - k), as s^2 = q
+            got = ring.collect((3 * shift - k, 0, c) for k, c in enumerate(dpoly.coeffs))
+            if not got.is_real:
                 report.add(Check(name, n, False, "odd power of the adjoined root survived"))
                 continue
-            got = _trimmed(ring.var, parts[0])
-            ok = got == lhs
-            report.add(Check(name, n, ok, "" if ok else f"got {got}, want {lhs}"))
+            ok = got.a == lhs
+            report.add(Check(name, n, ok, "" if ok else f"got {got.a}, want {lhs}"))
     return report
 
 
@@ -264,8 +256,6 @@ def check_imaginary_assoc_forms(n_max: int) -> Report:
     next(iterates)  # n = 0 is not checked
     f_ring = QuadraticRing(UniPoly("h", (1, 0, 1)))
     ring = QuadraticRing(UniPoly("h", (-1,)))
-    i_times_h = ring.of(UniPoly("h"), UniPoly.variable("h"))
-    minus_i = -ring.root()
     report = Report("cor33")
     for n, (fd_f, fd_g) in enumerate(iterates, start=1):
         cases = (
@@ -274,7 +264,9 @@ def check_imaginary_assoc_forms(n_max: int) -> Report:
              n - 1, n + 2),
         )
         for name, value, witness, scale, unit_power, f_power in cases:
-            rhs = (minus_i ** unit_power) * ring.eval_poly(witness, i_times_h) * scale
+            # scale (-i)^u W(i h) = sum_k (-1)^u scale c_k i^(u+k) h^k
+            rhs = ring.collect((unit_power + k, k, (-1) ** unit_power * scale * c)
+                               for k, c in enumerate(witness.coeffs))
             if not rhs.is_real:
                 report.add(Check(name, n, False, "imaginary component survived"))
                 continue

@@ -130,3 +130,18 @@ def test_first_error_in_reading_order_is_reported():
     with pytest.raises(ParseError) as err:
         parse_poly("u + (v", "u")
     assert "undeclared letter 'v'" in str(err.value)
+
+
+@pytest.mark.parametrize("parse, text, line, col, message", [
+    (parse_grammar, "u -> v\r\n\tv -> u*é", 2, 9, "unexpected character 'é'"),
+    (parse_grammar, "u -> u\nv ->", 2, 5, "unexpected end of input"),
+    (parse_poly, "u + 2²", 1, 6, "unexpected character '²'"),
+    (parse_grammar, "u --> u", 1, 3, "expected '->' after the rule letter"),
+    (parse_grammar, "u -> u\n\n  v -> u +\n", 3, 11, "expected a value, found ';'"),
+])
+def test_error_positions_count_tabs_carriage_returns_and_newlines(parse, text, line, col,
+                                                                   message):
+    # A tab or a carriage return is one column; a newline starts the next line at col 1.
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.col, err.value.message) == (line, col, message)

@@ -92,6 +92,20 @@ def test_letter_validation():
         MultiPoly.variable("x y", "z")
 
 
+@pytest.mark.parametrize("build, error", [
+    (lambda: MultiPoly(("u",), {(1,): True}), TypeError),
+    (lambda: MultiPoly.const(("u",), True), TypeError),
+    (lambda: MultiPoly(("u",), {(1,): 2.0}), TypeError),
+    (lambda: MultiPoly(("u",), {(1.5,): 2}), TypeError),
+    (lambda: MultiPoly(("u",), {(True,): 3}), TypeError),
+    (lambda: MultiPoly(("u",), {(-1,): 3}), ValueError),
+], ids=["bool-coeff", "bool-const", "float-coeff", "float-exponent", "bool-exponent",
+        "negative-exponent"])
+def test_values_are_checked_where_they_enter(build, error):
+    with pytest.raises(error):
+        build()
+
+
 def test_partial_derivative_examples():
     u, v = MultiPoly.variables("u v")
     assert (u**3 * v).partial_derivative("u") == 3 * u**2 * v

@@ -74,32 +74,24 @@ def test_modulus_mismatch():
         QuadraticRing(4 * x - 1).root() * QuadraticRing(x**2 - 1).root()
 
 
+@pytest.mark.parametrize("max_e", [1, 9])
 @pytest.mark.parametrize("var, modulus", [("h", (1, 0, 1)), ("h", (-1,)), ("x", (-1, 4)),
                                           ("x", (-1, 0, 1))])
-def test_eval_poly_matches_a_sum_of_powers(var, modulus):
-    rng = random.Random(f"eval-{var}-{modulus}")
+def test_collect_matches_a_term_by_term_sum(var, modulus, max_e):
+    # max_e = 1 never reduces by s^2 = q; max_e = 9 reaches q^4.
+    rng = random.Random(f"collect-{var}-{modulus}-{max_e}")
     ring = QuadraticRing(UniPoly(var, modulus))
-
-    def nonzero_poly():
-        return UniPoly(var, [rng.randint(-5, 5) for _ in range(rng.randint(0, 2))]
-                       + [rng.choice((-3, -1, 1, 2))])
-
+    x = UniPoly.variable(var)
     for trial in range(60):
-        p = UniPoly(var, [rng.randint(-9, 9) for _ in range(trial % 8)])  # 0 and constants too
-        value = ring.of(nonzero_poly(), nonzero_poly())
+        terms = [(rng.randint(0, max_e), rng.randint(0, 4), rng.randint(-3, 3))
+                 for _ in range(trial % 7)]  # trial 0 is the empty input
+        if terms:
+            e, b, _ = terms[0]
+            terms += [(e, b, rng.randint(-3, 3)), (e, b, 0)]  # a repeated pair, a zero c
         want = ring.of(0)
-        for k, c in enumerate(p.coeffs):
-            want = want + c * value ** k
-        assert ring.eval_poly(p, value) == want
-
-
-def test_eval_poly_refuses_a_value_over_another_modulus():
-    h = UniPoly.variable("h")
-    ring = QuadraticRing(UniPoly("h", (-1,)))
-    other = QuadraticRing(h * h + 1).of(h, h)
-    for p in (h + 2, UniPoly("h")):
-        with pytest.raises(ModulusMismatch):
-            ring.eval_poly(p, other)
+        for e, b, c in terms:
+            want = want + c * ring.root() ** e * ring.of(x ** b)
+        assert ring.collect(iter(terms)) == want
 
 
 def _random_element(rng, ring):
