@@ -158,6 +158,11 @@ def _cmd_oracle(args) -> int:
     from . import oracles
 
     which = args.which
+    if args.k is not None:
+        if which.startswith("alternating"):
+            raise ValueError(f"--k does not apply to {which}, which prints one count")
+        if args.k < 0:
+            raise ValueError(f"--k must be >= 0, got {args.k}")
     if which == "alternating-a":
         print(oracles.count_alternating(args.n, "A"))
         return 0
@@ -171,7 +176,7 @@ def _cmd_oracle(args) -> int:
         "left-h": oracles.left_factor_h_histogram,
     }[which](args.n)
     if args.k is not None:
-        print(values[args.k] if 0 <= args.k < len(values) else 0)
+        print(values[args.k] if args.k < len(values) else 0)
     else:
         print(" ".join(str(v) for v in values))
     return 0

@@ -129,10 +129,13 @@ class QuadraticRing:
 
         Each term adds c * q^(e//2) * x^b through ``_mac`` into the int list of
         its s-parity component; c = 0 is skipped and both components are
-        trimmed once at the end.
+        trimmed once at the end.  A negative power of x is refused, as one of
+        s is by ``modulus_power``.
         """
         parts: tuple[list[int], list[int]] = ([], [])
         for e, b, c in terms:
+            if b < 0:
+                raise ValueError(f"x power must be >= 0, got term (e={e}, b={b}, c={c})")
             if c:
                 _mac(parts[e % 2], self.modulus_power(e // 2).coeffs, (c,), shift=b)
         return self.of(_trimmed(self.var, parts[0]), _trimmed(self.var, parts[1]))

@@ -8,7 +8,6 @@ in one row cannot hide later ones.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Iterable
 
 Check = namedtuple("Check", "name n ok detail", defaults=("",))
 
@@ -40,6 +39,11 @@ class Report:
     def add(self, check: Check) -> None:
         self.checks.append(check)
 
+    def expect(self, name: str, n: int, got, want) -> None:
+        """Add a check that got == want, naming both values when they differ."""
+        ok = got == want
+        self.add(Check(name, n, ok, "" if ok else f"got {got}, want {want}"))
+
     def extend(self, other: "Report") -> None:
         self.checks.extend(other.checks)
 
@@ -64,10 +68,3 @@ class Report:
                 for c in self.checks
             ],
         }
-
-
-def merge_reports(target: str, parts: Iterable[Report]) -> Report:
-    merged = Report(target)
-    for part in parts:
-        merged.extend(part)
-    return merged

@@ -4,6 +4,14 @@ Each target rebuilds its grammar or ring setup from scratch, sweeps
 n = 1..n_max and returns a Report with one entry per check.  The default
 n_max per target is sized to finish comfortably within a few seconds.
 
+A grammar-coefficient target (thm11, thm32, prop41, thm42, thm43, thm44)
+is a rule text plus a short table of rows, (label, operator text, start
+text, expected triangle, normalization, base(n), step): op^n(start) must
+carry normalization(n) * expected.row(n) on the monomials base(n) + k*step.
+``_run_rows`` parses the rule text once per call, at call time, so the
+rules and triangles it reads are the ones bound when the target runs, and
+adds each row's checks to one Report in row order.
+
 The square-root targets (prop12, thm31, cor33, thm42) clear every
 denominator up front, so identities involving 1/sqrt(q) or half-integer
 powers of q become equalities in ``QuadraticRing``.  Every polynomial in
@@ -21,10 +29,10 @@ from . import classical
 from .gamma import GammaVector, associahedron_h, coxeter_h, gamma_to_h, h_to_gamma
 from .grammar import DerivOp, PowerPattern, operator_iterates, verify_identity
 from .oracles import MAX_PLAIN_N, MAX_SIGNED_N, count_alternating
-from .parser import parse_grammar
+from .parser import parse_grammar, parse_poly
 from .poly import MultiPoly
 from .quadratic import ExtPoly, QuadraticRing
-from .report import Check, Report, merge_reports
+from .report import Check, Report
 from .triangles import (ASSOC_GAMMA_A, ASSOC_GAMMA_A_REC, ASSOC_GAMMA_B,
                         ASSOC_GAMMA_B_REC, EULERIAN_A, EULERIAN_B, GAMMA_A,
                         GAMMA_B, MOTZKIN_T, CUBE_F, binomial_row, factorial,
@@ -35,6 +43,8 @@ __all__ = ["TARGETS", "Target", "check_alternating_counts", "check_chebyshev_spe
            "check_generating_functions", "check_imaginary_assoc_forms", "check_scaled_tan_sec",
            "check_sqrt_gamma_forms", "run_all", "run_target"]
 
+_CUBIC_RULES = "u -> u^2*v; v -> u^3"
+
 
 def _specialize(p: MultiPoly, ring: QuadraticRing, scale: int) -> ExtPoly:
     # Two-letter p with its first letter -> s and its second -> scale*x, over
@@ -42,22 +52,35 @@ def _specialize(p: MultiPoly, ring: QuadraticRing, scale: int) -> ExtPoly:
     return ring.collect((a, b, c * scale ** b) for (a, b), c in p.terms.items())
 
 
+def _run_rows(target: str, rules: str, n_max: int, rows) -> Report:
+    # One verify_identity sweep per row of the table in the module docstring.
+    g = parse_grammar(rules)
+    report = Report(target)
+    for label, op, start, expected, norm, base, step in rows:
+        def pattern(n, base=base, step=step):
+            return PowerPattern(g.letters, base(n), step)
+        report.extend(verify_identity(g, DerivOp.parse(op), parse_poly(start, g.letters),
+                                      n_max, expected, norm, pattern, label))
+    return report
+
+
+def _paired_iterates(rules: str, op: str, a: str, b: str, n_max: int):
+    # (n, op^n(a), op^n(b)) for n = 0..n_max, one kernel step per n and side.
+    g = parse_grammar(rules)
+    d = DerivOp.parse(op)
+    return enumerate(zip(operator_iterates(g, d, parse_poly(a, g.letters), n_max),
+                         operator_iterates(g, d, parse_poly(b, g.letters), n_max)))
+
+
 def _target_thm11(n_max: int) -> Report:
     # Weighted iterates over {y -> z^2, z -> y*z} carry 2^n times the plain
     # Eulerian row on y^(2n-2k-1) z^(2k+2), and the signed Eulerian row on
     # y^(2n-2k) z^(2k+1).
-    g = parse_grammar("y -> z^2; z -> y*z")
-    y, z = MultiPoly.variables(g.letters)
-    op = DerivOp.pre_mul("y")
-    parts = [
-        verify_identity(g, op, y, n_max, EULERIAN_A, lambda n: 2 ** n,
-                        lambda n: PowerPattern(g.letters, (2 * n - 1, 2), (-2, 2)),
-                        "(Dy)^n(y)"),
-        verify_identity(g, op, z, n_max, EULERIAN_B, lambda n: 1,
-                        lambda n: PowerPattern(g.letters, (2 * n, 1), (-2, 2)),
-                        "(Dy)^n(z)"),
-    ]
-    return merge_reports("thm11", parts)
+    return _run_rows("thm11", "y -> z^2; z -> y*z", n_max, (
+        ("(Dy)^n(y)", "preD:y", "y", EULERIAN_A, lambda n: 2 ** n,
+         lambda n: (2 * n - 1, 2), (-2, 2)),
+        ("(Dy)^n(z)", "preD:y", "z", EULERIAN_B, lambda n: 1, lambda n: (2 * n, 1), (-2, 2)),
+    ))
 
 
 def _gamma_family_report(target: str, n_max: int, family: str, degree_of,
@@ -95,80 +118,50 @@ def _target_thm22(n_max: int) -> Report:
 def _target_thm32(n_max: int) -> Report:
     # The four expansions over {f -> f*g, g -> 4*f^2}, read against the
     # recurrence-backed triangles.
-    g = parse_grammar(classical.DOUBLE_ANGLE_RULES)
-    f, gg = MultiPoly.variables(g.letters)
-    d = DerivOp.plain()
-    fd = DerivOp.post_mul("f")
-    parts = [
-        verify_identity(g, d, f, n_max, GAMMA_B, lambda n: 1,
-                        lambda n: PowerPattern(g.letters, (1, n), (2, -2)),
-                        "D^n(f)"),
-        verify_identity(g, d, gg, n_max, GAMMA_A, lambda n: 2 ** (n + 1),
-                        lambda n: PowerPattern(g.letters, (2, n - 1), (2, -2)),
-                        "D^n(g)"),
-        verify_identity(g, fd, f, n_max, ASSOC_GAMMA_B_REC, factorial,
-                        lambda n: PowerPattern(g.letters, (n + 1, n), (2, -2)),
-                        "(fD)^n(f)"),
-        verify_identity(g, fd, gg, n_max, ASSOC_GAMMA_A_REC,
-                        lambda n: 2 * factorial(n + 1),
-                        lambda n: PowerPattern(g.letters, (n + 2, n - 1), (2, -2)),
-                        "(fD)^n(g)"),
-    ]
-    return merge_reports("thm32", parts)
+    return _run_rows("thm32", classical.DOUBLE_ANGLE_RULES, n_max, (
+        ("D^n(f)", "D", "f", GAMMA_B, lambda n: 1, lambda n: (1, n), (2, -2)),
+        ("D^n(g)", "D", "g", GAMMA_A, lambda n: 2 ** (n + 1), lambda n: (2, n - 1), (2, -2)),
+        ("(fD)^n(f)", "postD:f", "f", ASSOC_GAMMA_B_REC, factorial,
+         lambda n: (n + 1, n), (2, -2)),
+        ("(fD)^n(g)", "postD:f", "g", ASSOC_GAMMA_A_REC, lambda n: 2 * factorial(n + 1),
+         lambda n: (n + 2, n - 1), (2, -2)),
+    ))
 
 
 def _target_prop41(n_max: int) -> Report:
-    g = parse_grammar("u -> u^2*v; v -> 4*u^3")
-    u, v = MultiPoly.variables(g.letters)
     expected = plain_triangle(
         "four-power-binomial",
         lambda n: [4 ** k * c for k, c in enumerate(binomial_row(n + 1)[::2])])
-    part = verify_identity(g, DerivOp.plain(), u * v, n_max, expected, factorial,
-                           lambda n: PowerPattern(g.letters, (n + 1, n + 1), (2, -2)),
-                           "D^n(uv)")
-    return merge_reports("prop41", [part])
+    return _run_rows("prop41", "u -> u^2*v; v -> 4*u^3", n_max, (
+        ("D^n(uv)", "D", "u*v", expected, factorial, lambda n: (n + 1, n + 1), (2, -2)),
+    ))
 
 
 def _target_thm42(n_max: int) -> Report:
-    g = parse_grammar("u -> u^2*v; v -> u^3")
-    u, v = MultiPoly.variables(g.letters)
     even_slots = plain_triangle("binomial-even-slots", lambda n: binomial_row(n + 1)[::2])
     odd_slots = plain_triangle("binomial-odd-slots", lambda n: binomial_row(n + 1)[1::2])
-    parts = [
-        verify_identity(g, DerivOp.plain(), u * v, n_max, even_slots, factorial,
-                        lambda n: PowerPattern(g.letters, (n + 1, n + 1), (2, -2)),
-                        "D^n(uv)"),
-        verify_identity(g, DerivOp.plain(), u * u, n_max, odd_slots, factorial,
-                        lambda n: PowerPattern(g.letters, (n + 2, n), (2, -2)),
-                        "D^n(u^2)"),
-        check_chebyshev_specialization(n_max),
-    ]
-    return merge_reports("thm42", parts)
+    report = _run_rows("thm42", _CUBIC_RULES, n_max, (
+        ("D^n(uv)", "D", "u*v", even_slots, factorial, lambda n: (n + 1, n + 1), (2, -2)),
+        ("D^n(u^2)", "D", "u^2", odd_slots, factorial, lambda n: (n + 2, n), (2, -2)),
+    ))
+    report.extend(check_chebyshev_specialization(n_max))
+    return report
 
 
 def _target_thm43(n_max: int) -> Report:
-    g = parse_grammar("u -> u*v; v -> 2*u")
-    u, v = MultiPoly.variables(g.letters)
     shifted = plain_triangle("gamma-a-shifted", lambda n: GAMMA_A.row(n + 1))
-    part = verify_identity(g, DerivOp.plain(), u, n_max, shifted, lambda n: 1,
-                           lambda n: PowerPattern(g.letters, (1, n), (1, -2)),
-                           "D^n(u)")
-    return merge_reports("thm43", [part])
+    return _run_rows("thm43", "u -> u*v; v -> 2*u", n_max, (
+        ("D^n(u)", "D", "u", shifted, lambda n: 1, lambda n: (1, n), (1, -2)),
+    ))
 
 
 def _target_thm44(n_max: int) -> Report:
-    g = parse_grammar("t -> t*u^2; u -> u^2*v; v -> 4*u^3")
-    t, u, v = MultiPoly.variables(g.letters)
-    parts = [
-        verify_identity(g, DerivOp.plain(), t * t * u * u, n_max, MOTZKIN_T,
-                        lambda n: factorial(n + 1),
-                        lambda n: PowerPattern(g.letters, (2, 2 * n + 2, 0), (0, -1, 1)),
-                        "D^n(t^2 u^2)"),
-        verify_identity(g, DerivOp.plain(), t * t * u, n_max, CUBE_F, factorial,
-                        lambda n: PowerPattern(g.letters, (2, 2 * n + 1, 0), (0, -1, 1)),
-                        "D^n(t^2 u)"),
-    ]
-    return merge_reports("thm44", parts)
+    return _run_rows("thm44", "t -> t*u^2; u -> u^2*v; v -> 4*u^3", n_max, (
+        ("D^n(t^2 u^2)", "D", "t^2*u^2", MOTZKIN_T, lambda n: factorial(n + 1),
+         lambda n: (2, 2 * n + 2, 0), (0, -1, 1)),
+        ("D^n(t^2 u)", "D", "t^2*u", CUBE_F, factorial,
+         lambda n: (2, 2 * n + 1, 0), (0, -1, 1)),
+    ))
 
 
 def check_scaled_tan_sec(n_max: int) -> Report:
@@ -180,23 +173,17 @@ def check_scaled_tan_sec(n_max: int) -> Report:
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    grammar = parse_grammar(classical.DOUBLE_ANGLE_RULES)
-    f, g = MultiPoly.variables(grammar.letters)
-    d = DerivOp.plain()
-    iterates = zip(operator_iterates(grammar, d, f, n_max),
-                   operator_iterates(grammar, d, g, n_max))
+    iterates = _paired_iterates(classical.DOUBLE_ANGLE_RULES, "D", "f", "g", n_max)
     next(iterates)  # n = 0 is not checked
     ring = QuadraticRing(UniPoly("h", (1, 0, 1)))
     report = Report("prop12")
-    for n, (d_f, d_g) in enumerate(iterates, start=1):
+    for n, (d_f, d_g) in iterates:
         cases = (
             ("D^n(f)", d_f, ring.of(0, 2 ** n * classical.secant_derivative_poly(n, "h"))),
             ("D^n(g)", d_g, ring.of(2 ** (n + 1) * classical.tangent_derivative_poly(n, "h"))),
         )
         for name, value, want in cases:
-            got = _specialize(value, ring, 2)
-            ok = got == want
-            report.add(Check(name, n, ok, "" if ok else f"got {got}, want {want}"))
+            report.expect(name, n, _specialize(value, ring, 2), want)
     return report
 
 
@@ -231,8 +218,7 @@ def check_sqrt_gamma_forms(n_max: int) -> Report:
             if not got.is_real:
                 report.add(Check(name, n, False, "odd power of the adjoined root survived"))
                 continue
-            ok = got.a == lhs
-            report.add(Check(name, n, ok, "" if ok else f"got {got.a}, want {lhs}"))
+            report.expect(name, n, got.a, lhs)
     return report
 
 
@@ -248,16 +234,12 @@ def check_imaginary_assoc_forms(n_max: int) -> Report:
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    grammar = parse_grammar(classical.DOUBLE_ANGLE_RULES)
-    f, g = MultiPoly.variables(grammar.letters)
-    op = DerivOp.post_mul("f")
-    iterates = zip(operator_iterates(grammar, op, f, n_max),
-                   operator_iterates(grammar, op, g, n_max))
+    iterates = _paired_iterates(classical.DOUBLE_ANGLE_RULES, "postD:f", "f", "g", n_max)
     next(iterates)  # n = 0 is not checked
     f_ring = QuadraticRing(UniPoly("h", (1, 0, 1)))
     ring = QuadraticRing(UniPoly("h", (-1,)))
     report = Report("cor33")
-    for n, (fd_f, fd_g) in enumerate(iterates, start=1):
+    for n, (fd_f, fd_g) in iterates:
         cases = (
             ("(fD)^n(f)", fd_f, classical.legendre_like(n, "h"), factorial(n), n, n + 1),
             ("(fD)^n(g)", fd_g, classical.narayana_like(n, "h"), 2 * factorial(n + 1),
@@ -270,10 +252,8 @@ def check_imaginary_assoc_forms(n_max: int) -> Report:
             if not rhs.is_real:
                 report.add(Check(name, n, False, "imaginary component survived"))
                 continue
-            got = _specialize(value, f_ring, 2)
-            want = f_ring.root_power(f_power) * rhs.a
-            ok = got == want
-            report.add(Check(name, n, ok, "" if ok else f"got {got}, want {want}"))
+            report.expect(name, n, _specialize(value, f_ring, 2),
+                          f_ring.root_power(f_power) * rhs.a)
     return report
 
 
@@ -286,25 +266,17 @@ def check_chebyshev_specialization(n_max: int) -> Report:
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    grammar = parse_grammar("u -> u^2*v; v -> u^3")
-    u, v = MultiPoly.variables(grammar.letters)
-    d = DerivOp.plain()
-    iterates = zip(operator_iterates(grammar, d, u * v, n_max),
-                   operator_iterates(grammar, d, u * u, n_max))
     ring = QuadraticRing(UniPoly("x", (-1, 0, 1)))
     report = Report("thm42")
-    for n, (d_uv, d_u2) in enumerate(iterates):
+    for n, (d_uv, d_u2) in _paired_iterates(_CUBIC_RULES, "D", "u*v", "u^2", n_max):
         fact = factorial(n)
         cases = (
             ("uv-specialized", d_uv, classical.chebyshev_t(n + 1), n + 1),
             ("u^2-specialized", d_u2, classical.chebyshev_u(n), n + 2),
         )
         for name, value, cheb, s_power in cases:
-            got = _specialize(value, ring, 1)
-            want = ring.root_power(s_power) * (cheb * fact)
-            ok = got == want
-            report.add(Check(name, n, ok,
-                             "" if ok else f"got {got}, want {want}"))
+            report.expect(name, n, _specialize(value, ring, 1),
+                          ring.root_power(s_power) * (cheb * fact))
     return report
 
 
@@ -333,9 +305,7 @@ def check_generating_functions(n_max: int) -> Report:
             ("sec-side", sec_side, classical.secant_derivative_poly(n, var)),
         )
         for name, series, want in cases:
-            got = series.coefficient(n)
-            ok = got == want
-            report.add(Check(name, n, ok, "" if ok else f"got {got}, want {want}"))
+            report.expect(name, n, series.coefficient(n), want)
     return report
 
 
@@ -347,15 +317,9 @@ def check_alternating_counts(n_max_plain: int, n_max_signed: int) -> Report:
     p, q = classical.tangent_derivative_poly, classical.secant_derivative_poly
     report = Report("alternating")
     for n in range(1, n_max_plain + 1):
-        want = p(n)(0) + q(n)(0)
-        got = count_alternating(n, "A")
-        report.add(Check("plain", n, got == want,
-                         "" if got == want else f"got {got}, want {want}"))
+        report.expect("plain", n, count_alternating(n, "A"), p(n)(0) + q(n)(0))
     for n in range(1, n_max_signed + 1):
-        want = 2 ** n * (p(n)(0) + q(n)(0))
-        got = count_alternating(n, "B")
-        report.add(Check("signed", n, got == want,
-                         "" if got == want else f"got {got}, want {want}"))
+        report.expect("signed", n, count_alternating(n, "B"), 2 ** n * (p(n)(0) + q(n)(0)))
     return report
 
 

@@ -239,6 +239,26 @@ def test_oracle_commands(capsys):
     assert code == 2 and "supports" in err
 
 
+@pytest.mark.parametrize("which, k, message", [
+    ("alternating-a", "3", "--k does not apply to alternating-a"),
+    ("alternating-b", "0", "--k does not apply to alternating-b"),
+    ("motzkin-up", "-1", "--k must be >= 0, got -1"),
+    ("descents-a", "-3", "--k must be >= 0, got -3"),
+])
+def test_oracle_refuses_a_k_it_cannot_honour(capsys, which, k, message):
+    # alternating-a --n 5 --k 3 used to print 16; motzkin-up --k -1 printed 0
+    code, out, err = run_cli(capsys, "oracle", "--which", which, "--n", "5", "--k", k)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+def test_oracle_k_past_the_row_is_a_zero_entry(capsys):
+    # descents-a --n 4 is 1 11 11 1
+    for k, want in (("0", "1\n"), ("3", "1\n"), ("4", "0\n"), ("99", "0\n")):
+        code, out, _ = run_cli(capsys, "oracle", "--which", "descents-a", "--n", "4", "--k", k)
+        assert code == 0 and out == want
+
+
 def test_classical_output(capsys):
     code, out, _ = run_cli(capsys, "classical", "--which", "P", "--n", "1")
     assert code == 0 and out == "1 + u^2\n"

@@ -94,6 +94,19 @@ def test_collect_matches_a_term_by_term_sum(var, modulus, max_e):
         assert ring.collect(iter(terms)) == want
 
 
+@pytest.mark.parametrize("terms, match", [
+    ([(0, -1, 5)], r"x power must be >= 0, got term \(e=0, b=-1, c=5\)"),
+    ([(0, 1, 2), (0, -3, 5)], r"got term \(e=0, b=-3, c=5\)"),
+    ([(1, -2, 0)], r"got term \(e=1, b=-2, c=0\)"),
+    ([(-1, 0, 5)], r"power must be >= 0, got -1"),
+], ids=["b", "b-after-a-good-term", "b-with-zero-c", "e"])
+def test_collect_refuses_a_negative_power(terms, match):
+    # A negative x power used to vanish into _mac's shift: 5*x^-1 read as 0.
+    ring = QuadraticRing(4 * _X - 1)
+    with pytest.raises(ValueError, match=match):
+        ring.collect(terms)
+
+
 def _random_element(rng, ring):
     a = UniPoly(ring.var, [rng.randint(-5, 5) for _ in range(3)])
     b = UniPoly(ring.var, [rng.randint(-5, 5) for _ in range(3)])

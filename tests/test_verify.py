@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import random_poly
+from polygram import triangles, verify
 from polygram.poly import MultiPoly
 from polygram.quadratic import QuadraticRing
 from polygram.report import Check, Report
@@ -113,3 +114,62 @@ def test_specialize_matches_a_term_by_term_sum(scale, parity):
                 assert got.b.is_zero
             elif parity == 1:
                 assert got.a.is_zero
+
+
+class _BumpedRow:
+    # A triangle whose row bad_n has 1 added at entry slot; other rows unchanged.
+    def __init__(self, real, bad_n, slot):
+        self.real, self.bad_n, self.slot = real, bad_n, slot
+
+    def row(self, n):
+        row = list(self.real.row(n))
+        if n == self.bad_n:
+            row[self.slot] += 1
+        return row
+
+
+def _bumped_binomial_row(bad_m, slot):
+    def row(m):
+        out = list(triangles.binomial_row(m))
+        if m == bad_m:
+            out[slot] += 1
+        return out
+    return row
+
+
+# (target, row label, name verify reads, the row to bump, entry, failing n, failing k)
+_LIVE_ROWS = [
+    ("thm11", "(Dy)^n(y)", "EULERIAN_A", 5, 1, 5, 1),
+    ("thm11", "(Dy)^n(z)", "EULERIAN_B", 5, 1, 5, 1),
+    ("thm32", "D^n(f)", "GAMMA_B", 5, 1, 5, 1),
+    ("thm32", "D^n(g)", "GAMMA_A", 5, 1, 5, 1),
+    ("thm32", "(fD)^n(f)", "ASSOC_GAMMA_B_REC", 5, 1, 5, 1),
+    ("thm32", "(fD)^n(g)", "ASSOC_GAMMA_A_REC", 5, 1, 5, 1),
+    # prop41 and thm42 read binomial_row(n + 1); thm42 splits it into even
+    # and odd slots, so entry 2 is even slot 1 and entry 3 odd slot 1.
+    ("prop41", "D^n(uv)", "binomial_row", 6, 2, 5, 1),
+    ("thm42", "D^n(uv)", "binomial_row", 6, 2, 5, 1),
+    ("thm42", "D^n(u^2)", "binomial_row", 6, 3, 5, 1),
+    # thm43 reads GAMMA_A.row(n + 1)
+    ("thm43", "D^n(u)", "GAMMA_A", 6, 1, 5, 1),
+    ("thm44", "D^n(t^2 u^2)", "MOTZKIN_T", 5, 1, 5, 1),
+    ("thm44", "D^n(t^2 u)", "CUBE_F", 5, 1, 5, 1),
+]
+
+
+@pytest.mark.parametrize("target, label, name, bad_row, slot, bad_n, k", _LIVE_ROWS,
+                         ids=[f"{t}-{label}" for t, label, *_ in _LIVE_ROWS])
+def test_every_identity_row_reads_its_expected_triangle(monkeypatch, target, label, name,
+                                                        bad_row, slot, bad_n, k):
+    # One wrong entry in the expected row must fail exactly that (label, n).
+    real = getattr(verify, name)
+    if name == "binomial_row":
+        monkeypatch.setattr(verify, name, _bumped_binomial_row(bad_row, slot))
+    else:
+        monkeypatch.setattr(verify, name, _BumpedRow(real, bad_row, slot))
+    report = run_target(target, bad_n + 1)
+    failures = report.failures()
+    assert [(c.name, c.n) for c in failures] == [(label, bad_n)]
+    assert failures[0].detail.startswith(f"k={k}: got ")
+    assert ", want " in failures[0].detail
+    assert len(report.checks) > 1 and not report.ok
