@@ -60,17 +60,17 @@ def _horner_binomial_sum(weights: list[int], var: str) -> UniPoly:
     """sum_k weights[k] (x+1)^k (x-1)^(m-k) with m = len(weights) - 1.
 
     Homogeneous Horner: total = total*(x+1) + weights[k] (x-1)^(m-k) for k
-    from m down to 0, so only the powers of x-1 are kept.  Everything runs on
-    int lists, trimmed once at the end.
+    from m down to 0, with one running power of x-1, stepped after each
+    term, so memory holds one row rather than all m of them.  Everything
+    runs on int lists, trimmed once at the end.
     """
-    m = len(weights) - 1
-    down = [[1]]
-    for _ in range(m):
-        down.append(list(map(sub, [0] + down[-1], down[-1] + [0])))
     total: list[int] = []
-    for k in reversed(range(m + 1)):
+    power = [1]
+    for k in reversed(range(len(weights))):
         total = list(map(add, [0] + total, total + [0]))
-        _mac(total, down[m - k], (weights[k],))
+        _mac(total, power, (weights[k],))
+        if k:
+            power = list(map(sub, [0] + power, power + [0]))
     return _trimmed(var, total)
 
 

@@ -18,26 +18,27 @@ powers of q become equalities in ``QuadraticRing``.  Every polynomial in
 the adjoined root (a two-letter iterate, thm31's shifted sums, cor33's
 values at i*h) enters the ring through one reduction,
 ``QuadraticRing.collect``, with no rational function arithmetic anywhere.
+
+Only the triangles and ``Report`` are imported with the module.  Each
+target imports the rest of polygram when it runs, so a single target loads
+only its own modules (thm21 and thm22 load ``gamma`` and nothing of the
+grammar or ring code), and a module patched by a caller is read as patched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from . import classical
-from .gamma import GammaVector, associahedron_h, coxeter_h, gamma_to_h, h_to_gamma
-from .grammar import DerivOp, PowerPattern, operator_iterates, verify_identity
-from .oracles import MAX_PLAIN_N, MAX_SIGNED_N, count_alternating
-from .parser import parse_grammar, parse_poly
-from .poly import MultiPoly
-from .quadratic import ExtPoly, QuadraticRing
 from .report import Check, Report
 from .triangles import (ASSOC_GAMMA_A, ASSOC_GAMMA_A_REC, ASSOC_GAMMA_B,
                         ASSOC_GAMMA_B_REC, EULERIAN_A, EULERIAN_B, GAMMA_A,
                         GAMMA_B, MOTZKIN_T, CUBE_F, binomial_row, factorial,
                         plain_triangle)
-from .unipoly import UniPoly
+
+if TYPE_CHECKING:
+    from .poly import MultiPoly
+    from .quadratic import ExtPoly, QuadraticRing
 
 __all__ = ["TARGETS", "Target", "check_alternating_counts", "check_chebyshev_specialization",
            "check_generating_functions", "check_imaginary_assoc_forms", "check_scaled_tan_sec",
@@ -54,6 +55,9 @@ def _specialize(p: MultiPoly, ring: QuadraticRing, scale: int) -> ExtPoly:
 
 def _run_rows(target: str, rules: str, n_max: int, rows) -> Report:
     # One verify_identity sweep per row of the table in the module docstring.
+    from .grammar import DerivOp, PowerPattern, verify_identity
+    from .parser import parse_grammar, parse_poly
+
     g = parse_grammar(rules)
     report = Report(target)
     for label, op, start, expected, norm, base, step in rows:
@@ -66,6 +70,9 @@ def _run_rows(target: str, rules: str, n_max: int, rows) -> Report:
 
 def _paired_iterates(rules: str, op: str, a: str, b: str, n_max: int):
     # (n, op^n(a), op^n(b)) for n = 0..n_max, one kernel step per n and side.
+    from .grammar import DerivOp, operator_iterates
+    from .parser import parse_grammar, parse_poly
+
     g = parse_grammar(rules)
     d = DerivOp.parse(op)
     return enumerate(zip(operator_iterates(g, d, parse_poly(a, g.letters), n_max),
@@ -85,6 +92,8 @@ def _target_thm11(n_max: int) -> Report:
 
 def _gamma_family_report(target: str, n_max: int, family: str, degree_of,
                          coxeter_triangle, assoc_triangle) -> Report:
+    from .gamma import GammaVector, associahedron_h, coxeter_h, gamma_to_h, h_to_gamma
+
     report = Report(target)
     for n in range(1, n_max + 1):
         d = degree_of(n)
@@ -118,6 +127,8 @@ def _target_thm22(n_max: int) -> Report:
 def _target_thm32(n_max: int) -> Report:
     # The four expansions over {f -> f*g, g -> 4*f^2}, read against the
     # recurrence-backed triangles.
+    from . import classical
+
     return _run_rows("thm32", classical.DOUBLE_ANGLE_RULES, n_max, (
         ("D^n(f)", "D", "f", GAMMA_B, lambda n: 1, lambda n: (1, n), (2, -2)),
         ("D^n(g)", "D", "g", GAMMA_A, lambda n: 2 ** (n + 1), lambda n: (2, n - 1), (2, -2)),
@@ -173,6 +184,10 @@ def check_scaled_tan_sec(n_max: int) -> Report:
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    from . import classical
+    from .quadratic import QuadraticRing
+    from .unipoly import UniPoly
+
     iterates = _paired_iterates(classical.DOUBLE_ANGLE_RULES, "D", "f", "g", n_max)
     next(iterates)  # n = 0 is not checked
     ring = QuadraticRing(UniPoly("h", (1, 0, 1)))
@@ -198,6 +213,10 @@ def check_sqrt_gamma_forms(n_max: int) -> Report:
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    from . import classical
+    from .quadratic import QuadraticRing
+    from .unipoly import UniPoly
+
     x = UniPoly.variable("x")
     ring = QuadraticRing(4 * x - 1)
     report = Report("thm31")
@@ -234,6 +253,10 @@ def check_imaginary_assoc_forms(n_max: int) -> Report:
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    from . import classical
+    from .quadratic import QuadraticRing
+    from .unipoly import UniPoly
+
     iterates = _paired_iterates(classical.DOUBLE_ANGLE_RULES, "postD:f", "f", "g", n_max)
     next(iterates)  # n = 0 is not checked
     f_ring = QuadraticRing(UniPoly("h", (1, 0, 1)))
@@ -266,6 +289,10 @@ def check_chebyshev_specialization(n_max: int) -> Report:
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
+    from . import classical
+    from .quadratic import QuadraticRing
+    from .unipoly import UniPoly
+
     ring = QuadraticRing(UniPoly("x", (-1, 0, 1)))
     report = Report("thm42")
     for n, (d_uv, d_u2) in _paired_iterates(_CUBIC_RULES, "D", "u*v", "u^2", n_max):
@@ -290,6 +317,8 @@ def check_generating_functions(n_max: int) -> Report:
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    from . import classical
+
     var = "u"
     tan = classical.tangent_series(n_max, var)
     sec = classical.secant_series(n_max, var)
@@ -314,6 +343,9 @@ def check_alternating_counts(n_max_plain: int, n_max_signed: int) -> Report:
 
     The signed family must come out as exactly 2^n times the plain one.
     """
+    from . import classical
+    from .oracles import count_alternating
+
     p, q = classical.tangent_derivative_poly, classical.secant_derivative_poly
     report = Report("alternating")
     for n in range(1, n_max_plain + 1):
@@ -325,6 +357,8 @@ def check_alternating_counts(n_max_plain: int, n_max_signed: int) -> Report:
 
 def _target_alternating(n_max: int) -> Report:
     # Clamped to the oracle's enumeration guards.
+    from .oracles import MAX_PLAIN_N, MAX_SIGNED_N
+
     return check_alternating_counts(min(n_max, MAX_PLAIN_N),
                                     min(n_max, MAX_SIGNED_N))
 

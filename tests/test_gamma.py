@@ -1,11 +1,13 @@
+import functools
 import math
 import random
 
 import pytest
 
 from conftest import CASES
+from polygram import gamma
 from polygram import triangles as tri
-from polygram.gamma import (GammaVector, HPoly, associahedron_h, coxeter_h,
+from polygram.gamma import (FAMILIES, GammaVector, HPoly, associahedron_h, coxeter_h,
                             gamma_to_h, h_to_gamma)
 from polygram.oracles import descent_distribution
 
@@ -89,21 +91,101 @@ def test_gamma_rows_expand_to_family_h_rows():
             == associahedron_h("B", n)
 
 
-def _comb_gamma_to_h(gammas, d):
-    coeffs = [0] * (d + 1)
+# The binomial-row expansion and peel that the addition-only kernel replaced,
+# kept as a reference: gamma_i x^i (1+x)^(d-2i) added or taken away one
+# binomial row at a time.  ``top`` stops the expansion at x^top.
+@functools.lru_cache(maxsize=None)
+def _comb_row(m):
+    return tuple(math.comb(m, j) for j in range(m + 1))
+
+
+def _comb_gamma_to_h(gammas, d, top=None):
+    top = d if top is None else top
+    coeffs = [0] * (top + 1)
     for i, gi in enumerate(gammas):
-        for j in range(d - 2 * i + 1):
-            coeffs[i + j] += gi * math.comb(d - 2 * i, j)
+        for j, c in enumerate(_comb_row(d - 2 * i)[:top + 1 - i], start=i):
+            coeffs[j] += gi * c
     return tuple(coeffs)
 
 
+def _comb_peel(coeffs):
+    d = len(coeffs) - 1
+    residual = list(coeffs)
+    gammas = []
+    for i in range(d // 2 + 1):
+        gi = residual[i]
+        gammas.append(gi)
+        for j, c in enumerate(_comb_row(d - 2 * i), start=i):
+            residual[j] -= gi * c
+    assert not any(residual)
+    return tuple(gammas)
+
+
 def test_expansion_matches_a_math_comb_reference():
+    # Both parities, zeros, signs and 200-digit entries.
     rng = random.Random(60)
+    big = 10 ** 200
     for d in range(61):
         for _ in range(3):
-            gammas = tuple(rng.choice((0, 1, -1, rng.randint(-10**9, 10**9)))
+            gammas = tuple(rng.choice((0, 1, -1, rng.randint(-10**9, 10**9),
+                                       rng.randint(-big, big)))
                            for _ in range(d // 2 + 1))
             gv = GammaVector(gammas, d)
             h = gamma_to_h(gv)
             assert h.coeffs == _comb_gamma_to_h(gammas, d)
             assert h_to_gamma(h) == gv
+            assert _comb_peel(h.coeffs) == gammas
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_kernel_matches_the_binomial_rows_on_every_family_row(family):
+    build, triangle = FAMILIES[family]
+    for n in range(1, 301):
+        h = build(n)
+        gv = GammaVector(tuple(triangle.row(n)), h.d)
+        assert gamma_to_h(gv) == h, n
+        assert h_to_gamma(h) == gv, n
+        # Only the lower half of the reference: the kernel's output is the
+        # full family row above, and that row is palindromic.
+        m = h.d // 2
+        assert _comb_gamma_to_h(gv.gammas, h.d, m) == h.coeffs[:m + 1], n
+
+
+@pytest.mark.parametrize("coeffs, calls", [
+    ((1, 11, 11, 1), 1),         # odd d: the (1+x) remainder, on the first division
+    ((7, 7), 1),
+    ((2, 9, 14, 9, 2), None),    # even d: the check h(1) = sum_i gamma_i 2^(d-2i)
+    ((1, 6, 1), None),
+], ids=["d3", "d1", "d4", "d2"])
+def test_a_wrong_division_reaches_the_residual_check(monkeypatch, coeffs, calls):
+    real = gamma._over_one_plus_x
+    seen = []
+
+    def off_by_one(a):
+        seen.append(a)
+        out = real(a)
+        if out:
+            out[-1] += 1
+        return out
+
+    monkeypatch.setattr(gamma, "_over_one_plus_x", off_by_one)
+    with pytest.raises(AssertionError, match="palindromic peel left a nonzero residual"):
+        h_to_gamma(HPoly(coeffs))
+    if calls is not None:
+        assert len(seen) == calls
+
+
+@pytest.mark.parametrize("make", [
+    lambda: HPoly((1.5, 1.5)),
+    lambda: HPoly((1, True, 1)),
+    lambda: HPoly((1, 2.0, 1)),
+    lambda: GammaVector((1, 2.0), 2),
+    lambda: GammaVector((False,), 0),
+    lambda: GammaVector((1,), 0.0),
+    lambda: GammaVector((1, 2), 2.0),
+    lambda: GammaVector((1,), True),
+], ids=["h-float", "h-bool", "h-float-middle", "gamma-float", "gamma-bool", "d-float",
+        "d-float-long", "d-bool"])
+def test_non_int_entries_are_refused(make):
+    with pytest.raises(TypeError, match="must be an int"):
+        make()

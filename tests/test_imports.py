@@ -82,7 +82,8 @@ def test_cli_name_tuples_match_the_registries():
 
 
 # Subcommand case -> (argv, the polygram submodules it may load besides cli).
-# None leaves the set open: verify runs every module.
+# None leaves the set open: verify --target all runs every module.  A single
+# verify target loads only the modules that target runs.
 SUBCOMMANDS = {
     "derive": (("derive", "--grammar", "u->u*v; v->u+v", "--start", "u", "--n", "5"),
                {"grammar", "parser", "poly", "report"}),
@@ -98,7 +99,10 @@ SUBCOMMANDS = {
     "oracle": (("oracle", "--which", "left-h", "--n", "6"), {"oracles"}),
     "classical": (("classical", "--which", "N", "--n", "10"),
                   {"classical", "poly", "triangles", "unipoly"}),
-    "verify": (("verify", "--target", "thm43"), None),
+    "verify": (("verify", "--target", "thm43"),
+               {"verify", "grammar", "parser", "poly", "report", "triangles"}),
+    "verify-thm21": (("verify", "--target", "thm21"), {"verify", "gamma", "report", "triangles"}),
+    "verify-all": (("verify", "--target", "all", "--n-max", "2"), None),
 }
 
 
@@ -119,6 +123,7 @@ def test_subcommand_in_a_fresh_process(argv, modules, tmp_path, capsys):
         assert {"polygram", "polygram.cli", "polygram.verify"} <= loaded
     else:
         assert loaded == {"polygram", "polygram.cli"} | {f"polygram.{m}" for m in modules}
+    if "verify" not in argv:
         # Only verify.Target is a dataclass; importing dataclasses pulls in
         # inspect, ast, dis and tokenize, which dominates a short job's start-up.
         assert "import 'dataclasses'" not in proc.stderr
