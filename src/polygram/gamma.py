@@ -130,11 +130,8 @@ def _over_one_plus_x(a) -> list[int]:
 
 
 def gamma_to_h(gamma: GammaVector) -> HPoly:
-    """Expand sum_i gamma_i x^i (1+x)^(d-2i) into plain coefficients.
-
-    Horner in i, on lower halves: acc <- acc (1+x)^2 + gamma_i x^i, then one
-    more factor 1+x when d is odd.
-    """
+    """Expand sum_i gamma_i x^i (1+x)^(d-2i) into plain coefficients, by
+    Horner in i on lower halves (see the module docstring)."""
     half: list[int] = []
     for gi in gamma.gammas:
         # acc is palindromic about i-1, so a[i] = a[i-2]
@@ -150,9 +147,8 @@ def gamma_to_h(gamma: GammaVector) -> HPoly:
 def h_to_gamma(h: HPoly) -> GammaVector:
     """Invert gamma_to_h by peeling; only palindromic input has an expansion.
 
-    The Horner steps of gamma_to_h run backwards on the lower half: one
-    division by 1+x when d is odd, then for i = m down to 1 read gamma_i off
-    the half, take gamma_i x^i away and divide by (1+x)^2.
+    One division by 1+x when d is odd, then for i = m down to 1: read
+    gamma_i off the lower half, take gamma_i x^i away and divide by (1+x)^2.
     """
     if not h.is_palindromic():
         raise ValueError(f"h-polynomial {list(h.coeffs)} is not palindromic")
