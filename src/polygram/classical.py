@@ -8,6 +8,9 @@ genuinely independent second path.  The series are exponential, with
 integer coefficients: coefficient n of a ``TruncSeries`` is n! times its
 t^n coefficient, so products are binomial convolutions and no fraction is
 ever formed.
+
+The four recurrence caches key on the argument types too, so a non-int n
+such as 3.0 is refused even after P_3 or T_3 is cached.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ __all__ = [
 DOUBLE_ANGLE_RULES = "f -> f*g; g -> 4*f^2"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def tangent_derivative_poly(n: int, var: str = "u") -> UniPoly:
     """P_n with (d/dx)^n tan = P_n(tan): P_0 = u, P_(n+1) = (1+u^2) P_n'."""
     grow = UniPoly(var, (1, 0, 1))
@@ -47,7 +50,7 @@ def tangent_derivative_poly(n: int, var: str = "u") -> UniPoly:
                            lambda m, rows: grow * rows[-1].derivative())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def secant_derivative_poly(n: int, var: str = "u") -> UniPoly:
     """Q_n with (d/dx)^n sec = sec * Q_n(tan): Q_0 = 1, Q_(n+1) = (1+u^2) Q_n' + u Q_n."""
     grow = UniPoly(var, (1, 0, 1))
@@ -97,7 +100,7 @@ def narayana_like(n: int, var: str = "x") -> UniPoly:
     return UniPoly(var, out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def chebyshev_t(n: int, var: str = "x") -> UniPoly:
     """First-kind Chebyshev polynomial via the three-term recurrence."""
     x2 = UniPoly(var, (0, 2))
@@ -105,7 +108,7 @@ def chebyshev_t(n: int, var: str = "x") -> UniPoly:
                            lambda m, rows: x2 * rows[-1] - rows[-2])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def chebyshev_u(n: int, var: str = "x") -> UniPoly:
     """Second-kind Chebyshev polynomial via the three-term recurrence."""
     x2 = UniPoly(var, (0, 2))

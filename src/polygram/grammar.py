@@ -73,9 +73,6 @@ class Grammar:
             table[name] = rhs.with_letters(self.letters)
         self.rules = table
 
-    def rule(self, name: str) -> MultiPoly:
-        return self.rules[name]
-
     def __eq__(self, other):
         if not isinstance(other, Grammar):
             return NotImplemented
@@ -109,21 +106,9 @@ class DerivOp:
         self.weight = weight
 
     @classmethod
-    def plain(cls) -> "DerivOp":
-        return cls("D")
-
-    @classmethod
-    def pre_mul(cls, weight: str) -> "DerivOp":
-        return cls("preD", weight)
-
-    @classmethod
-    def post_mul(cls, weight: str) -> "DerivOp":
-        return cls("postD", weight)
-
-    @classmethod
     def parse(cls, text: str) -> "DerivOp":
         if text == "D":
-            return cls.plain()
+            return cls("D")
         for prefix, kind in (("preD:", "preD"), ("postD:", "postD")):
             if text.startswith(prefix) and text[len(prefix):]:
                 return cls(kind, text[len(prefix):])
@@ -245,6 +230,9 @@ def _read_off(letters: tuple[str, ...], terms: dict[int, int], width: int,
     if letters != pattern.letters:
         raise AlphabetMismatch(
             f"polynomial alphabet {letters} differs from pattern alphabet {pattern.letters}")
+    if not len(pattern.base) == len(pattern.step) == len(letters):
+        raise ValueError(f"pattern base of length {len(pattern.base)} and step of length "
+                         f"{len(pattern.step)} do not fit alphabet {letters}")
     cap = (1 << (width - 1)) - 1
     # k is read from the first field that moves with k; with no such field
     # a zero mask reads every key as k = 0.

@@ -19,9 +19,7 @@ __all__ = [
     "descent_b_distribution",
     "descent_distribution",
     "left_factor_h_histogram",
-    "left_factors_with_h",
     "motzkin_up_histogram",
-    "motzkin_with_up_steps",
 ]
 
 # Largest n the permutation walks accept: n! plain and 2^n n! signed windows.
@@ -126,11 +124,6 @@ def motzkin_up_histogram(length: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def motzkin_with_up_steps(length: int, k: int) -> int:
-    hist = motzkin_up_histogram(length)
-    return hist[k] if 0 <= k < len(hist) else 0
-
-
 @lru_cache(maxsize=None)
 def left_factor_h_histogram(length: int) -> tuple[int, ...]:
     """Counts of nonnegative {U, D, H} prefixes of a given length, by H steps."""
@@ -155,8 +148,3 @@ def left_factor_h_histogram(length: int) -> tuple[int, ...]:
     else:
         counts[0] += 1  # the empty path
     return tuple(counts)
-
-
-def left_factors_with_h(length: int, k: int) -> int:
-    hist = left_factor_h_histogram(length)
-    return hist[k] if 0 <= k < len(hist) else 0

@@ -6,7 +6,6 @@ letters at most), so dense exponent vectors beat sparse maps on simplicity.
 Coefficients are plain Python ints, so nothing overflows and nothing rounds.
 The constructor and ``const`` refuse every coefficient or exponent that is
 not an ``int``, a ``bool`` included, as ``UniPoly`` does.
-A product with a one-term operand is a shift of the other operand's terms.
 
 Values are immutable by convention: every operation returns a new object and
 no method mutates its receiver.  Terms iterate in graded lexicographic order
@@ -140,10 +139,6 @@ class MultiPoly(_Ring):
         return p
 
     @classmethod
-    def zero(cls, letters) -> "MultiPoly":
-        return cls._raw(check_letters(letters), {})
-
-    @classmethod
     def const(cls, letters, value: int) -> "MultiPoly":
         letters = check_letters(letters)
         if type(value) is not int:
@@ -233,13 +228,6 @@ class MultiPoly(_Ring):
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        big, small = (other, self) if len(self.terms) == 1 else (self, other)
-        if len(small.terms) == 1:
-            # Shifting by one monomial is injective and nonzero ints have a
-            # nonzero product, so no two terms meet and none cancels.
-            [(m, k)] = small.terms.items()
-            return MultiPoly._raw(self.letters,
-                                  {tuple(map(add, e, m)): c * k for e, c in big.terms.items()})
         out: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -264,17 +252,7 @@ class MultiPoly(_Ring):
         return hash((self.letters, frozenset(self.terms.items())))
 
     # ------------------------------------------------------------------
-    # calculus
-
-    def partial_derivative(self, name: str) -> "MultiPoly":
-        """Formal partial derivative with respect to one letter."""
-        i = self._index(name)
-        out: dict[tuple[int, ...], int] = {}
-        for exps, c in self.terms.items():
-            e = exps[i]
-            if e:
-                out[exps[:i] + (e - 1,) + exps[i + 1:]] = c * e
-        return MultiPoly._raw(self.letters, out)
+    # alphabets
 
     def with_letters(self, letters) -> "MultiPoly":
         """Re-express over another alphabet, which must cover every used letter."""

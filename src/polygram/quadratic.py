@@ -1,22 +1,20 @@
 """Arithmetic in Z[x][s] / (s^2 - q(x)): one adjoined formal square root.
 
 A constant modulus is allowed, so q = -1 gives the Gaussian integers over
-any base letter.  Elements are kept reduced: no s^2 survives.
+any base letter.  An ``ExtPoly`` is a reduced value a + b*s: no s^2
+survives.  Its only arithmetic is the product with an int or a ``UniPoly``
+scalar.  A sum of terms c * s^e * x^b enters the ring through one
+reduction, ``QuadraticRing.collect``.
 """
 
 from __future__ import annotations
 
-from .poly import _Ring
 from .unipoly import UniPoly, _mac, _trimmed
 
-__all__ = ["ExtPoly", "ModulusMismatch", "QuadraticRing"]
+__all__ = ["ExtPoly", "QuadraticRing"]
 
 
-class ModulusMismatch(ValueError):
-    """Two extension elements over different moduli were combined."""
-
-
-class ExtPoly(_Ring):
+class ExtPoly:
     """a + b*s with s^2 = modulus; both components share the base letter."""
 
     __slots__ = ("a", "b", "modulus")
@@ -32,40 +30,11 @@ class ExtPoly(_Ring):
     def is_real(self) -> bool:
         return self.b.is_zero
 
-    def _coerced(self, other):
-        if isinstance(other, ExtPoly):
-            if other.modulus != self.modulus:
-                raise ModulusMismatch(
-                    f"moduli differ: {self.modulus} vs {other.modulus}")
-            return other
-        # Scalars and UniPolys lift through the trusted UniPoly coercion.
-        lifted = self.a._coerced(other)
-        if lifted is None:
-            return None
-        return ExtPoly(lifted, UniPoly._raw(lifted.var, ()), self.modulus)
-
-    def __add__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        return ExtPoly(self.a + other.a, self.b + other.b, self.modulus)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ExtPoly(-self.a, -self.b, self.modulus)
-
     def __mul__(self, other):
-        # Scalar fast path: the want sides of thm42 and cor33 multiply a root
-        # power by a UniPoly.
+        # The want sides of thm42 and cor33 multiply a root power by a UniPoly.
         if isinstance(other, (int, UniPoly)):
             return ExtPoly(self.a * other, self.b * other, self.modulus)
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        return ExtPoly(self.a * other.a + self.b * other.b * self.modulus,
-                       self.a * other.b + self.b * other.a,
-                       self.modulus)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -102,9 +71,6 @@ class QuadraticRing:
 
     def of(self, a, b=0) -> ExtPoly:
         return ExtPoly(self._lift(a), self._lift(b), self.modulus)
-
-    def root(self) -> ExtPoly:
-        return self.of(0, 1)
 
     def modulus_power(self, j: int) -> UniPoly:
         """q^j, read from a list in which each power is one product from the last."""

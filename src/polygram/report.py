@@ -47,9 +47,6 @@ class Report:
     def extend(self, other: "Report") -> None:
         self.checks.extend(other.checks)
 
-    def failures(self) -> list[Check]:
-        return [c for c in self.checks if not c.ok]
-
     def lines(self) -> list[str]:
         out = []
         for c in self.checks:

@@ -14,7 +14,7 @@ are implemented separately and cross-checked in the tests.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 __all__ = [
     "Triangle",
@@ -57,8 +57,11 @@ def _recurrence_row(key, n: int, first: list, step, first_n: int = 0):
     ``first``, stepping forward in a loop.
 
     ``step(m, rows)`` builds row m from the last ``len(first)`` rows.  Asking
-    for a row below the tip steps again from the start.
+    for a row below the tip steps again from the start.  Only an exact int n
+    is taken: the loop would step a float or a bool to the next whole row.
     """
+    if type(n) is not int:
+        raise TypeError(f"n must be an int, got {n!r}")
     if n < first_n:
         raise ValueError(f"n must be >= {first_n}, got {n}")
     seeded = first_n + len(first) - 1
@@ -184,9 +187,9 @@ class Triangle:
             raise ValueError(f"{self.name} rows start at n={self.first_n}")
         return list(self.row_fn(n))
 
-    def first_rows(self, count: int) -> list[list[int]]:
-        """The first ``count`` rows, from row ``first_n`` on."""
-        return [self.row(n) for n in range(self.first_n, self.first_n + count)]
+    def first_rows(self, count: int) -> Iterator[list[int]]:
+        """The first ``count`` rows, from row ``first_n`` on, built one at a time."""
+        return map(self.row, range(self.first_n, self.first_n + count))
 
     def value(self, n: int, k: int) -> int:
         """Entry k of row n; zero off the row."""
@@ -252,20 +255,19 @@ def lookup_triangle(name: str) -> Triangle:
             f"unknown triangle {name!r}; known: {', '.join(sorted(TRIANGLES))}") from None
 
 
-def bfile_lines(triangle: Triangle, rows: int) -> list[str]:
+def bfile_lines(triangle: Triangle, rows: int) -> Iterator[str]:
     """OEIS-style b-file: one 'index value' line per entry, reading row-major.
 
     Rows and indices both start at the triangle's first row, as OEIS
-    offsets do.
+    offsets do.  Lines are yielded as each row is built.
     """
     first = triangle.first_n
-    out = [f"# {triangle.name} read by rows (rows {first}..{first + rows - 1}), offset {first}"]
+    yield f"# {triangle.name} read by rows (rows {first}..{first + rows - 1}), offset {first}"
     idx = first
     for row in triangle.first_rows(rows):
         for v in row:
-            out.append(f"{idx} {v}")
+            yield f"{idx} {v}"
             idx += 1
-    return out
 
 
 def triangle_json_dict(triangle: Triangle, rows: int) -> dict:

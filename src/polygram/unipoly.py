@@ -11,13 +11,11 @@ Every dense sum of products in the package, here and in ``quadratic`` and
 w*a*b*x^shift into a plain int list, one slice update per nonzero
 coefficient of the shorter operand, so a sum is trimmed once at the end and
 builds no ``UniPoly`` per product.  A product whose shorter operand has one
-nonzero coefficient c*x^e is a shift, ``[0]*e + [a*c for a in longer]``, as
-``MultiPoly.__mul__`` shifts by a one-term operand.
+nonzero coefficient c*x^e is a shift, ``[0]*e + [a*c for a in longer]``.
 
 Subtraction and ``**`` come from ``poly._Ring``, the operator base shared by
-all four ring types (``MultiPoly``, ``UniPoly``, ``ExtPoly``,
-``TruncSeries``); the text form comes from ``poly._render``, the renderer
-``MultiPoly`` uses as well.
+``MultiPoly``, ``UniPoly`` and ``TruncSeries``; the text form comes from
+``poly._render``, the renderer ``MultiPoly`` uses as well.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ from polygram.gamma import GammaVector, associahedron_h, coxeter_h, gamma_to_h, 
 from polygram.grammar import DerivOp, iterate_operator
 from polygram.parser import parse_grammar, parse_poly
 from polygram.poly import MultiPoly
+from test_kernel import partial_derivative
 from polygram.verify import (check_alternating_counts, check_chebyshev_specialization,
                              check_generating_functions, check_imaginary_assoc_forms,
                              check_sqrt_gamma_forms, run_target)
@@ -63,8 +64,7 @@ def test_criterion_04_oracle_certification():
         ok = ok and list(oracles.descent_b_distribution(n)) == tri.EULERIAN_B.row(n)
     for n in range(1, 13):
         hist = oracles.motzkin_up_histogram(n - 1)
-        ok = ok and all(oracles.motzkin_with_up_steps(n - 1, k) == tri.assoc_gamma_a(n, k)
-                        for k in range(len(hist)))
+        ok = ok and all(hist[k] == tri.assoc_gamma_a(n, k) for k in range(len(hist)))
     for n in range(15):
         ok = ok and list(oracles.left_factor_h_histogram(n)) == tri.MOTZKIN_T.row(n)
     _finish(4, "brute-force oracle certification", ok, t0, 30.0)
@@ -90,12 +90,12 @@ def test_criterion_06_grammar_coefficient_identities_to_15():
     ok = all(run_target(name, 15).ok for name in ("prop41", "thm42", "thm43", "thm44"))
     # hand-checked single-step anchors
     g2 = parse_grammar("u -> u^2*v; v -> 4*u^3")
-    ok = ok and str(iterate_operator(g2, DerivOp.plain(),
+    ok = ok and str(iterate_operator(g2, DerivOp("D"),
                                      parse_poly("u*v", g2.letters), 1)) == "u^2*v^2 + 4*u^4"
     g3 = parse_grammar("t -> t*u^2; u -> u^2*v; v -> 4*u^3")
     start = parse_poly("t^2*u^2", g3.letters)
     want = 2 * parse_poly("t^2*u^4 + t^2*u^3*v", g3.letters)
-    ok = ok and iterate_operator(g3, DerivOp.plain(), start, 1) == want
+    ok = ok and iterate_operator(g3, DerivOp("D"), start, 1) == want
     _finish(6, "coefficient identities n<=15 with hand anchors", ok, t0, 5.0)
 
 
@@ -142,11 +142,11 @@ def test_criterion_10_property_suites():
         ok = ok and a + b == b + a and (a + b) + c == a + (b + c)
         ok = ok and a * b == b * a and (a * b) * c == a * (b * c)
         ok = ok and a * (b + c) == a * b + a * c and a * one == a
-        ok = ok and (a * b).partial_derivative(x) == \
-            a * b.partial_derivative(x) + b * a.partial_derivative(x)
+        ok = ok and partial_derivative(a * b, x) == \
+            a * partial_derivative(b, x) + b * partial_derivative(a, x)
 
     g = parse_grammar("u -> u*v; v -> u + v^2")
-    D = DerivOp.plain()
+    D = DerivOp("D")
     rng = random.Random(2)
     for _ in range(cases):
         a = random_poly(rng, g.letters, max_exp=4)

@@ -103,10 +103,9 @@ def test_values_at_the_guards():
 
 
 def test_path_count_examples():
-    assert orc.motzkin_with_up_steps(2, 1) == 1
-    assert orc.motzkin_with_up_steps(0, 0) == 1
-    assert orc.left_factors_with_h(1, 0) == 1
-    assert orc.left_factors_with_h(1, 1) == 1
+    assert orc.motzkin_up_histogram(2)[1] == 1
+    assert orc.motzkin_up_histogram(0)[0] == 1
+    assert orc.left_factor_h_histogram(1) == (1, 1)
     with pytest.raises(ValueError, match="0 <= n <= 18"):
         orc.motzkin_up_histogram(19)
     with pytest.raises(ValueError):

@@ -56,8 +56,8 @@ def test_parse_grammar_g1():
     g = parse_grammar("u -> u*v; v -> 4*u^2")
     u, v = MultiPoly.variables("u v")
     assert g.letters == ("u", "v")
-    assert g.rule("u") == u * v
-    assert g.rule("v") == 4 * u**2
+    assert g.rules["u"] == u * v
+    assert g.rules["v"] == 4 * u**2
 
 
 def test_parse_grammar_g2_newline_separated():
@@ -108,7 +108,7 @@ def test_long_sums_and_products_parse_without_recursion():
     assert parse_poly("*".join(["u"] * 3000), "u") == u ** 3000
     assert parse_poly("-".join(["u"] * 3000)) == -2998 * u
     g = parse_grammar("u -> " + "+".join(["u*v"] * 3000) + "; v -> u")
-    assert g.rule("u") == 3000 * u.with_letters("u v") * MultiPoly.variable("u v", "v")
+    assert g.rules["u"] == 3000 * u.with_letters("u v") * MultiPoly.variable("u v", "v")
 
 
 def test_nesting_limit():

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import CASES, random_poly
 from polygram.poly import AlphabetMismatch, MultiPoly
+from test_kernel import partial_derivative
 
 
 def test_add_doubles():
@@ -14,7 +15,7 @@ def test_add_doubles():
 def test_add_zero_identity():
     f, g = MultiPoly.variables("f g")
     p = f * g**2 + 4 * f**3
-    assert p + MultiPoly.zero("f g") == p
+    assert p + MultiPoly("f g") == p
 
 
 def test_add_inverse_gives_empty_term_map():
@@ -62,7 +63,7 @@ def test_one_term_products_match_the_naive_product():
                      for c in (-7, -1, 1, 3, -2, 5)]
         one_terms += [MultiPoly.const(letters, -3), MultiPoly.const(letters, 1)]
         others = [random_poly(rng, letters, max_terms=8) for _ in range(40)]
-        others += [MultiPoly.zero(letters), MultiPoly.const(letters, -4), *one_terms]
+        others += [MultiPoly(letters), MultiPoly.const(letters, -4), *one_terms]
         for m in one_terms:
             assert len(m.terms) == 1
             for p in others:
@@ -108,17 +109,17 @@ def test_values_are_checked_where_they_enter(build, error):
 
 def test_partial_derivative_examples():
     u, v = MultiPoly.variables("u v")
-    assert (u**3 * v).partial_derivative("u") == 3 * u**2 * v
-    assert (v**2).partial_derivative("u").is_zero
-    assert (1 + u**2).partial_derivative("u") == 2 * u
+    assert partial_derivative(u**3 * v, "u") == 3 * u**2 * v
+    assert partial_derivative(v**2, "u").is_zero
+    assert partial_derivative(1 + u**2, "u") == 2 * u
     with pytest.raises(ValueError):
-        u.partial_derivative("w")
+        partial_derivative(u, "w")
 
 
 def test_canonical_text_form():
     f, g = MultiPoly.variables("f g")
     assert str(f * g**2 + 4 * f**3) == "f*g^2 + 4*f^3"
-    assert str(MultiPoly.zero("f g")) == "0"
+    assert str(MultiPoly("f g")) == "0"
     assert str(-f + 3) == "3 - f"
     assert str(-3 * f**2) == "-3*f^2"
     assert str(MultiPoly.const("f g", -7)) == "-7"
@@ -139,7 +140,7 @@ def test_json_roundtrip():
 def test_degree_and_support():
     f, g = MultiPoly.variables("f g")
     assert (f * g**2).degree() == 3
-    assert MultiPoly.zero("f g").degree() == -1
+    assert MultiPoly("f g").degree() == -1
 
 
 def test_with_letters_cannot_drop_used():
@@ -172,5 +173,5 @@ def test_leibniz_rule_random():
         a = random_poly(rng, letters)
         b = random_poly(rng, letters)
         x = rng.choice(letters)
-        assert (a * b).partial_derivative(x) == \
-            a * b.partial_derivative(x) + b * a.partial_derivative(x)
+        assert partial_derivative(a * b, x) == \
+            a * partial_derivative(b, x) + b * partial_derivative(a, x)

@@ -105,9 +105,22 @@ def test_lookup_and_oeis_aliases():
 
 
 def test_bfile_export():
-    lines = tri.bfile_lines(tri.GAMMA_B, 3)
+    lines = list(tri.bfile_lines(tri.GAMMA_B, 3))
     assert lines[0].startswith("#") and "offset 1" in lines[0]
     assert lines[1:] == ["1 1", "2 1", "3 4", "4 1", "5 20"]
+
+
+def test_table_rows_are_built_as_they_are_read(monkeypatch):
+    built = []
+    real = tri.CUBE_F.row_fn
+    monkeypatch.setattr(tri.CUBE_F, "row_fn", lambda n: built.append(n) or real(n))
+    rows = tri.CUBE_F.first_rows(50)
+    assert built == []
+    assert next(rows) == [1] and built == [0]
+    lines = tri.bfile_lines(tri.CUBE_F, 50)
+    assert next(lines).startswith("# cube-f") and built == [0]
+    assert next(lines) == "0 1" and built == [0, 0]
+    assert len(list(rows)) == 49 and built[-1] == 49
 
 
 def test_json_export():
@@ -178,6 +191,15 @@ def test_recurrence_rows_match_a_per_k_reference(name):
     for n, want in enumerate(_naive_rows(*recurrence, 60), start=1):
         assert len(want) == row_len(n)
         assert [triangle.value(n, k) for k in range(-1, len(want) + 1)] == [0, *want, 0]
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, True])
+def test_recurrence_rows_refuse_a_non_int_n(n):
+    # The loop used to step 2.5 on to row 3 and read True as row 1.
+    tri.GAMMA_A.row(3)
+    for triangle in (tri.GAMMA_A, tri.EULERIAN_B, tri.ASSOC_GAMMA_B_REC):
+        with pytest.raises(TypeError, match="n must be an int"):
+            triangle.row(n)
 
 
 def test_wrong_lead_raises_naming_n_and_k():
