@@ -241,9 +241,10 @@ def test_recurrence_rows_do_not_depend_on_call_order():
 @pytest.mark.parametrize("n", [2.5, 3.0, True])
 def test_recurrences_refuse_a_non_int_n(n):
     # tangent_derivative_poly(2.5) used to return P_3; a cached P_3 or T_3
-    # must not answer for 3.0 either.
+    # must not answer for 3.0 either, with the letter passed or not.
     for f in (tangent_derivative_poly, secant_derivative_poly, chebyshev_t, chebyshev_u):
-        f(3)
-        f(1)
-        with pytest.raises(TypeError, match="n must be an int"):
-            f(n)
+        for args in ((), ("q",)):
+            f(3, *args)
+            f(1, *args)
+            with pytest.raises(TypeError, match="n must be an int"):
+                f(n, *args)
