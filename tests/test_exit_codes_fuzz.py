@@ -34,7 +34,7 @@ def _mutated(rng, text):
 
 def _size(rng, valid, guard=None):
     """A valid size, a size just outside a bound, or a string that is no int."""
-    pool = [str(n) for n in valid] + ["-1", "0"] + BAD_INTS[:2]
+    pool = [str(n) for n in valid] + ["-1", "0", rng.choice(BAD_INTS)]
     if guard is not None:
         pool.append(str(guard + 1))
     return rng.choice(pool)
