@@ -10,7 +10,12 @@ t^n coefficient, so products are binomial convolutions and no fraction is
 ever formed.
 
 The four recurrence caches key on the argument types too, so a non-int n
-such as 3.0 is refused even after P_3 or T_3 is cached.
+such as 3.0 is refused even after P_3 or T_3 is cached.  Stepping between
+the rows asked for keeps only the recurrence tip (``triangles._TIPS``), but
+the ``lru_cache``s keep every P_n, Q_n, T_n and U_n asked for, so a sweep
+such as ``verify --target thm31`` holds all of its rows until the process
+ends.  One ``classical`` command asks for one.  The caches stay while
+perfbench's tracer counts their hits.
 """
 
 from __future__ import annotations

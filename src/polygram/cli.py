@@ -140,14 +140,15 @@ def _cmd_gamma(args) -> int:
 def _cmd_table(args) -> int:
     if args.rows < 1:
         raise ValueError(f"--rows must be >= 1, got {args.rows}")
-    from .triangles import bfile_lines, lookup_triangle, triangle_json_dict
+    from .triangles import bfile_lines, lookup_triangle, triangle_json_text
 
     triangle = lookup_triangle(args.name)
     if args.format == "bfile":
         for line in bfile_lines(triangle, args.rows):
             print(line)
     elif args.format == "json":
-        _dump_json(triangle_json_dict(triangle, args.rows))
+        sys.stdout.writelines(triangle_json_text(triangle, args.rows))
+        print()
     else:
         for row in triangle.first_rows(args.rows):
             print(" ".join(str(v) for v in row))

@@ -23,12 +23,14 @@ W = bit_length(B) + 1: every field stays below 2^(W-1), one guard bit
 under its neighbour, and no field carries into the next.  Python ints are
 unbounded, so there is no fixed width to overflow.
 
-Coefficients of a PowerPattern family base + k*step are read straight off
-the packed keys: k comes from one field, and the whole key must equal the
-packed base + k*step, with k kept to the range in which every field of
-base + k*step lies in [0, 2^(W-1)), so a carry between fields can never
-pass for a match.  Keys are unpacked only to build a MultiPoly or to name
-a stray term.
+A PowerPattern family base + k*step is kept to the k range in which every
+field of base + k*step lies in [0, 2^(W-1)), so a carry between fields can
+never pass for a match.  verify_identity packs each expected row the same
+way, {base + k*step: coefficient}, and compares it with the iterate as one
+dict.  Only when the two differ does the reader run: it takes k from one
+field, requires the whole key to equal the packed base + k*step, and names
+the first differing k or the stray term.  Keys are unpacked only to build a
+MultiPoly or to name a stray term.
 """
 
 from __future__ import annotations
@@ -224,9 +226,17 @@ class PowerPattern(namedtuple("PowerPattern", "letters base step")):
     __slots__ = ()
 
 
-def _read_off(letters: tuple[str, ...], terms: dict[int, int], width: int,
-              pattern: PowerPattern) -> list[int]:
-    """Coefficients of the packed terms along the family, densely indexed from k = 0."""
+def _family_range(letters: tuple[str, ...], width: int,
+                  pattern: PowerPattern) -> tuple[int, int]:
+    """The k range [lo, hi] in which the family base + k*step is read at this width.
+
+    The pattern is checked against the alphabet first: AlphabetMismatch for
+    another alphabet, then ValueError for a base or step of another length.
+    In range, every field of base + k*step lies in [0, 2^(W-1)), so no field
+    carries into its neighbour and distinct k give distinct packed keys.
+    With no moving field every member is base itself, so only k = 0 is in
+    range.  hi < lo when no k is.
+    """
     if letters != pattern.letters:
         raise AlphabetMismatch(
             f"polynomial alphabet {letters} differs from pattern alphabet {pattern.letters}")
@@ -234,20 +244,28 @@ def _read_off(letters: tuple[str, ...], terms: dict[int, int], width: int,
         raise ValueError(f"pattern base of length {len(pattern.base)} and step of length "
                          f"{len(pattern.step)} do not fit alphabet {letters}")
     cap = (1 << (width - 1)) - 1
-    # k is read from the first field that moves with k; with no such field
-    # a zero mask reads every key as k = 0.
-    shift, mask, b0, s0 = 0, 0, 0, 1
-    lo, hi = 0, inf
-    for i, (b, s) in enumerate(zip(pattern.base, pattern.step)):
-        if s and not mask:
-            shift, mask, b0, s0 = i * width, (1 << width) - 1, b, s
-        # Keep every field of base + k*step inside [0, cap].
+    lo, hi = 0, 0 if not any(pattern.step) else inf
+    for b, s in zip(pattern.base, pattern.step):
         if s > 0:
             lo, hi = max(lo, -(b // s)), min(hi, (cap - b) // s)
         elif s < 0:
             lo, hi = max(lo, -((cap - b) // -s)), min(hi, b // -s)
         elif not 0 <= b <= cap:
             hi = -1
+    return lo, hi
+
+
+def _read_off(letters: tuple[str, ...], terms: dict[int, int], width: int,
+              pattern: PowerPattern) -> list[int]:
+    """Coefficients of the packed terms along the family, densely indexed from k = 0."""
+    lo, hi = _family_range(letters, width, pattern)
+    # k is read from the first field that moves with k; with no such field
+    # a zero mask reads every key as k = 0.
+    shift, mask, b0, s0 = 0, 0, 0, 1
+    for i, (b, s) in enumerate(zip(pattern.base, pattern.step)):
+        if s:
+            shift, mask, b0, s0 = i * width, (1 << width) - 1, b, s
+            break
     base, step = _pack(pattern.base, width), _pack(pattern.step, width)
     found: dict[int, int] = {}
     for key, c in terms.items():
@@ -279,23 +297,43 @@ def verify_identity(grammar: Grammar, op: DerivOp, start: MultiPoly, n_max: int,
     """Compare op^n(start) with normalization(n) * expected.row(n) for n = 1..n_max.
 
     ``expected`` is any triangle-like object with row(n); ``pattern_for(n)``
-    names the monomial family carrying coefficient index k.  The iterates
-    stay packed: coefficients are read off the packed keys.  Both rows are
-    zero-padded to one length and compared whole; only on a mismatch is the
-    first differing k looked up for the message.  Every n is checked even
-    after a failure.
+    names the monomial family carrying coefficient index k.  Every n is
+    checked even after a failure.
+
+    The iterates stay packed.  Each expected row is packed the same way, as
+    {base + k*step: norm * row[k]} over its nonzero products, and compared
+    with the iterate's terms as one dict.  That needs every nonzero product
+    at a k in the family's carry-free range (``_family_range``); there the
+    keys are distinct and none can alias a monomial off the family.  Equal
+    dicts then mean every term lies on the family in range and carries
+    norm * row[k], which is what the reader (``_read_off``) would read, and
+    the check passes.  Otherwise the reader reads the iterate, both rows are
+    zero-padded to one length and the first differing k, or the stray term,
+    is reported, so every failure is the reader's.  A normalization that is
+    a positive power of two scales by a shift.
     """
     width, iterates = _packed_iterates(grammar, op, start, n_max)
     next(iterates)  # op^0(start) is not checked
     report = Report(label)
     for n, terms in enumerate(iterates, start=1):
+        pattern = pattern_for(n)
+        lo, hi = _family_range(grammar.letters, width, pattern)
+        norm = normalization(n)
+        if norm > 0 and not norm & (norm - 1):
+            s = norm.bit_length() - 1
+            want = [c << s for c in expected.row(n)]
+        else:
+            want = [norm * c for c in expected.row(n)]
+        if not any(want[:lo]) and not any(want[hi + 1:]):
+            base, step = _pack(pattern.base, width), _pack(pattern.step, width)
+            if terms == {base + k * step: c for k, c in enumerate(want) if c}:
+                report.add(Check(label, n, True, ""))
+                continue
         try:
-            got = _read_off(grammar.letters, terms, width, pattern_for(n))
+            got = _read_off(grammar.letters, terms, width, pattern)
         except PatternMismatch as exc:
             report.add(Check(label, n, False, str(exc)))
             continue
-        norm = normalization(n)
-        want = [norm * c for c in expected.row(n)]
         size = max(len(got), len(want))
         got += [0] * (size - len(got))
         want += [0] * (size - len(want))

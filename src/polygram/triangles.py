@@ -9,6 +9,10 @@ from the last.  Recurrence-backed rows step forward in a loop from the last
 row asked for and keep only that row, so sweeping over n is linear.  Where a
 closed form and a recurrence both exist (the associahedron gamma rows) they
 are implemented separately and cross-checked in the tests.
+
+Memory grows with one row, not with the number of rows asked for.
+``_TIPS`` holds, per recurrence, only the last rows its step reads (one or
+two), and ``table`` writes every format row by row as it builds it.
 """
 
 from __future__ import annotations
@@ -24,11 +28,10 @@ __all__ = [
     "binomial_row",
     "catalan",
     "factorial",
-    "assoc_gamma_a",
     "plain_triangle",
     "lookup_triangle",
     "bfile_lines",
-    "triangle_json_dict",
+    "triangle_json_text",
 ]
 
 
@@ -148,11 +151,15 @@ def _narayana_h_a_row(n: int) -> list[int]:
     return [val // n for val in row]
 
 
-def assoc_gamma_a(n: int, k: int) -> int:
-    """Gamma row of the type A associahedron: Catalan(k) binom(n-1, 2k)."""
-    if n < 1:
-        raise ValueError(f"rows start at n=1, got n={n}")
-    return catalan(k) * binomial(n - 1, 2 * k)
+def _assoc_gamma_a_row(n: int) -> list[int]:
+    # gamma row of the type A associahedron: Catalan(k) binom(n-1, 2k), with
+    # Catalan(k) = Catalan(k-1) 2(2k-1) / (k+1) stepped along the row.
+    row, cat = [], 1
+    for k, c in enumerate(binomial_row(n - 1)[::2]):
+        if k:
+            cat = cat * 2 * (2 * k - 1) // (k + 1)
+        row.append(cat * c)
+    return row
 
 
 class Triangle:
@@ -221,7 +228,7 @@ ASSOC_H_B = Triangle(
     "assoc-h-b", lambda n: [c * c for c in binomial_row(n)],
     description="h rows of the type B associahedron (squared binomials)")
 ASSOC_GAMMA_A = Triangle(
-    "assoc-gamma-a", lambda n: [assoc_gamma_a(n, k) for k in range((n - 1) // 2 + 1)],
+    "assoc-gamma-a", _assoc_gamma_a_row,
     oeis="A055151", description="gamma rows of the type A associahedron (Motzkin paths by up steps)")
 ASSOC_GAMMA_A_REC = Triangle("assoc-gamma-a", _assoc_gamma_a_rows)
 ASSOC_GAMMA_B = Triangle(
@@ -270,10 +277,18 @@ def bfile_lines(triangle: Triangle, rows: int) -> Iterator[str]:
             idx += 1
 
 
-def triangle_json_dict(triangle: Triangle, rows: int) -> dict:
-    return {
-        "name": triangle.name,
-        "oeis": triangle.oeis,
-        "offset": triangle.first_n,
-        "rows": [[str(v) for v in row] for row in triangle.first_rows(rows)],
-    }
+def triangle_json_text(triangle: Triangle, rows: int) -> Iterator[str]:
+    """Compact JSON {"name", "oeis", "offset", "rows"}, entries as decimal
+    strings, yielded in pieces as each row is built.
+
+    The pieces join to json.dumps of that object with separators (",", ":").
+    """
+    import json
+
+    yield (f'{{"name":{json.dumps(triangle.name)},"oeis":{json.dumps(triangle.oeis)},'
+           f'"offset":{triangle.first_n},"rows":[')
+    sep = ""
+    for row in triangle.first_rows(rows):
+        yield sep + "[" + ",".join(f'"{v}"' for v in row) + "]"
+        sep = ","
+    yield "]}"

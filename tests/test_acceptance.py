@@ -64,7 +64,7 @@ def test_criterion_04_oracle_certification():
         ok = ok and list(oracles.descent_b_distribution(n)) == tri.EULERIAN_B.row(n)
     for n in range(1, 13):
         hist = oracles.motzkin_up_histogram(n - 1)
-        ok = ok and all(hist[k] == tri.assoc_gamma_a(n, k) for k in range(len(hist)))
+        ok = ok and all(hist[k] == tri.ASSOC_GAMMA_A.value(n, k) for k in range(len(hist)))
     for n in range(15):
         ok = ok and list(oracles.left_factor_h_histogram(n)) == tri.MOTZKIN_T.row(n)
     _finish(4, "brute-force oracle certification", ok, t0, 30.0)

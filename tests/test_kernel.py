@@ -12,11 +12,13 @@ from math import factorial
 
 import pytest
 
+from polygram import grammar as grammar_module
 from polygram.grammar import (DerivOp, Grammar, PatternMismatch, PowerPattern,
                               _packed_iterates, expansion_coefficients, iterate_operator,
                               operator_iterates, verify_identity)
 from polygram.poly import AlphabetMismatch, MultiPoly
-from polygram.triangles import plain_triangle
+from polygram.triangles import (ASSOC_GAMMA_A, EULERIAN_A, GAMMA_A, MOTZKIN_T,
+                                plain_triangle)
 
 ALPHABETS = ("u", "u v", "t u v", "s t u v")
 
@@ -345,3 +347,130 @@ def test_exponents_at_the_top_of_the_width_are_read():
                                  factorial,
                                  lambda n: PowerPattern(("u",), (n + 1,), (1,)), "top")
         assert report.ok, [c for c in report.checks if not c.ok]
+
+
+# ----------------------------------------------------------------------
+# verify_identity's packed comparison against the reader route
+
+def reference_checks(grammar, op, start, n_max, expected, normalization, pattern_for):
+    """(n, ok, detail) per n, from expansion_coefficients and a zero-padded
+    comparison with normalization(n) * expected.row(n)."""
+    checks = []
+    for n, p in enumerate(operator_iterates(grammar, op, start, n_max)):
+        if not n:
+            continue
+        try:
+            got = expansion_coefficients(p, pattern_for(n))
+        except PatternMismatch as exc:
+            checks.append((n, False, str(exc)))
+            continue
+        want = [normalization(n) * c for c in expected.row(n)]
+        size = max(len(got), len(want))
+        got += [0] * (size - len(got))
+        want += [0] * (size - len(want))
+        k = next((k for k in range(size) if got[k] != want[k]), None)
+        checks.append((n, k is None, "" if k is None else f"k={k}: got {got[k]}, want {want[k]}"))
+    return checks
+
+
+def _double_angle(g_rule):
+    f, g = MultiPoly.variables("f g")
+    return Grammar(("f", "g"), {"f": f * g, "g": g_rule(f, g)}), f, g
+
+
+def identity_cases():
+    """(id, grammar, op, start, n_max, row(n), normalization, pattern_for): true
+    identities of the verify targets, and the same with stray terms."""
+    D = DerivOp("D")
+    grammar, f, g = _double_angle(lambda f, g: 4 * f * f)
+    stray, _, _ = _double_angle(lambda f, g: 4 * f * f + f * g)
+    g_family = lambda n: PowerPattern(("f", "g"), (2, n - 1), (2, -2))
+    y, z = MultiPoly.variables("y z")
+    euler = Grammar(("y", "z"), {"y": z * z, "z": y * z})
+    t, u, v = MultiPoly.variables("t u v")
+    cubic = Grammar(("t", "u", "v"), {"t": t * u * u, "u": u * u * v, "v": 4 * u**3})
+    return [
+        ("gamma-a", grammar, D, g, 10, GAMMA_A.row, lambda n: 2 ** (n + 1), g_family),
+        ("gamma-a-signed", grammar, D, -g, 10, lambda n: [-c for c in GAMMA_A.row(n)],
+         lambda n: 2 ** (n + 1), g_family),
+        ("stray-rule", stray, D, g, 6, GAMMA_A.row, lambda n: 2 ** (n + 1), g_family),
+        ("zero-start", grammar, D, MultiPoly(("f", "g")), 4, GAMMA_A.row,
+         lambda n: 2 ** (n + 1), g_family),
+        ("assoc-gamma-a", grammar, DerivOp("postD", "f"), g, 10, ASSOC_GAMMA_A.row,
+         lambda n: 2 * factorial(n + 1), lambda n: PowerPattern(("f", "g"), (n + 2, n - 1),
+                                                                 (2, -2))),
+        ("eulerian-a", euler, DerivOp("preD", "y"), y, 8, EULERIAN_A.row, lambda n: 2 ** n,
+         lambda n: PowerPattern(("y", "z"), (2 * n - 1, 2), (-2, 2))),
+        ("motzkin-t", cubic, D, t * t * u * u, 6, MOTZKIN_T.row, lambda n: factorial(n + 1),
+         lambda n: PowerPattern(("t", "u", "v"), (2, 2 * n + 2, 0), (0, -1, 1))),
+    ]
+
+
+def bumped(row):
+    return [c + (k == len(row) // 2) for k, c in enumerate(row)]
+
+
+def internal_zero(row):
+    return [0 if k == len(row) // 2 else c for k, c in enumerate(row)]
+
+
+ROW_MUTATIONS = {
+    "none": lambda row: row,
+    "bumped": bumped,
+    "dropped-last": lambda row: row[:-1],
+    "extra-trailing": lambda row: row + [1],
+    "trailing-zero": lambda row: row + [0],
+    "internal-zero": internal_zero,
+    "inserted-zero": lambda row: row[:1] + [0] + row[1:],
+    "negated": lambda row: [-c for c in row],
+}
+
+NORMALIZATIONS = {
+    "as-is": lambda norm: norm,
+    "one": lambda norm: lambda n: 1,
+    "power-of-two": lambda norm: lambda n: 2 ** (n % 4),
+    "negated": lambda norm: lambda n: -norm(n),
+    "zero": lambda norm: lambda n: 0,
+    "tripled": lambda norm: lambda n: 3 * norm(n),
+}
+
+
+def assert_same_checks(monkeypatch, grammar, op, start, n_max, row, norm, pattern_for):
+    reads = []
+    real = grammar_module._read_off
+    monkeypatch.setattr(grammar_module, "_read_off",
+                        lambda *args: reads.append(1) or real(*args))
+    expected = plain_triangle("row", row)
+    report = verify_identity(grammar, op, start, n_max, expected, norm, pattern_for, "x")
+    monkeypatch.setattr(grammar_module, "_read_off", real)
+    got = [(c.n, c.ok, c.detail) for c in report.checks]
+    assert got == reference_checks(grammar, op, start, n_max, expected, norm, pattern_for)
+    # A passing check never reaches the reader; each failing one reaches it once.
+    assert len(reads) == sum(not ok for _, ok, _ in got)
+    return got
+
+
+@pytest.mark.parametrize("case", identity_cases(), ids=lambda case: case[0])
+def test_the_packed_comparison_gives_the_reader_verdict_on_every_mutation(monkeypatch, case):
+    name, grammar, op, start, n_max, row, norm, pattern_for = case
+    verdicts = set()
+    for mutate in ROW_MUTATIONS.values():
+        for scale in NORMALIZATIONS.values():
+            checks = assert_same_checks(monkeypatch, grammar, op, start, n_max,
+                                        lambda n: mutate(row(n)), scale(norm), pattern_for)
+            verdicts.update(ok for _, ok, _ in checks)
+    assert verdicts == ({False} if name == "stray-rule" else {True, False})
+
+
+def test_the_packed_comparison_refuses_carries_and_extra_k_on_a_fixed_family(monkeypatch):
+    t, u, v = MultiPoly.variables("t u v")
+    zero = MultiPoly(("t", "u", "v"))
+    grammar = Grammar(("t", "u", "v"), {"t": zero, "u": zero, "v": v})
+    start = t * u * v
+    width, _ = _packed_iterates(grammar, DerivOp("D"), start, 2)
+    fixed = PowerPattern(("t", "u", "v"), (1, 1, 1), (0, 0, 0))
+    for pattern in (*carry_patterns(width), fixed):
+        for row in ([1], [1, 1], [0, 1], [1, 0, 2], [2]):
+            for norm in (1, 2, -1, 0):
+                assert_same_checks(monkeypatch, grammar, DerivOp("D"), start, 2,
+                                   lambda n: row, lambda n: norm, lambda n: pattern)

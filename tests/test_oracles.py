@@ -123,7 +123,7 @@ def test_motzkin_paths_certify_assoc_gamma_a():
     for n in range(1, 13):
         hist = orc.motzkin_up_histogram(n - 1)
         for k in range(len(hist)):
-            assert hist[k] == tri.assoc_gamma_a(n, k)
+            assert hist[k] == tri.ASSOC_GAMMA_A.value(n, k)
 
 
 def test_left_factors_certify_motzkin_triangle():

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -45,7 +46,7 @@ def test_narayana_and_squared_binomials():
 
 def test_assoc_gamma_values():
     assert tri.ASSOC_GAMMA_B.value(4, 1) == 12 and tri.ASSOC_GAMMA_B.value(4, 2) == 6
-    assert tri.assoc_gamma_a(3, 1) == 1
+    assert tri.ASSOC_GAMMA_A.value(3, 1) == 1
     assert tri.MOTZKIN_T.value(1, 0) == 1 and tri.MOTZKIN_T.value(1, 1) == 1
     assert tri.MOTZKIN_T.row(0) == [1]
 
@@ -58,7 +59,7 @@ def test_cube_face_counts():
 def test_recurrences_match_closed_forms():
     for n in range(1, 13):
         for k in range(n + 2):
-            assert tri.assoc_gamma_a(n, k) == tri.ASSOC_GAMMA_A_REC.value(n, k)
+            assert tri.ASSOC_GAMMA_A.value(n, k) == tri.ASSOC_GAMMA_A_REC.value(n, k)
             assert tri.ASSOC_GAMMA_B.value(n, k) == tri.ASSOC_GAMMA_B_REC.value(n, k)
 
 
@@ -124,9 +125,31 @@ def test_table_rows_are_built_as_they_are_read(monkeypatch):
 
 
 def test_json_export():
-    data = tri.triangle_json_dict(tri.GAMMA_A, 4)
+    data = json.loads("".join(tri.triangle_json_text(tri.GAMMA_A, 4)))
     assert data["offset"] == 1 and data["oeis"] == "A101280"
     assert data["rows"] == [["1"], ["1"], ["1", "2"], ["1", "8"]]
+
+
+def test_json_text_is_the_compact_dump_built_row_by_row(monkeypatch):
+    for triangle in tri.TRIANGLES.values():
+        for rows in (0, 1, 2, 5):
+            data = {"name": triangle.name, "oeis": triangle.oeis, "offset": triangle.first_n,
+                    "rows": [[str(v) for v in row] for row in triangle.first_rows(rows)]}
+            assert "".join(tri.triangle_json_text(triangle, rows)) == \
+                json.dumps(data, separators=(",", ":")), (triangle.name, rows)
+    built = []
+    real = tri.CUBE_F.row_fn
+    monkeypatch.setattr(tri.CUBE_F, "row_fn", lambda n: built.append(n) or real(n))
+    pieces = tri.triangle_json_text(tri.CUBE_F, 50)
+    assert next(pieces).startswith('{"name":"cube-f"') and built == []
+    assert next(pieces) == '["1"]' and built == [0]
+    assert next(pieces) == ',["2","1"]' and built == [0, 1]
+
+
+def test_assoc_gamma_a_rows_are_the_catalan_binomial_products():
+    for n in range(1, 300):
+        assert tri.ASSOC_GAMMA_A.row(n) == [tri.catalan(k) * tri.binomial(n - 1, 2 * k)
+                                            for k in range((n - 1) // 2 + 1)], n
 
 
 def test_rows_far_past_the_recursion_limit():
