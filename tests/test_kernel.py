@@ -373,17 +373,13 @@ def reference_checks(grammar, op, start, n_max, expected, normalization, pattern
     return checks
 
 
-def _double_angle(g_rule):
-    f, g = MultiPoly.variables("f g")
-    return Grammar(("f", "g"), {"f": f * g, "g": g_rule(f, g)}), f, g
-
-
 def identity_cases():
     """(id, grammar, op, start, n_max, row(n), normalization, pattern_for): true
     identities of the verify targets, and the same with stray terms."""
     D = DerivOp("D")
-    grammar, f, g = _double_angle(lambda f, g: 4 * f * f)
-    stray, _, _ = _double_angle(lambda f, g: 4 * f * f + f * g)
+    f, g = MultiPoly.variables("f g")
+    grammar = Grammar(("f", "g"), {"f": f * g, "g": 4 * f * f})
+    stray = Grammar(("f", "g"), {"f": f * g, "g": 4 * f * f + f * g})
     g_family = lambda n: PowerPattern(("f", "g"), (2, n - 1), (2, -2))
     y, z = MultiPoly.variables("y z")
     euler = Grammar(("y", "z"), {"y": z * z, "z": y * z})
