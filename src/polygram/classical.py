@@ -4,10 +4,10 @@
 The series never consult the polynomial recurrences: tangent and secant
 are rebuilt from the sine and cosine series by exact series inversion, so
 ``verify`` can compare their generating functions with the recurrences as a
-genuinely independent second path.  The series are exponential, with
-integer coefficients: coefficient n of a ``TruncSeries`` is n! times its
-t^n coefficient, so products are binomial convolutions and no fraction is
-ever formed.
+genuinely independent second path.  A series is a plain list: item n is n!
+times its t^n coefficient, itself an int coefficient list in u.  So the
+series are exponential with integer coefficients, products are binomial
+convolutions through ``unipoly._mac``, and no fraction is ever formed.
 
 The four recurrence caches key on the argument types too, so a non-int n
 such as 3.0 is refused even after P_3 or T_3 is cached.  Stepping between
@@ -22,25 +22,19 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import add, sub
-from typing import Sequence
 
-from .poly import _Ring
 from .triangles import _recurrence_row, binomial, binomial_row
 from .unipoly import UniPoly, _mac, _trimmed
 
 __all__ = [
     "DOUBLE_ANGLE_RULES",
-    "TruncSeries",
     "chebyshev_t",
     "chebyshev_u",
-    "cosine_series",
+    "closed_form_series",
     "legendre_like",
     "narayana_like",
     "secant_derivative_poly",
-    "secant_series",
-    "sine_series",
     "tangent_derivative_poly",
-    "tangent_series",
 ]
 
 # f ~ sec(2x), g ~ 2 tan(2x): D f = f g and D g = 4 f^2.
@@ -121,130 +115,48 @@ def chebyshev_u(n: int, var: str = "x") -> UniPoly:
                            lambda m, rows: x2 * rows[-1] - rows[-2])
 
 
-class TruncSeries(_Ring):
-    """Exponential power series in t, truncated at a fixed order, with UniPoly
-    coefficients.
+def _series_mul(a: list, b: list) -> list[list[int]]:
+    """Exponential product c_n = sum_i C(n, i) a_i b_(n-i), to the shorter order."""
+    out = []
+    for n in range(min(len(a), len(b))):
+        acc: list[int] = []
+        for i, weight in enumerate(binomial_row(n)):
+            _mac(acc, a[i], b[n - i], weight)
+        out.append(acc)
+    return out
 
-    Coefficient n is n! times the t^n coefficient, so the series of tangent
-    and secant, and of the closed forms built from them, have integer
-    coefficients.  Products are binomial convolutions, truncated at the
-    carried order.
+
+def _series_invert(a: list) -> list[list[int]]:
+    """Inverse of a series whose t^0 coefficient is the constant 1 or -1.
+
+    Then 1/a_0 = a_0, and b_m = -a_0 * sum_(j=1..m) C(m, j) a_j b_(m-j)
+    stays integral; any other constant would need a division.  Every caller
+    builds its t^0 term, so another one is a broken invariant, not bad input.
     """
-
-    __slots__ = ("order", "var", "coeffs")
-
-    def __init__(self, order: int, var: str, coeffs: Sequence = ()):
-        if order < 0:
-            raise ValueError(f"order must be >= 0, got {order}")
-        given = list(coeffs)
-        if len(given) > order + 1:
-            raise ValueError(f"{len(given)} coefficients exceed truncation order {order}")
-        self.order = order
-        self.var = var
-        padded: list[UniPoly] = []
-        for c in given + [0] * (order + 1 - len(given)):
-            if isinstance(c, int):
-                c = UniPoly.constant(var, c)
-            if not isinstance(c, UniPoly) or c.var != var:
-                raise ValueError(f"coefficient {c!r} does not live in the {var!r} ring")
-            padded.append(c)
-        self.coeffs = tuple(padded)
-
-    @classmethod
-    def constant(cls, order: int, var: str, value: int) -> "TruncSeries":
-        return cls(order, var, (value,))
-
-    @classmethod
-    def coefficient_variable(cls, order: int, var: str) -> "TruncSeries":
-        """The series whose t^0 coefficient is the polynomial variable itself."""
-        return cls(order, var, (UniPoly.variable(var),))
-
-    def coefficient(self, i: int) -> UniPoly:
-        if not 0 <= i <= self.order:
-            raise IndexError(f"order {i} outside truncation {self.order}")
-        return self.coeffs[i]
-
-    def _coerced(self, other):
-        if isinstance(other, (int, UniPoly)):
-            return TruncSeries(self.order, self.var, (other,))
-        if isinstance(other, TruncSeries):
-            if other.order != self.order or other.var != self.var:
-                raise ValueError("series orders or coefficient rings differ")
-            return other
-        return None
-
-    def __add__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        return TruncSeries(self.order, self.var,
-                           [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncSeries(self.order, self.var, [-a for a in self.coeffs])
-
-    def __mul__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        out = []
-        for n in range(self.order + 1):
-            acc: list[int] = []
-            for i, weight in enumerate(binomial_row(n)):
-                _mac(acc, self.coeffs[i].coeffs, other.coeffs[n - i].coeffs, weight)
-            out.append(_trimmed(self.var, acc))
-        return TruncSeries(self.order, self.var, out)
-
-    __rmul__ = __mul__
-
-    def invert(self) -> "TruncSeries":
-        """Multiplicative inverse; the t^0 coefficient must be the constant 1 or -1.
-
-        Then 1/c0 = c0, and b_m = -c0 * sum_(j=1..m) C(m, j) a_j b_(m-j)
-        stays integral; any other constant would need a division.
-        """
-        c0 = self.coeffs[0]
-        if c0.coeffs not in ((1,), (-1,)):
-            raise ValueError(f"series inversion needs a t^0 coefficient of 1 or -1, got {c0}")
-        sign = c0.coeffs[0]
-        out = [c0]
-        for m in range(1, self.order + 1):
-            row = binomial_row(m)
-            acc: list[int] = []
-            for j in range(1, m + 1):
-                _mac(acc, self.coeffs[j].coeffs, out[m - j].coeffs, -sign * row[j])
-            out.append(_trimmed(self.var, acc))
-        return TruncSeries(self.order, self.var, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        return (self.order == other.order and self.var == other.var
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.order, self.var, self.coeffs))
-
-    def __repr__(self):
-        body = " + ".join(f"({c})*t^{i}" for i, c in enumerate(self.coeffs) if not c.is_zero)
-        return f"TruncSeries[{body or '0'}]"
+    head, *rest = a[0] or [0]
+    if head not in (1, -1) or any(rest):
+        raise ArithmeticError(f"series inversion needs a t^0 coefficient of 1 or -1, got {a[0]}")
+    out = [[head]]
+    for m in range(1, len(a)):
+        row = binomial_row(m)
+        acc: list[int] = []
+        for j in range(1, m + 1):
+            _mac(acc, a[j], out[m - j], -head * row[j])
+        out.append(acc)
+    return out
 
 
-def sine_series(order: int, var: str = "u") -> TruncSeries:
-    """n! [t^n] sin t: 0, 1, 0, -1, repeating."""
-    return TruncSeries(order, var, [(0, 1, 0, -1)[m % 4] for m in range(order + 1)])
+def closed_form_series(order: int) -> tuple[list[list[int]], list[list[int]]]:
+    """(u + tan t) / (1 - u tan t) and sec t / (1 - u tan t), up to t^order.
 
-
-def cosine_series(order: int, var: str = "u") -> TruncSeries:
-    """n! [t^n] cos t: 1, 0, -1, 0, repeating."""
-    return TruncSeries(order, var, [(1, 0, -1, 0)[m % 4] for m in range(order + 1)])
-
-
-def tangent_series(order: int, var: str = "u") -> TruncSeries:
-    return sine_series(order, var) * cosine_series(order, var).invert()
-
-
-def secant_series(order: int, var: str = "u") -> TruncSeries:
-    return cosine_series(order, var).invert()
+    Item n of each is the coefficient list of P_n or Q_n in u, ascending and
+    possibly with trailing zeros.  Tangent and secant come from the sine and
+    cosine series by inversion, never from the recurrences.
+    """
+    sine = [[(0, 1, 0, -1)[m % 4]] for m in range(order + 1)]
+    sec = _series_invert([[(1, 0, -1, 0)[m % 4]] for m in range(order + 1)])
+    tan = _series_mul(sine, sec)
+    # u is a t^0 constant and tan has no t^0 term: the t^0 terms of 1 - u tan
+    # and u + tan are 1 and u, and each later term is -u tan_n or tan_n.
+    denom = _series_invert([[1]] + [[0] + [-c for c in t] for t in tan[1:]])
+    return _series_mul([[0, 1]] + tan[1:], denom), _series_mul(sec, denom)

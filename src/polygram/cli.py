@@ -2,7 +2,8 @@
 
 Subcommands: derive, gamma, table, oracle, verify, classical.  Exit codes:
 0 success, 1 verification failure, 2 usage or parse errors, 3 an internal
-error (any other exception, reported as one ``internal error:`` line).
+error (any other exception, reported as one ``internal error:`` line);
+output that cannot be written (a closed pipe, a full disk) exits 2 too.
 Output for a fixed invocation is byte-identical across runs.
 
 Each handler imports the modules it runs, so a subcommand loads only what
@@ -12,6 +13,7 @@ it needs; building the parser loads none of them.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 __all__ = ["build_parser", "entry", "main"]
@@ -121,8 +123,8 @@ def _cmd_gamma(args) -> int:
     gamma = h_to_gamma(h)
     expected = triangle.row(args.n)
     if list(gamma.gammas) != expected:
-        print(f"error: extracted gamma {gamma} does not match "
-              f"the {triangle.name} row {expected}", file=sys.stderr)
+        _complain(f"error: extracted gamma {gamma} does not match "
+                  f"the {triangle.name} row {expected}")
         return 1
     if args.format == "json":
         _dump_json({
@@ -233,6 +235,14 @@ _HANDLERS = {
 }
 
 
+def _complain(*parts) -> None:
+    """Print one line on stderr; a closed or full stderr loses it without raising."""
+    try:
+        print(*parts, file=sys.stderr, flush=True)
+    except OSError:
+        pass
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -243,16 +253,18 @@ def main(argv=None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        # Inside the try, so a failed buffered write exits 2 with an error line.
+        sys.stdout.flush()
+        return code
     except (ValueError, OSError) as exc:
         # ParseError and the re-raised configparser errors are ValueErrors;
         # configparser messages can span lines.
-        print("error:", " ".join(str(exc).splitlines()), file=sys.stderr)
+        _complain("error:", " ".join(str(exc).splitlines()))
         return 2
     except Exception as exc:
         # Last resort: a crash must not read as a failed check (exit 1).
-        print(f"internal error: {type(exc).__name__}:", " ".join(str(exc).splitlines()),
-              file=sys.stderr)
+        _complain(f"internal error: {type(exc).__name__}:", " ".join(str(exc).splitlines()))
         return 3
     finally:
         if limit is not None:
@@ -260,4 +272,23 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    """Run ``main`` as a process: the console script and ``python -m polygram``.
+
+    A stream whose last flush fails still holds its unwritten bytes, and the
+    interpreter flushes it once more at exit; that failure would turn the exit
+    code into 120.  So the stream's fd is pointed at os.devnull first, and
+    the lost output makes a successful run exit 2.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse: --help or a usage error
+        code = exc.code
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stream.fileno())
+            os.close(devnull)
+            code = code or 2
+    raise SystemExit(code)

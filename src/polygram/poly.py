@@ -69,7 +69,8 @@ def _render(pairs) -> str:
 
 
 class _Ring:
-    """Operators every ring type derives from its own ``+``, ``*`` and ``-x``.
+    """Operators ``MultiPoly`` and ``UniPoly`` derive from their own ``+``,
+    ``*`` and ``-x``.
 
     A subclass supplies ``_coerced(other)``, which returns ``other`` as an
     element of the receiver's ring (lifting scalars) or None when it does

@@ -6,16 +6,16 @@ included.  Arithmetic results (``+``, ``-``, ``*``, ``derivative``) are
 built from values already checked, so they are trusted: they only pass
 through ``_trimmed``, which drops trailing zeros.
 
-Every dense sum of products in the package, here and in ``quadratic`` and
-``classical``, goes through one kernel, ``_mac``: it adds
-w*a*b*x^shift into a plain int list, one slice update per nonzero
-coefficient of the shorter operand, so a sum is trimmed once at the end and
-builds no ``UniPoly`` per product.  A product whose shorter operand has one
-nonzero coefficient c*x^e is a shift, ``[0]*e + [a*c for a in longer]``.
+Every dense sum of products in the package, here, in ``quadratic`` and in
+``classical``'s series products and inverse, goes through one kernel,
+``_mac``: it adds w*a*b*x^shift into a plain int list, one slice update per
+nonzero coefficient of the shorter operand, so a sum is trimmed once at the
+end and builds no ``UniPoly`` per product.  A product whose shorter operand
+has one nonzero coefficient c*x^e is a shift, ``[0]*e + [a*c for a in longer]``.
 
 Subtraction and ``**`` come from ``poly._Ring``, the operator base shared by
-``MultiPoly``, ``UniPoly`` and ``TruncSeries``; the text form comes from
-``poly._render``, the renderer ``MultiPoly`` uses as well.
+``MultiPoly`` and ``UniPoly``; the text form comes from ``poly._render``,
+the renderer ``MultiPoly`` uses as well.
 """
 
 from __future__ import annotations

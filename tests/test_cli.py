@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import shlex
 import subprocess
 import sys
 
@@ -178,6 +180,15 @@ def test_internal_error_exits_3_with_one_line(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: RuntimeError: boom second line\n"
+
+
+def test_a_refused_series_inversion_is_an_internal_error(capsys, monkeypatch):
+    # Every t^0 term is built in classical, so a bad one is a broken invariant.
+    real = classical._series_invert
+    monkeypatch.setattr(classical, "_series_invert", lambda a: real([[2]] + a[1:]))
+    code, out, err = run_cli(capsys, "verify", "--target", "egf")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: ArithmeticError: series inversion needs")
 
 
 def test_derive_past_the_4300_digit_limit_exits_0(capsys):
@@ -369,3 +380,73 @@ def test_verify_all_output_is_pinned(fmt):
     done = subprocess.run(cmd, capture_output=True)
     assert done.returncode == 0
     assert hashlib.sha256(done.stdout).hexdigest() == VERIFY_ALL_SHA256[fmt]
+
+
+# sha256 of ``verify --target egf --n-max 120 --format json``, the bound the
+# CI stress step runs the series route at.
+VERIFY_EGF_120_SHA256 = "db14042ef9c0edb3707abe33ba496019de7d766bc8c8684c3bba526e98643bc7"
+
+
+def test_verify_egf_at_the_stress_bound_is_pinned():
+    cmd = [sys.executable, "-m", "polygram", "verify", "--target", "egf", "--n-max", "120",
+           "--format", "json"]
+    done = subprocess.run(cmd, capture_output=True)
+    assert done.returncode == 0
+    assert hashlib.sha256(done.stdout).hexdigest() == VERIFY_EGF_120_SHA256
+
+
+# Output that cannot be written: each case is run with stdout buffered (the
+# interpreter default) and unbuffered, and must exit 2, never 1 (a failed
+# check) or 120 (the interpreter's own flush failing at exit).
+CLOSED_OUTPUT_CASES = {
+    "stdout-full": "{cmd} >/dev/full",
+    "stdout-closed-pipe": "{cmd} | (exec 0<&-; true)",
+    "both-closed-pipe": "{cmd} 2>&1 | (exec 0<&-; true)",
+}
+
+
+POLYGRAM = f"{shlex.quote(sys.executable)} -m polygram"
+
+
+def _shell(script, unbuffered):
+    """Run ``script`` in bash with PYTHONUNBUFFERED set to 1 or unset."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(["bash", "-c", script], env=env, capture_output=True)
+
+
+UNBUFFERED = pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+
+
+@UNBUFFERED
+@pytest.mark.parametrize("case", sorted(CLOSED_OUTPUT_CASES))
+@pytest.mark.parametrize("argv", ["verify --target thm42 --n-max 1", "verify --target egf"])
+def test_unwritable_output_exits_2(case, unbuffered, argv):
+    script = CLOSED_OUTPUT_CASES[case].format(cmd=f"{POLYGRAM} {argv}")
+    done = _shell(script + '; exit "${PIPESTATUS[0]}"', unbuffered)
+    assert done.returncode == 2, done.stderr
+    if case != "both-closed-pipe":
+        assert done.stderr.startswith(b"error: [Errno ")
+        assert done.stderr.count(b"\n") == 1
+
+
+@UNBUFFERED
+def test_a_usage_error_on_a_full_stderr_exits_2(unbuffered):
+    # argparse exits 2 itself and drops the failed write; the usage text
+    # left in stderr's buffer must not fail again at exit.
+    assert _shell(f"{POLYGRAM} verify --target thm99 2>/dev/full", unbuffered).returncode == 2
+
+
+def test_a_broken_pipe_in_process_returns_2(capsys, monkeypatch):
+    class BrokenStdout:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", BrokenStdout())
+    code = main(["verify", "--target", "thm42", "--n-max", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
