@@ -166,11 +166,8 @@ def _cmd_oracle(args) -> int:
             raise ValueError(f"--k does not apply to {which}, which prints one count")
         if args.k < 0:
             raise ValueError(f"--k must be >= 0, got {args.k}")
-    if which == "alternating-a":
-        print(oracles.count_alternating(args.n, "A"))
-        return 0
-    if which == "alternating-b":
-        print(oracles.count_alternating(args.n, "B"))
+    if which.startswith("alternating"):
+        print(oracles.count_alternating(args.n, which[-1].upper()))
         return 0
     values = {
         "descents-a": oracles.descent_distribution,
@@ -210,16 +207,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_classical(args) -> int:
-    from .classical import (chebyshev_t, chebyshev_u, legendre_like, narayana_like,
-                            secant_derivative_poly, tangent_derivative_poly)
+    from . import classical
 
     family = {
-        "P": tangent_derivative_poly,
-        "Q": secant_derivative_poly,
-        "L": legendre_like,
-        "N": narayana_like,
-        "T": chebyshev_t,
-        "U": chebyshev_u,
+        "P": classical.tangent_derivative_poly,
+        "Q": classical.secant_derivative_poly,
+        "L": classical.legendre_like,
+        "N": classical.narayana_like,
+        "T": classical.chebyshev_t,
+        "U": classical.chebyshev_u,
     }[args.which]
     print(family(args.n))
     return 0
@@ -254,8 +250,7 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         code = _HANDLERS[args.command](args)
-        # Inside the try, so a failed buffered write exits 2 with an error line.
-        sys.stdout.flush()
+        sys.stdout.flush()  # in the try: a failed buffered write is an error line
         return code
     except (ValueError, OSError) as exc:
         # ParseError and the re-raised configparser errors are ValueErrors;
@@ -274,11 +269,17 @@ def main(argv=None) -> int:
 def entry() -> None:
     """Run ``main`` as a process: the console script and ``python -m polygram``.
 
-    A stream whose last flush fails still holds its unwritten bytes, and the
-    interpreter flushes it once more at exit; that failure would turn the exit
-    code into 120.  So the stream's fd is pointed at os.devnull first, and
+    A stream whose fd was closed before start-up is None: a None stdout exits 2
+    at once, and a None stderr becomes os.devnull (print(file=None) writes to
+    stdout).  A stream whose last flush fails keeps its bytes, and the exit
+    flush would fail again with code 120, so its fd is pointed at os.devnull;
     the lost output makes a successful run exit 2.
     """
+    if sys.stderr is None:
+        sys.stderr = open(os.devnull, "w")
+    if sys.stdout is None:
+        _complain("error: stdout is closed")
+        raise SystemExit(2)
     try:
         code = main()
     except SystemExit as exc:  # argparse: --help or a usage error

@@ -397,11 +397,16 @@ def test_verify_egf_at_the_stress_bound_is_pinned():
 
 # Output that cannot be written: each case is run with stdout buffered (the
 # interpreter default) and unbuffered, and must exit 2, never 1 (a failed
-# check) or 120 (the interpreter's own flush failing at exit).
+# check) or 120 (the interpreter's own flush failing at exit).  {pipe} is the
+# write end of a pipe whose read end is closed before the command starts, so
+# every write to it fails; >&- closes the fd before start-up.
 CLOSED_OUTPUT_CASES = {
-    "stdout-full": "{cmd} >/dev/full",
-    "stdout-closed-pipe": "{cmd} | (exec 0<&-; true)",
-    "both-closed-pipe": "{cmd} 2>&1 | (exec 0<&-; true)",
+    "stdout-full": ">/dev/full",
+    "stdout-closed-pipe": ">&{pipe}",
+    "stdout-closed": ">&-",
+    "both-closed-pipe": ">&{pipe} 2>&1",
+    "both-closed": ">&- 2>&-",
+    "stdout-full-stderr-closed": ">/dev/full 2>&-",
 }
 
 
@@ -409,11 +414,20 @@ POLYGRAM = f"{shlex.quote(sys.executable)} -m polygram"
 
 
 def _shell(script, unbuffered):
-    """Run ``script`` in bash with PYTHONUNBUFFERED set to 1 or unset."""
+    """Run ``script`` in bash with PYTHONUNBUFFERED set to 1 or unset.
+
+    ``{pipe}`` in the script names a pipe with no reader.
+    """
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    return subprocess.run(["bash", "-c", script], env=env, capture_output=True)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return subprocess.run(["bash", "-c", script.replace("{pipe}", str(write))], env=env,
+                              capture_output=True, pass_fds=(write,))
+    finally:
+        os.close(write)
 
 
 UNBUFFERED = pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
@@ -423,12 +437,22 @@ UNBUFFERED = pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered
 @pytest.mark.parametrize("case", sorted(CLOSED_OUTPUT_CASES))
 @pytest.mark.parametrize("argv", ["verify --target thm42 --n-max 1", "verify --target egf"])
 def test_unwritable_output_exits_2(case, unbuffered, argv):
-    script = CLOSED_OUTPUT_CASES[case].format(cmd=f"{POLYGRAM} {argv}")
-    done = _shell(script + '; exit "${PIPESTATUS[0]}"', unbuffered)
+    redirect = CLOSED_OUTPUT_CASES[case]
+    done = _shell(f"{POLYGRAM} {argv} {redirect}", unbuffered)
     assert done.returncode == 2, done.stderr
-    if case != "both-closed-pipe":
-        assert done.stderr.startswith(b"error: [Errno ")
+    if "2>" not in redirect:
+        assert done.stderr.startswith(b"error: ")
         assert done.stderr.count(b"\n") == 1
+
+
+@UNBUFFERED
+def test_a_closed_stderr_loses_only_the_error_line(unbuffered):
+    argv = "verify --target thm42 --n-max 1"
+    done = _shell(f"{POLYGRAM} {argv} 2>&-", unbuffered)
+    assert done.returncode == 0
+    assert done.stdout == _shell(f"{POLYGRAM} {argv}", unbuffered).stdout != b""
+    refused = _shell(f"{POLYGRAM} verify --target thm42 --n-max 0 2>&-", unbuffered)
+    assert (refused.returncode, refused.stdout) == (2, b"")
 
 
 @UNBUFFERED
