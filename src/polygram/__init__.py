@@ -17,8 +17,7 @@ __version__ = "0.1.0"
 
 # Submodule -> the public names it defines.
 _EXPORTS = {
-    "gamma": ("FAMILIES", "GammaVector", "HPoly", "associahedron_h", "coxeter_h",
-              "gamma_to_h", "h_to_gamma"),
+    "gamma": ("FAMILIES", "gamma_to_h", "h_to_gamma"),
     "grammar": ("DerivOp", "Grammar", "PatternMismatch", "PowerPattern",
                 "expansion_coefficients", "iterate_operator", "operator_iterates",
                 "verify_identity"),
@@ -35,9 +34,7 @@ __all__ = [
     "Check",
     "DerivOp",
     "FAMILIES",
-    "GammaVector",
     "Grammar",
-    "HPoly",
     "MultiPoly",
     "ParseError",
     "PatternMismatch",
@@ -45,8 +42,6 @@ __all__ = [
     "Report",
     "TARGETS",
     "UniPoly",
-    "associahedron_h",
-    "coxeter_h",
     "expansion_coefficients",
     "gamma_to_h",
     "h_to_gamma",

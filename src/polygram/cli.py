@@ -26,8 +26,17 @@ TARGET_NAMES = ("alternating", "cor33", "egf", "prop12", "prop41", "thm11", "thm
 FAMILY_NAMES = ("assoc-a", "assoc-b", "coxeter-a", "coxeter-b")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's own help write drops an OSError; this one raises it, so a
+    --help that cannot be written exits 2 like any other lost output.
+    Subparsers are built from the same class."""
+
+    def print_help(self, file=None):
+        print(self.format_help(), end="", file=file, flush=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polygram",
         description="Exact grammar-derivative calculus with gamma-vector, "
                     "triangle, oracle and verification commands.")
@@ -116,26 +125,28 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_gamma(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"n must be >= 1, got {args.n}")
     from .gamma import FAMILIES, h_to_gamma
 
-    h_of, triangle = FAMILIES[args.family]
-    h = h_of(args.n)
+    h_triangle, triangle = FAMILIES[args.family]
+    h = h_triangle.row(args.n)
     gamma = h_to_gamma(h)
     expected = triangle.row(args.n)
-    if list(gamma.gammas) != expected:
-        _complain(f"error: extracted gamma {gamma} does not match "
+    if list(gamma) != expected:
+        _complain(f"error: extracted gamma {','.join(map(str, gamma))} does not match "
                   f"the {triangle.name} row {expected}")
         return 1
     if args.format == "json":
         _dump_json({
             "family": args.family,
             "n": args.n,
-            "h": [str(c) for c in h.coeffs],
-            "gamma": [str(g) for g in gamma.gammas],
+            "h": [str(c) for c in h],
+            "gamma": [str(g) for g in gamma],
         })
     else:
-        print(f"h: {h}")
-        print(f"gamma: {gamma}")
+        print(f"h: {','.join(map(str, h))}")
+        print(f"gamma: {','.join(map(str, gamma))}")
     return 0
 
 
@@ -240,15 +251,15 @@ def _complain(*parts) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     # Exact results and rule literals can pass CPython's 4300-digit limit on
     # int <-> str (3.10.7 on).  Lift it while the handler runs and restore it
-    # after, as main is also called in process.
+    # after, as main is also called in process.  Arguments are parsed under
+    # the limit, so a 5000-digit --rows or --n is a usage error.
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)  # OSError: --help not written
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
         code = _HANDLERS[args.command](args)
         sys.stdout.flush()  # in the try: a failed buffered write is an error line
         return code

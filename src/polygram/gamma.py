@@ -1,10 +1,16 @@
-"""h-polynomials and their gamma expansions.
+"""h-polynomials and their gamma expansions, as plain int tuples.
 
-A palindromic h-polynomial of structural degree d expands uniquely in the
-basis x^i (1+x)^(d-2i); the coefficient vector of that expansion is the
-gamma vector.  The degree bound d travels with both types because the basis
-depends on d, not on the polynomial's actual degree (trailing zeros are
-legitimate).
+A palindromic h-polynomial h_0..h_d of structural degree d expands uniquely
+in the basis x^i (1+x)^(d-2i); the coefficient vector gamma_0..gamma_(d//2)
+of that expansion is the gamma vector.  ``gamma_to_h(gammas, d)`` takes d
+with the gammas because the basis depends on d, not on the polynomial's
+actual degree (trailing zeros are legitimate); ``h_to_gamma(h)`` reads d
+from the length of h.  Each checks its input where it comes in: int entries
+only, then d >= 0 and d//2 + 1 gammas, or a nonempty palindromic h.
+
+``FAMILIES`` pairs each of the four families (the type A and B Coxeter
+complexes and associahedra) with its h triangle and its gamma triangle:
+row n of the one is gamma_to_h of row n of the other.
 
 Both directions of the basis change run on one addition-only kernel and
 build no binomial row.  With m = d // 2, sum_i gamma_i x^i (1+x)^(2m-2i) is
@@ -35,15 +41,16 @@ from operator import add
 from .triangles import (ASSOC_GAMMA_A, ASSOC_GAMMA_B, ASSOC_H_A, ASSOC_H_B,
                         EULERIAN_A, EULERIAN_B, GAMMA_A, GAMMA_B)
 
-__all__ = [
-    "FAMILIES",
-    "GammaVector",
-    "HPoly",
-    "associahedron_h",
-    "coxeter_h",
-    "gamma_to_h",
-    "h_to_gamma",
-]
+__all__ = ["FAMILIES", "gamma_to_h", "h_to_gamma"]
+
+# Each family's h triangle and gamma triangle: the Eulerian polynomials of
+# type A and B are the h-polynomials of the Coxeter complexes.
+FAMILIES = {
+    "coxeter-a": (EULERIAN_A, GAMMA_A),
+    "coxeter-b": (EULERIAN_B, GAMMA_B),
+    "assoc-a": (ASSOC_H_A, ASSOC_GAMMA_A),
+    "assoc-b": (ASSOC_H_B, ASSOC_GAMMA_B),
+}
 
 
 def _check_ints(values, what: str) -> None:
@@ -52,71 +59,6 @@ def _check_ints(values, what: str) -> None:
     if set(map(type, values)) - {int}:
         bad = next(v for v in values if type(v) is not int)
         raise TypeError(f"{what} {bad!r} must be an int")
-
-
-class HPoly:
-    """Coefficients h_0..h_d; d is structural, so trailing zeros are kept."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: tuple[int, ...]):
-        self.coeffs = tuple(coeffs)
-        if not self.coeffs:
-            raise ValueError("an h-polynomial needs at least h_0")
-        _check_ints(self.coeffs, "coefficient")
-
-    @property
-    def d(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_palindromic(self) -> bool:
-        c = self.coeffs
-        return all(c[i] == c[len(c) - 1 - i] for i in range(len(c) // 2 + 1))
-
-    def __eq__(self, other):
-        if not isinstance(other, HPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __str__(self):
-        return ",".join(str(c) for c in self.coeffs)
-
-    def __repr__(self):
-        return f"HPoly(coeffs={self.coeffs!r})"
-
-
-class GammaVector:
-    """gamma_0..gamma_(d//2), the coefficients of x^i (1+x)^(d-2i)."""
-
-    __slots__ = ("gammas", "d")
-
-    def __init__(self, gammas: tuple[int, ...], d: int):
-        self.gammas = tuple(gammas)
-        self.d = d
-        _check_ints((d,), "degree bound")
-        _check_ints(self.gammas, "gamma entry")
-        if d < 0:
-            raise ValueError("degree bound must be >= 0")
-        want = d // 2 + 1
-        if len(self.gammas) != want:
-            raise ValueError(f"need {want} entries for d={d}, got {len(self.gammas)}")
-
-    def __eq__(self, other):
-        if not isinstance(other, GammaVector):
-            return NotImplemented
-        return self.gammas == other.gammas and self.d == other.d
-
-    def __hash__(self):
-        return hash((self.gammas, self.d))
-
-    def __str__(self):
-        return ",".join(str(g) for g in self.gammas)
-
-    def __repr__(self):
-        return f"GammaVector(gammas={self.gammas!r}, d={self.d!r})"
 
 
 def _times_one_plus_x(a: list[int]) -> list[int]:
@@ -129,31 +71,40 @@ def _over_one_plus_x(a) -> list[int]:
     return list(accumulate(a, lambda q, c: c - q))
 
 
-def gamma_to_h(gamma: GammaVector) -> HPoly:
-    """Expand sum_i gamma_i x^i (1+x)^(d-2i) into plain coefficients, by
-    Horner in i on lower halves (see the module docstring)."""
+def gamma_to_h(gammas, d: int) -> tuple[int, ...]:
+    """Expand sum_i gamma_i x^i (1+x)^(d-2i) into h_0..h_d, by Horner in i
+    on lower halves (see the module docstring)."""
+    _check_ints((d,), "degree bound")
+    _check_ints(gammas, "gamma entry")
+    if d < 0:
+        raise ValueError("degree bound must be >= 0")
+    if len(gammas) != d // 2 + 1:
+        raise ValueError(f"need {d // 2 + 1} entries for d={d}, got {len(gammas)}")
     half: list[int] = []
-    for gi in gamma.gammas:
+    for gi in gammas:
         # acc is palindromic about i-1, so a[i] = a[i-2]
         half.append(half[-2] if len(half) > 1 else 0)
         half = _times_one_plus_x(_times_one_plus_x(half))
         half[-1] += gi
-    if gamma.d % 2:
+    if d % 2:
         half = _times_one_plus_x(half)
-        return HPoly(tuple(half + half[::-1]))
-    return HPoly(tuple(half + half[-2::-1]))
+        return tuple(half + half[::-1])
+    return tuple(half + half[-2::-1])
 
 
-def h_to_gamma(h: HPoly) -> GammaVector:
+def h_to_gamma(h) -> tuple[int, ...]:
     """Invert gamma_to_h by peeling; only palindromic input has an expansion.
 
     One division by 1+x when d is odd, then for i = m down to 1: read
     gamma_i off the lower half, take gamma_i x^i away and divide by (1+x)^2.
     """
-    if not h.is_palindromic():
-        raise ValueError(f"h-polynomial {list(h.coeffs)} is not palindromic")
-    c = h.coeffs
-    d = h.d
+    c = tuple(h)
+    if not c:
+        raise ValueError("an h-polynomial needs at least h_0")
+    _check_ints(c, "coefficient")
+    if c != c[::-1]:
+        raise ValueError(f"h-polynomial {list(c)} is not palindromic")
+    d = len(c) - 1
     m = d // 2
     if d % 2:
         # The quotient is palindromic about m, so its entry m+1 repeats entry
@@ -179,37 +130,4 @@ def h_to_gamma(h: HPoly) -> GammaVector:
         at_one = (at_one << 2) + gi
     if at_one << (d % 2) != sum(c):
         raise AssertionError("palindromic peel left a nonzero residual")
-    return GammaVector(tuple(gammas), d)
-
-
-def coxeter_h(family: str, n: int) -> HPoly:
-    """h-polynomial of the Coxeter complex: the Eulerian polynomial of that type."""
-    family = family.upper()
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if family == "A":
-        return HPoly(tuple(EULERIAN_A.row(n)))
-    if family == "B":
-        return HPoly(tuple(EULERIAN_B.row(n)))
-    raise ValueError(f"family must be 'A' or 'B', got {family!r}")
-
-
-def associahedron_h(family: str, n: int) -> HPoly:
-    """h-polynomial of the associahedron of the given type."""
-    family = family.upper()
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if family == "A":
-        return HPoly(tuple(ASSOC_H_A.row(n)))
-    if family == "B":
-        return HPoly(tuple(ASSOC_H_B.row(n)))
-    raise ValueError(f"family must be 'A' or 'B', got {family!r}")
-
-
-# CLI families: h-polynomial builder plus the triangle its gamma row must match.
-FAMILIES = {
-    "coxeter-a": (lambda n: coxeter_h("A", n), GAMMA_A),
-    "coxeter-b": (lambda n: coxeter_h("B", n), GAMMA_B),
-    "assoc-a": (lambda n: associahedron_h("A", n), ASSOC_GAMMA_A),
-    "assoc-b": (lambda n: associahedron_h("B", n), ASSOC_GAMMA_B),
-}
+    return tuple(gammas)

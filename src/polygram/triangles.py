@@ -168,23 +168,11 @@ class Triangle:
     # No __slots__: perfbench/tracer.py rebinds ``value`` on each instance.
 
     def __init__(self, name: str, row_fn: Callable[[int], Sequence[int]], first_n: int = 1,
-                 oeis: str | None = None, description: str = ""):
+                 oeis: str | None = None):
         self.name = name
         self.row_fn = row_fn
         self.first_n = first_n
         self.oeis = oeis
-        self.description = description
-
-    def _key(self):
-        return self.name, self.row_fn, self.first_n, self.oeis, self.description
-
-    def __eq__(self, other):
-        if not isinstance(other, Triangle):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def __repr__(self):
         return f"Triangle(name={self.name!r}, first_n={self.first_n!r}, oeis={self.oeis!r})"
@@ -209,40 +197,26 @@ def plain_triangle(name: str, row_fn: Callable[[int], Sequence[int]]) -> Triangl
     return Triangle(name, row_fn)
 
 
-GAMMA_A = Triangle(
-    "gamma-a", _gamma_a_rows,
-    oeis="A101280", description="gamma rows of the type A Coxeter complex")
-GAMMA_B = Triangle(
-    "gamma-b", _gamma_b_rows,
-    description="gamma rows of the type B Coxeter complex")
-EULERIAN_A = Triangle(
-    "eulerian-a", _eulerian_a_rows,
-    oeis="A008292", description="descent counts over permutations")
-EULERIAN_B = Triangle(
-    "eulerian-b", _eulerian_b_rows,
-    oeis="A060187", description="descent counts over signed permutations")
-ASSOC_H_A = Triangle(
-    "assoc-h-a", _narayana_h_a_row,
-    description="h rows of the type A associahedron (Narayana numbers)")
-ASSOC_H_B = Triangle(
-    "assoc-h-b", lambda n: [c * c for c in binomial_row(n)],
-    description="h rows of the type B associahedron (squared binomials)")
-ASSOC_GAMMA_A = Triangle(
-    "assoc-gamma-a", _assoc_gamma_a_row,
-    oeis="A055151", description="gamma rows of the type A associahedron (Motzkin paths by up steps)")
+GAMMA_A = Triangle("gamma-a", _gamma_a_rows, oeis="A101280")
+GAMMA_B = Triangle("gamma-b", _gamma_b_rows)
+EULERIAN_A = Triangle("eulerian-a", _eulerian_a_rows, oeis="A008292")
+EULERIAN_B = Triangle("eulerian-b", _eulerian_b_rows, oeis="A060187")
+ASSOC_H_A = Triangle("assoc-h-a", _narayana_h_a_row)
+ASSOC_H_B = Triangle("assoc-h-b", lambda n: [c * c for c in binomial_row(n)])
+ASSOC_GAMMA_A = Triangle("assoc-gamma-a", _assoc_gamma_a_row, oeis="A055151")
 ASSOC_GAMMA_A_REC = Triangle("assoc-gamma-a", _assoc_gamma_a_rows)
 ASSOC_GAMMA_B = Triangle(
     "assoc-gamma-b",
     lambda n: [binomial(2 * k, k) * c for k, c in enumerate(binomial_row(n)[::2])],
-    oeis="A089627", description="gamma rows of the type B associahedron")
+    oeis="A089627")
 ASSOC_GAMMA_B_REC = Triangle("assoc-gamma-b", _assoc_gamma_b_rows)
 MOTZKIN_T = Triangle(
     "motzkin-T",
     lambda n: [c * binomial(n - k, (n - k) // 2) for k, c in enumerate(binomial_row(n))],
-    first_n=0, oeis="A107230", description="Motzkin left factors of length n by flat steps")
+    first_n=0, oeis="A107230")
 CUBE_F = Triangle(
     "cube-f", lambda n: [c * 2 ** (n - k) for k, c in enumerate(binomial_row(n))],
-    first_n=0, oeis="A038207", description="face counts of the n-cube")
+    first_n=0, oeis="A038207")
 
 TRIANGLES: dict[str, Triangle] = {
     t.name: t

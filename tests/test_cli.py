@@ -121,6 +121,28 @@ def test_gamma_json(capsys):
                     "h": ["1", "3", "1"], "gamma": ["1", "1"]}
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_gamma_refuses_n_below_one(capsys, n):
+    code, out, err = run_cli(capsys, "gamma", "--family", "assoc-b", "--n", n)
+    assert (code, out, err) == (2, "", f"error: n must be >= 1, got {n}\n")
+
+
+# sha256 of ``gamma --family F --n 300`` for each family, as in perfbench/pins.json.
+GAMMA_300_SHA256 = {
+    "coxeter-a": "d567f576d55a08c146e3bd254ec24d518765cfcd7d5df86047fa41ce4721c6cd",
+    "coxeter-b": "e86a3854cb8cd6d6563e35bada48636bda8d28af2b0192b23680b5f22d309e63",
+    "assoc-a": "d67ee51d9eb606b8d0cd2bd84d487aa7e60701db0e60bc9373dc317cc7010c2d",
+    "assoc-b": "047e18ddc5278e68be6d98a8d94c7777bc180df994ea6e0bc5ab1f33518b5c32",
+}
+
+
+@pytest.mark.parametrize("family", sorted(GAMMA_300_SHA256))
+def test_gamma_at_n_300_is_pinned(capsys, family):
+    code, out, err = run_cli(capsys, "gamma", "--family", family, "--n", "300")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GAMMA_300_SHA256[family]
+
+
 def test_table_rows(capsys):
     code, out, _ = run_cli(capsys, "table", "--name", "gamma-b", "--rows", "4")
     assert code == 0
@@ -207,6 +229,27 @@ def test_derive_past_the_4300_digit_limit_exits_0(capsys):
     assert (star, rest) == ("*", "u\n")
     assert len(coeff) == 4342 and coeff.isdigit()
     assert int(coeff[-30:]) == pow(3, 9100, 10 ** 30)
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--name", "cube-f", "--rows"],
+    ["derive", "--grammar", "u->u", "--start", "u", "--n"],
+], ids=["table-rows", "derive-n"])
+def test_a_5000_digit_size_is_refused_by_argparse(capsys, monkeypatch, argv):
+    # main parses before it lifts the limit: a 5000-digit size must stay a
+    # usage error, not a job that never ends.  A handler that is reached
+    # returns at once, so a parse past the limit fails here without running.
+    monkeypatch.setitem(cli._HANDLERS, argv[0], lambda args: 0)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["9" * 5000])
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
 
 
 def test_rule_literal_past_the_4300_digit_limit_parses(capsys):
@@ -435,7 +478,8 @@ UNBUFFERED = pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered
 
 @UNBUFFERED
 @pytest.mark.parametrize("case", sorted(CLOSED_OUTPUT_CASES))
-@pytest.mark.parametrize("argv", ["verify --target thm42 --n-max 1", "verify --target egf"])
+@pytest.mark.parametrize("argv", ["verify --target thm42 --n-max 1", "verify --target egf",
+                                  "--help", "verify --help"])
 def test_unwritable_output_exits_2(case, unbuffered, argv):
     redirect = CLOSED_OUTPUT_CASES[case]
     done = _shell(f"{POLYGRAM} {argv} {redirect}", unbuffered)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import random_poly
-from polygram import triangles, verify
+from polygram import gamma, triangles, verify
 from polygram.poly import MultiPoly
 from polygram.quadratic import QuadraticRing
 from polygram.report import Check, Report
@@ -172,3 +172,43 @@ def test_every_identity_row_reads_its_expected_triangle(monkeypatch, target, lab
     assert failures[0].detail.startswith(f"k={k}: got ")
     assert ", want " in failures[0].detail
     assert len(report.checks) > 1 and not report.ok
+
+
+class _ReplacedRow:
+    # A triangle whose row bad_n is ``bad``; other rows unchanged.
+    def __init__(self, real, bad_n, bad):
+        self.real, self.bad_n, self.bad = real, bad_n, bad
+
+    def row(self, n):
+        return list(self.bad) if n == self.bad_n else self.real.row(n)
+
+
+def _with_h_row(monkeypatch, family, n, bad):
+    h_triangle, gamma_triangle = gamma.FAMILIES[family]
+    monkeypatch.setitem(gamma.FAMILIES, family,
+                        (_ReplacedRow(h_triangle, n, bad), gamma_triangle))
+
+
+def test_a_wrong_coxeter_family_h_row_fails_its_expansion_and_its_roundtrip(monkeypatch):
+    _with_h_row(monkeypatch, "coxeter-a", 4, [1, 12, 12, 1])
+    report = run_target("thm21", 6)
+    assert len(report.checks) == 18
+    assert [line for line in report.lines() if "FAIL" in line] == [
+        "thm21: coxeter-h n=4: FAIL (gamma row 1,8 does not expand to 1,12,12,1)",
+        "thm21: gamma-roundtrip n=4: FAIL (extracted 1,9, expected 1,8)",
+        "thm21: FAIL",
+    ]
+
+
+@pytest.mark.parametrize("bad", [[1, 16, 37, 16, 1], [1, 16, 36, 16]],
+                         ids=["wrong-entry", "wrong-length"])
+def test_a_wrong_assoc_family_h_row_fails_only_its_expansion(monkeypatch, bad):
+    # d comes from n, so a row of the wrong length is a failed check, not a refusal.
+    _with_h_row(monkeypatch, "assoc-b", 4, bad)
+    report = run_target("thm22", 6)
+    assert len(report.checks) == 18
+    shown = ",".join(map(str, bad))
+    assert [line for line in report.lines() if "FAIL" in line] == [
+        f"thm22: assoc-h n=4: FAIL (gamma row 1,12,6 does not expand to {shown})",
+        "thm22: FAIL",
+    ]
