@@ -174,21 +174,9 @@ class MultiPoly(_Ring):
         """Total degree, -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
 
-    def coefficient(self, powers: Mapping[str, int]) -> int:
-        exps = [0] * len(self.letters)
-        for name, e in powers.items():
-            exps[self._index(name)] = e
-        return self.terms.get(tuple(exps), 0)
-
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms in canonical order: by total degree, then exponent tuple."""
         return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]))
-
-    def _index(self, name: str) -> int:
-        try:
-            return self.letters.index(name)
-        except ValueError:
-            raise ValueError(f"unknown letter {name!r} for alphabet {self.letters}") from None
 
     # ------------------------------------------------------------------
     # ring operations

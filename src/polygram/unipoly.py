@@ -8,10 +8,15 @@ through ``_trimmed``, which drops trailing zeros.
 
 Every dense sum of products in the package, here, in ``quadratic`` and in
 ``classical``'s series products and inverse, goes through one kernel,
-``_mac``: it adds w*a*b*x^shift into a plain int list, one slice update per
-nonzero coefficient of the shorter operand, so a sum is trimmed once at the
-end and builds no ``UniPoly`` per product.  A product whose shorter operand
-has one nonzero coefficient c*x^e is a shift, ``[0]*e + [a*c for a in longer]``.
+``_mac``: it adds w*a(x^step)*b(x^step)*x^shift into a plain int list, one
+slice update of stride ``step`` per nonzero coefficient of the shorter
+operand, so a sum is trimmed once at the end and builds no ``UniPoly`` per
+product.  A product whose shorter operand has one nonzero coefficient c*x^e
+is a shift, ``[0]*e + [a*c for a in longer]``.  A product of two operands
+that each have a parity (even: no odd-index coefficient; odd: no even-index
+one) multiplies their nonzero slots only: ``long[p::2]`` and ``short[q::2]``
+at step 2 from slot p + q.  The parity is read from the data in ``*``, not
+in ``_mac``, whose many small series products would all pay for the test.
 
 Subtraction and ``**`` come from ``poly._Ring``, the operator base shared by
 ``MultiPoly`` and ``UniPoly``; the text form comes from ``poly._render``,
@@ -29,8 +34,8 @@ from .poly import AlphabetMismatch, _render, _Ring, check_letters
 __all__ = ["UniPoly"]
 
 
-def _mac(out: list[int], a, b, w: int = 1, shift: int = 0) -> None:
-    """Add w * a * b * x^shift into the coefficient list ``out``, in place.
+def _mac(out: list[int], a, b, w: int = 1, shift: int = 0, step: int = 1) -> None:
+    """Add w * a(x^step) * b(x^step) * x^shift into the coefficient list ``out``.
 
     ``a`` and ``b`` are coefficient sequences; ``out`` grows with zeros to
     cover the product and must alias neither of them.  An empty operand or
@@ -40,14 +45,27 @@ def _mac(out: list[int], a, b, w: int = 1, shift: int = 0) -> None:
         a, b = b, a
     if not b or not w:
         return
-    n = len(a)
-    need = shift + n + len(b) - 1
+    span = (len(a) - 1) * step + 1
+    need = shift + span + (len(b) - 1) * step
     if len(out) < need:
         out.extend([0] * (need - len(out)))
-    for j, y in enumerate(b, shift):
+    j = shift
+    for y in b:
         if y:
             y *= w
-            out[j:j + n] = map(add, out[j:j + n], [x * y for x in a])
+            out[j:j + span:step] = map(add, out[j:j + span:step], [x * y for x in a])
+        j += step
+
+
+def _parity(c) -> int | None:
+    # 0 when c has no odd-index coefficient, 1 when it has no even-index one,
+    # None otherwise; a list of two or fewer is never deflated.
+    if len(c) > 2:
+        if not any(c[1::2]):
+            return 0
+        if not any(c[::2]):
+            return 1
+    return None
 
 
 def _trimmed(var: str, coeffs: list[int]) -> "UniPoly":
@@ -100,9 +118,6 @@ class UniPoly(_Ring):
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
     # ------------------------------------------------------------------
 
     def _coerced(self, other):
@@ -145,7 +160,12 @@ class UniPoly(_Ring):
             c = short[-1]
             return _trimmed(self.var, [0] * (len(short) - 1) + [v * c for v in long])
         out: list[int] = []
-        _mac(out, long, short)
+        q = _parity(short)
+        p = None if q is None else _parity(long)
+        if p is None:
+            _mac(out, long, short)
+        else:
+            _mac(out, long[p::2], short[q::2], shift=p + q, step=2)
         return _trimmed(self.var, out)
 
     __rmul__ = __mul__

@@ -438,6 +438,27 @@ def test_verify_egf_at_the_stress_bound_is_pinned():
     assert hashlib.sha256(done.stdout).hexdigest() == VERIFY_EGF_120_SHA256
 
 
+# sha256 of the stdout of commands that run the parity-deflated products and
+# the even-modulus rings (x^2 - 1, 1 + h^2 and -1) past the default bounds.
+RING_PATH_SHA256 = {
+    "verify --target thm42 --n-max 40":
+        "0c709bcde6dd158d8e37488e48f0cae903df6eafd947ce8ec64ee0bad09ab716",
+    "verify --target cor33 --n-max 30":
+        "2db82c4baaf5cf4ecce916f55f4117065531f8d6fbf55395531d766bbf49bba3",
+    "verify --target prop12 --n-max 40":
+        "8a78e8fb15f11778527971883da3026f9f50bf6be23170ea7a4d4203973755bd",
+    "classical --which P --n 120":
+        "81fefbaadef002fd484f1eb68e5c40cb2cf44261798812e2c14658cae9ee888c",
+}
+
+
+@pytest.mark.parametrize("command", sorted(RING_PATH_SHA256))
+def test_ring_path_output_is_pinned(capsys, command):
+    code, out, err = run_cli(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == RING_PATH_SHA256[command]
+
+
 # Output that cannot be written: each case is run with stdout buffered (the
 # interpreter default) and unbuffered, and must exit 2, never 1 (a failed
 # check) or 120 (the interpreter's own flush failing at exit).  {pipe} is the

@@ -104,11 +104,21 @@ def test_of_lifts_ints_and_still_refuses_bools():
 
 @pytest.mark.parametrize("max_e", [1, 9])
 @pytest.mark.parametrize("var, modulus", [("h", (1, 0, 1)), ("h", (-1,)), ("x", (-1, 4)),
-                                          ("x", (-1, 0, 1))])
+                                          ("x", (-1, 0, 1)), ("x", (2, 0, -1, 0, 3)),
+                                          ("x", (0, 0, -2)), ("x", (1, 0, 0, 1))])
 def test_collect_matches_a_term_by_term_sum(var, modulus, max_e):
-    # max_e = 1 never reduces by s^2 = q; max_e = 9 reaches q^4.
+    # max_e = 1 never reduces by s^2 = q; max_e = 9 reaches q^4.  Every
+    # modulus but 4x - 1 and 1 + x^3 is even, so collect adds at stride 2.
     rng = random.Random(f"collect-{var}-{modulus}-{max_e}")
     ring = QuadraticRing(UniPoly(var, modulus))
+    power = [1]  # q^j by a double loop over plain lists
+    for j in range(max_e + 1):
+        assert ring.modulus_power(j).coeffs == tuple(power)
+        following = [0] * (len(power) + len(modulus) - 1)
+        for i, a in enumerate(power):
+            for k, c in enumerate(modulus):
+                following[i + k] += a * c
+        power = following
     for trial in range(60):
         terms = [(rng.randint(0, max_e), rng.randint(0, 4), rng.randint(-3, 3))
                  for _ in range(trial % 7)]  # trial 0 is the empty input

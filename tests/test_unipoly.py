@@ -131,14 +131,14 @@ def test_product_shares_no_coefficient_tuple_with_an_operand():
             assert got.coeffs is not p.coeffs
 
 
-def _mac_reference(out, a, b, w, shift):
+def _mac_reference(out, a, b, w, shift, step=1):
     # The double loop _mac replaced, on a copy; out grows only when a term is added.
     out = list(out)
     if a and b and w:
-        out += [0] * (shift + len(a) + len(b) - 1 - len(out))
+        out += [0] * (shift + step * (len(a) + len(b) - 2) + 1 - len(out))
         for i, x in enumerate(a):
             for j, y in enumerate(b):
-                out[shift + i + j] += w * x * y
+                out[shift + step * (i + j)] += w * x * y
     return out
 
 
@@ -159,13 +159,47 @@ def test_mac_matches_a_double_loop(w):
         a = tuple(_random_coeff(rng) for _ in range(rng.randint(0, 7)))
         b = tuple(_random_coeff(rng) for _ in range(rng.randint(0, 7)))
         cases.append((a, b, rng.randint(0, 5)))
-    for a, b, shift in cases:
-        span = shift + len(a) + len(b) - 1 if a and b else 0
-        # out shorter than, as long as and longer than the product
-        for out_len in (max(span - 2, 0), span, span + 3):
-            out = [_random_coeff(rng) for _ in range(out_len)]
-            want = _mac_reference(out, a, b, w, shift)
-            a_list, b_list = list(a), list(b)
-            _mac(out, a_list, b_list, w, shift)
-            assert out == want
-            assert (a_list, b_list) == (list(a), list(b))
+    for step in (1, 2, 3):
+        for a, b, shift in cases:
+            span = shift + step * (len(a) + len(b) - 2) + 1 if a and b else 0
+            # out shorter than, as long as and longer than the product
+            for out_len in (max(span - 2, 0), span, span + 3):
+                out = [_random_coeff(rng) for _ in range(out_len)]
+                want = _mac_reference(out, a, b, w, shift, step)
+                a_list, b_list = list(a), list(b)
+                _mac(out, a_list, b_list, w, shift, step)
+                assert out == want, (a, b, shift, step)
+                assert (a_list, b_list) == (list(a), list(b))
+
+
+def _random_with_parity(rng, kind):
+    # A random polynomial that is even, odd, mixed (both parities nonzero) or one-term.
+    n = rng.randint(1, 12)
+    coeffs = [_random_coeff(rng) or rng.choice((-1, 1)) for _ in range(n)]
+    if kind == "one-term":
+        coeffs = [0] * (n - 1) + coeffs[-1:]
+    elif kind != "mixed":
+        keep = 0 if kind == "even" else 1
+        coeffs = [c if i % 2 == keep else 0 for i, c in enumerate(coeffs)]
+        if not any(coeffs):
+            coeffs = [0] * keep + [5]
+    return UniPoly("x", coeffs)
+
+
+def test_products_of_every_parity_match_the_double_loop():
+    # Two operands that each have a parity multiply their nonzero slots only;
+    # the result must be the plain product, with no tuple shared.
+    rng = random.Random("parity-products")
+    kinds = ("even", "odd", "mixed", "one-term")
+    for _ in range(60):
+        for k1 in kinds:
+            for k2 in kinds:
+                p, q = _random_with_parity(rng, k1), _random_with_parity(rng, k2)
+                want = _naive_product(p, q)
+                for got in (p * q, q * p):
+                    assert got == want, (p, q)
+                    _assert_normal(got)
+                    assert got.coeffs is not p.coeffs and got.coeffs is not q.coeffs
+    # x^2 - 1 squared: both even, deflated to (-1, 1) * (-1, 1) at step 2
+    square = UniPoly("x", (-1, 0, 1)) * UniPoly("x", (-1, 0, 1))
+    assert square.coeffs == (1, 0, -2, 0, 1)

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import random_poly
 from polygram import gamma, triangles, verify
+from polygram.cli import main
 from polygram.poly import MultiPoly
 from polygram.quadratic import QuadraticRing
 from polygram.report import Check, Report
@@ -198,6 +199,24 @@ def test_a_wrong_coxeter_family_h_row_fails_its_expansion_and_its_roundtrip(monk
         "thm21: gamma-roundtrip n=4: FAIL (extracted 1,9, expected 1,8)",
         "thm21: FAIL",
     ]
+
+
+def test_a_coxeter_h_row_that_h_to_gamma_refuses_fails_its_roundtrip(monkeypatch, capsys):
+    # A non-palindromic built-in row is a fault in the table, not bad input:
+    # the round trip records the refusal as a FAIL and the sweep goes on.
+    _with_h_row(monkeypatch, "coxeter-a", 4, [1, 11, 11])
+    report = run_target("thm21", 6)
+    assert len(report.checks) == 18
+    assert [line for line in report.lines() if "FAIL" in line] == [
+        "thm21: coxeter-h n=4: FAIL (gamma row 1,8 does not expand to 1,11,11)",
+        "thm21: gamma-roundtrip n=4: FAIL (h-polynomial [1, 11, 11] is not palindromic)",
+        "thm21: FAIL",
+    ]
+    assert main(["verify", "--target", "thm21", "--n-max", "6"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert [line for line in out.splitlines() if "FAIL" in line] == [
+        line for line in report.lines() if "FAIL" in line]
 
 
 @pytest.mark.parametrize("bad", [[1, 16, 37, 16, 1], [1, 16, 36, 16]],
