@@ -6,12 +6,12 @@ survives.  Its only arithmetic is the product with an int or a ``UniPoly``
 scalar.  A sum of terms c * s^e * x^b enters the ring through one
 reduction, ``QuadraticRing.collect``.
 
-An even modulus (no odd-index coefficient, as 1 + h^2, x^2 - 1 or -1) is
-held as r with q(x) = r(x^2), so its powers have half the slots: the ring
-steps and caches r^j as int lists, ``collect`` adds c * r^j at stride 2
-from slot b, and ``modulus_power`` and ``root_power`` inflate r^j to q^j
-when asked.  Any other modulus (thm31's 4x - 1) runs the same code at
-stride 1, with r = q.
+The ring caches each power q^j next to its nonzero slots r^j, with
+q^j(x) = r^j(x^step).  An even modulus (no odd-index coefficient, as
+1 + h^2, x^2 - 1 or -1) has step 2, so ``collect`` adds c * r^j at stride 2
+from slot b and touches half the slots; any other modulus (thm31's 4x - 1)
+has step 1, and r^j is q^j's own tuple.  ``modulus_power`` and
+``root_power`` return the cached q^j.
 """
 
 from __future__ import annotations
@@ -68,11 +68,9 @@ class QuadraticRing:
             raise ValueError("modulus must be nonzero")
         self.modulus = modulus
         self.var = modulus.var
-        q = modulus.coeffs
-        # q(x) = r(x^step): stride 2 for an even modulus, 1 for any other.
-        self._step = 1 if any(q[1::2]) else 2
-        self._r = list(q[::self._step])
-        self._r_powers = [[1]]
+        # q^j(x) = r^j(x^step): stride 2 for an even modulus, 1 for any other.
+        self._step = 1 if any(modulus.coeffs[1::2]) else 2
+        self._powers = [(UniPoly._raw(self.var, (1,)), (1,))]
 
     def _lift(self, c):
         # Exact ints take the trusted path; a bool still meets the checks.
@@ -83,23 +81,19 @@ class QuadraticRing:
     def of(self, a, b=0) -> ExtPoly:
         return ExtPoly(self._lift(a), self._lift(b), self.modulus)
 
-    def _r_power(self, j: int) -> list[int]:
-        """r^j, read from a list in which each power is one product from the last."""
+    def _power(self, j: int) -> tuple[UniPoly, tuple[int, ...]]:
+        """(q^j, r^j), read from a list in which each q^j is one product from the last."""
         if j < 0:
             raise ValueError(f"power must be >= 0, got {j}")
-        powers = self._r_powers
+        powers = self._powers
         while len(powers) <= j:
-            power: list[int] = []
-            _mac(power, powers[-1], self._r)
-            powers.append(power)
+            q_j = powers[-1][0] * self.modulus
+            powers.append((q_j, q_j.coeffs[::self._step]))
         return powers[j]
 
     def modulus_power(self, j: int) -> UniPoly:
-        """q^j: r^j inflated to stride ``step``."""
-        r_j = self._r_power(j)
-        coeffs = [0] * ((len(r_j) - 1) * self._step + 1)
-        coeffs[::self._step] = r_j
-        return UniPoly._raw(self.var, tuple(coeffs))
+        """q^j."""
+        return self._power(j)[0]
 
     def root_power(self, k: int) -> ExtPoly:
         """s^k reduced: q^(k//2), times s when k is odd."""
@@ -116,7 +110,7 @@ class QuadraticRing:
         Each term adds c * r^(e//2) at stride ``step`` from slot b, through
         ``_mac``, into the int list of its s-parity component; c = 0 is
         skipped and both components are trimmed once at the end.  A negative
-        power of x is refused, as one of s is by ``_r_power``.
+        power of x is refused, as one of s is by ``_power``.
         """
         parts: tuple[list[int], list[int]] = ([], [])
         step = self._step
@@ -124,5 +118,5 @@ class QuadraticRing:
             if b < 0:
                 raise ValueError(f"x power must be >= 0, got term (e={e}, b={b}, c={c})")
             if c:
-                _mac(parts[e % 2], self._r_power(e // 2), (c,), shift=b, step=step)
+                _mac(parts[e % 2], self._power(e // 2)[1], (c,), shift=b, step=step)
         return self.of(_trimmed(self.var, parts[0]), _trimmed(self.var, parts[1]))

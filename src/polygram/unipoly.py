@@ -59,12 +59,11 @@ def _mac(out: list[int], a, b, w: int = 1, shift: int = 0, step: int = 1) -> Non
 
 def _parity(c) -> int | None:
     # 0 when c has no odd-index coefficient, 1 when it has no even-index one,
-    # None otherwise; a list of two or fewer is never deflated.
-    if len(c) > 2:
-        if not any(c[1::2]):
-            return 0
-        if not any(c[::2]):
-            return 1
+    # None otherwise.
+    if not any(c[1::2]):
+        return 0
+    if not any(c[::2]):
+        return 1
     return None
 
 

@@ -114,6 +114,7 @@ def test_collect_matches_a_term_by_term_sum(var, modulus, max_e):
     power = [1]  # q^j by a double loop over plain lists
     for j in range(max_e + 1):
         assert ring.modulus_power(j).coeffs == tuple(power)
+        assert ring.modulus_power(j) is ring.modulus_power(j)  # cached, not rebuilt
         following = [0] * (len(power) + len(modulus) - 1)
         for i, a in enumerate(power):
             for k, c in enumerate(modulus):
