@@ -15,7 +15,17 @@ bump), where w is the weight letter (nothing for plain D) and the bump is 1
 only for x = w under preD, whose D(w*m) sees the exponent of w one higher
 (so its delta is t alone).  One step applies every move to every term:
 e = field + bump; if e: out[key + delta] += c * (e * rc), then drops the
-zero coefficients.
+zero coefficients; a grammar with no moves (every rule zero) steps to {}.
+
+The step runs in two loop orders that build equal dicts.  ``_step`` takes
+the moves on the outside: the first move fills out with one comprehension,
+as key -> key + delta is one-to-one, and the other moves add into it.
+``_ordered_step`` takes the terms on the outside, so an iterate lists its
+terms in the order of the first (term, move) pair that reaches each.  Only
+the order differs, and only a failure reads it: the reader names the first
+stray term in dict order.  So every iterate handed out, and every iterate a
+failing check reads, comes from ``_ordered_step``; verify_identity decides
+its passing checks on ``_step``'s iterates, which it compares as dicts.
 
 W is derived, never set.  No exponent of op^n(start), n <= n_max, exceeds
 B = deg(start) + n_max * max(0, (max rule degree) - 1 + [weighted]), so
@@ -36,7 +46,7 @@ MultiPoly or to name a stray term.
 from __future__ import annotations
 
 from collections import deque, namedtuple
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 from math import inf
 from typing import Callable, Iterator, Mapping
 
@@ -170,7 +180,7 @@ def _unpacked(letters: tuple[str, ...], terms: dict[int, int], width: int) -> Mu
                                     for key, c in terms.items()})
 
 
-def _step(terms: dict[int, int], moves, mask: int) -> dict[int, int]:
+def _ordered_step(terms: dict[int, int], moves, mask: int) -> dict[int, int]:
     out: dict[int, int] = {}
     get = out.get
     for key, c in terms.items():
@@ -182,8 +192,26 @@ def _step(terms: dict[int, int], moves, mask: int) -> dict[int, int]:
     return {key: c for key, c in out.items() if c}
 
 
-def _packed_iterates(grammar: Grammar, op: DerivOp, start: MultiPoly, n_max: int):
-    """(W, iterator over packed op^n(start) for n = 0..n_max)."""
+def _step(terms: dict[int, int], moves, mask: int) -> dict[int, int]:
+    if not moves:
+        return {}
+    # key -> key + delta is one-to-one, so the first move fills out directly.
+    (shift, delta, rc, bump), *rest = moves
+    out = {key + delta: c * (e * rc) for key, c in terms.items()
+           if (e := (key >> shift & mask) + bump)}
+    get = out.get
+    for shift, delta, rc, bump in rest:
+        for key, c in terms.items():
+            e = (key >> shift & mask) + bump
+            if e:
+                k = key + delta
+                out[k] = get(k, 0) + c * (e * rc)
+    return {key: c for key, c in out.items() if c}
+
+
+def _packed_iterates(grammar: Grammar, op: DerivOp, start: MultiPoly, n_max: int,
+                     step=_ordered_step):
+    """(W, iterator over packed op^n(start) for n = 0..n_max), each built by ``step``."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     start = start.with_letters(grammar.letters)
@@ -191,7 +219,7 @@ def _packed_iterates(grammar: Grammar, op: DerivOp, start: MultiPoly, n_max: int
     mask = (1 << width) - 1
     terms = {_pack(exps, width): c for exps, c in start.terms.items()}
     return width, accumulate(repeat(moves, n_max),
-                             lambda t, ms: _step(t, ms, mask), initial=terms)
+                             lambda t, ms: step(t, ms, mask), initial=terms)
 
 
 def operator_iterates(grammar: Grammar, op: DerivOp, start: MultiPoly,
@@ -310,12 +338,17 @@ def verify_identity(grammar: Grammar, op: DerivOp, start: MultiPoly, n_max: int,
     the check passes.  Otherwise the reader reads the iterate, both rows are
     zero-padded to one length and the first differing k, or the stray term,
     is reported, so every failure is the reader's.  A normalization that is
-    a positive power of two scales by a shift.
+    a positive power of two scales by a shift.  The sweep steps with
+    ``_step`` until its first failure and with ``_ordered_step`` from there
+    on, so a stray term is named as ``expansion_coefficients`` would name it
+    on ``operator_iterates``.
     """
-    width, iterates = _packed_iterates(grammar, op, start, n_max)
+    width, iterates = _packed_iterates(grammar, op, start, n_max, _step)
     next(iterates)  # op^0(start) is not checked
+    ordered = False
     report = Report(label)
-    for n, terms in enumerate(iterates, start=1):
+    for n in range(1, n_max + 1):
+        terms = next(iterates)
         pattern = pattern_for(n)
         lo, hi = _family_range(grammar.letters, width, pattern)
         norm = normalization(n)
@@ -329,6 +362,10 @@ def verify_identity(grammar: Grammar, op: DerivOp, start: MultiPoly, n_max: int,
             if terms == {base + k * step: c for k, c in enumerate(want) if c}:
                 report.add(Check(label, n, True, ""))
                 continue
+        if not ordered:
+            # From the first failure on, read the iterates in term order.
+            _, iterates = _packed_iterates(grammar, op, start, n_max)
+            terms, ordered = next(islice(iterates, n, None)), True
         try:
             got = _read_off(grammar.letters, terms, width, pattern)
         except PatternMismatch as exc:

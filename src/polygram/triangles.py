@@ -18,6 +18,8 @@ two), and ``table`` writes every format row by row as it builds it.
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from operator import add, floordiv, mod, mul
 from typing import Callable, Iterator, Sequence
 
 __all__ = [
@@ -26,7 +28,6 @@ __all__ = [
     "OEIS_ALIASES",
     "binomial",
     "binomial_row",
-    "catalan",
     "factorial",
     "plain_triangle",
     "lookup_triangle",
@@ -43,10 +44,6 @@ def binomial(n: int, k: int) -> int:
 
 def factorial(n: int) -> int:
     return math.factorial(n)
-
-
-def catalan(k: int) -> int:
-    return binomial(2 * k, k) // (k + 1)
 
 
 # Per recurrence, the index and rows of the furthest point reached, so that
@@ -81,26 +78,32 @@ def _recurrence_row(key, n: int, first: list, step, first_n: int = 0):
 
 
 def _triangle_rows(name: str, first_row: tuple[int, ...], row_len: Callable[[int], int],
-                   keep: Callable[[int, int], int], shift: Callable[[int, int], int],
+                   keep: Callable[[int], tuple[int, int]],
+                   shift: Callable[[int], tuple[int, int]],
                    lead: Callable[[int], int] | None = None):
     """Row function, from n = 1, for t(n,k) = keep(n,k) t(n-1,k) + shift(n,k) t(n-1,k-1).
 
-    With lead given, the combination is divided by lead(n); these triangles
-    are integral, so a non-exact division means the recurrence was mistyped.
+    ``keep(n)`` and ``shift(n)`` give their coefficient as an affine pair
+    (a, b), meaning a + b*k with b nonzero, so each step multiplies the last
+    row by two ranges in C.  With lead given, the combination is divided by
+    lead(n); these triangles are integral, so a non-exact division means the
+    recurrence was mistyped, and it raises naming n and the first bad k.
     """
 
     def step(n: int, rows: list) -> tuple[int, ...]:
-        # t(n-1, k) is padded[k + 1] and t(n-1, k-1) is padded[k], zero off the row.
-        padded = (0, *rows[-1], 0)
-        row = [keep(n, k) * padded[k + 1] + shift(n, k) * padded[k]
-               for k in range(row_len(n))]
+        # t(n-1, k) and t(n-1, k-1), zero off the row; the ranges stop the maps at k = m - 1.
+        last, m = rows[-1], row_len(n)
+        a, b = keep(n)
+        c, d = shift(n)
+        row = tuple(map(add, map(mul, range(a, a + b * m, b), (*last, 0)),
+                        map(mul, range(c, c + d * m, d), (0, *last))))
         if lead is None:
-            return tuple(row)
+            return row
         div = lead(n)
-        for k, val in enumerate(row):
-            if val % div:
-                raise ArithmeticError(f"non-exact division at n={n}, k={k}")
-        return tuple([val // div for val in row])
+        if any(map(mod, row, repeat(div))):
+            k = next(k for k, r in enumerate(map(mod, row, repeat(div))) if r)
+            raise ArithmeticError(f"non-exact division at n={n}, k={k}")
+        return tuple(map(floordiv, row, repeat(div)))
 
     first = [first_row]
     return lambda n: _recurrence_row(name, n, first, step, first_n=1)
@@ -108,28 +111,28 @@ def _triangle_rows(name: str, first_row: tuple[int, ...], row_len: Callable[[int
 
 _gamma_a_rows = _triangle_rows(
     "gamma-a", (1,), lambda n: (n - 1) // 2 + 1,
-    lambda n, k: k + 1, lambda n, k: 2 * n - 4 * k)
+    lambda n: (1, 1), lambda n: (2 * n, -4))
 
 _gamma_b_rows = _triangle_rows(
     "gamma-b", (1,), lambda n: n // 2 + 1,
-    lambda n, k: 2 * k + 1, lambda n, k: 4 * (n + 1 - 2 * k))
+    lambda n: (1, 2), lambda n: (4 * (n + 1), -8))
 
 _eulerian_a_rows = _triangle_rows(
     "eulerian-a", (1,), lambda n: n,
-    lambda n, k: k + 1, lambda n, k: n - k)
+    lambda n: (1, 1), lambda n: (n, -1))
 
 _eulerian_b_rows = _triangle_rows(
     "eulerian-b", (1, 1), lambda n: n + 1,
-    lambda n, k: 2 * k + 1, lambda n, k: 2 * (n - k) + 1)
+    lambda n: (1, 2), lambda n: (2 * n + 1, -2))
 
 _assoc_gamma_a_rows = _triangle_rows(
     "assoc-gamma-a", (1,), lambda n: (n - 1) // 2 + 1,
-    lambda n, k: n + 2 * k + 1, lambda n, k: 4 * (n - 2 * k),
+    lambda n: (n + 1, 2), lambda n: (4 * n, -8),
     lead=lambda n: n + 1)
 
 _assoc_gamma_b_rows = _triangle_rows(
     "assoc-gamma-b", (1,), lambda n: n // 2 + 1,
-    lambda n, k: n + 2 * k, lambda n, k: 4 * (n - 2 * k + 1),
+    lambda n: (n, 2), lambda n: (4 * (n + 1), -8),
     lead=lambda n: n)
 
 

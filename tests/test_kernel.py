@@ -13,11 +13,12 @@ from math import factorial
 import pytest
 
 from polygram import grammar as grammar_module
+from polygram.cli import main
 from polygram.grammar import (DerivOp, Grammar, PatternMismatch, PowerPattern,
                               _packed_iterates, expansion_coefficients, iterate_operator,
                               operator_iterates, verify_identity)
 from polygram.poly import AlphabetMismatch, MultiPoly
-from polygram.triangles import (ASSOC_GAMMA_A, EULERIAN_A, GAMMA_A, MOTZKIN_T,
+from polygram.triangles import (ASSOC_GAMMA_A, EULERIAN_A, GAMMA_A, GAMMA_B, MOTZKIN_T,
                                 plain_triangle)
 
 ALPHABETS = ("u", "u v", "t u v", "s t u v")
@@ -88,6 +89,11 @@ def assert_kernel_matches(grammar, start, n_max):
         got = list(operator_iterates(grammar, op, start, n_max))
         assert got == want, (str(grammar), str(op), str(start))
         assert all(0 not in p.terms.values() for p in got)
+        # The moves-outer step, which verify_identity decides on, builds the same dicts.
+        width, fast = _packed_iterates(grammar, op, start, n_max, grammar_module._step)
+        fast = [grammar_module._unpacked(grammar.letters, t, width) for t in fast]
+        assert fast == want, (str(grammar), str(op), str(start))
+        assert all(0 not in p.terms.values() for p in fast)
         assert iterate_operator(grammar, op, start, n_max) == want[-1]
         assert iterate_operator(grammar, op, want[0], 1) == want[1]
 
@@ -124,6 +130,29 @@ def test_zero_start_stays_zero():
     for op in every_op(grammar.letters):
         assert [p.terms for p in operator_iterates(grammar, op, zero, 4)] == [{}] * 5
     assert_kernel_matches(grammar, MultiPoly.const(("u", "v"), 7), 3)
+
+
+def test_a_grammar_with_no_moves_steps_to_zero(capsys):
+    # Every rule zero compiles to no moves: one step maps anything to zero.
+    u = MultiPoly.variable(("u",), "u")
+    grammar = Grammar(("u",), {"u": MultiPoly(("u",))})
+    assert [p.terms for p in operator_iterates(grammar, DerivOp("D"), 3 * u * u, 2)] == \
+        [{(2,): 3}, {}, {}]
+    assert_kernel_matches(grammar, u, 3)
+    u, v = MultiPoly.variables("u v")
+    zero = MultiPoly(("u", "v"))
+    assert_kernel_matches(Grammar(("u", "v"), {"u": zero, "v": zero}), u * v, 3)
+    assert main(["derive", "--grammar", "u -> 0", "--start", "u", "--n", "2"]) == 0
+    assert capsys.readouterr().out == "0\n"
+
+
+def test_a_first_move_that_acts_only_through_its_bump():
+    # Under preD:u the first move is u's, bumped by one; the start has no u,
+    # so that move sees a zero field and contributes only through the bump.
+    u, v = MultiPoly.variables("u v")
+    grammar = Grammar(("u", "v"), {"u": u * v - 2, "v": u + 3 * v * v})
+    for start in (v, 5 * v**3 - v, MultiPoly.const(("u", "v"), 2)):
+        assert_kernel_matches(grammar, start, 4)
 
 
 def test_cancelling_coefficients_drop_out():
@@ -456,6 +485,25 @@ def test_the_packed_comparison_gives_the_reader_verdict_on_every_mutation(monkey
                                         lambda n: mutate(row(n)), scale(norm), pattern_for)
             verdicts.update(ok for _, ok, _ in checks)
     assert verdicts == ({False} if name == "stray-rule" else {True, False})
+
+
+def test_a_stray_term_is_named_in_term_order():
+    # The texts are pinned: a failing check names the first stray term in
+    # the order of the term-order step, whichever step decided the sweep.
+    # From g + f^2 every check fails, and the moves-outer step would name
+    # 2*f^2*g first at n = 1; from f the first check passes.
+    f, g = MultiPoly.variables("f g")
+    stray = Grammar(("f", "g"), {"f": f * g, "g": 4 * f * f + f * g})
+    from_g = verify_identity(stray, DerivOp("D"), g + f * f, 5, GAMMA_A, lambda n: 2 ** (n + 1),
+                             lambda n: PowerPattern(("f", "g"), (2, n - 1), (2, -2)), "g")
+    from_f = verify_identity(stray, DerivOp("D"), f, 5, GAMMA_B, lambda n: 1,
+                             lambda n: PowerPattern(("f", "g"), (1, n), (2, -2)), "f")
+    named = [[c.detail.removesuffix(" does not fit the expected monomial family")
+              for c in report.checks] for report in (from_g, from_f)]
+    assert named == [["term f*g", "term f*g^2", "term 29*f^3*g", "term 139*f^3*g^2",
+                      "term 562*f^3*g^3"],
+                     ["", "term f^2*g", "term 4*f^2*g^2", "term 11*f^2*g^3",
+                      "term 26*f^2*g^4"]]
 
 
 def test_the_packed_comparison_refuses_carries_and_extra_k_on_a_fixed_family(monkeypatch):

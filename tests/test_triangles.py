@@ -78,7 +78,7 @@ def test_row_sums():
     for n in range(1, 11):
         assert sum(tri.EULERIAN_A.row(n)) == tri.factorial(n)
         assert sum(tri.EULERIAN_B.row(n)) == 2 ** n * tri.factorial(n)
-        assert sum(tri.ASSOC_H_A.row(n)) == tri.catalan(n)
+        assert sum(tri.ASSOC_H_A.row(n)) == math.comb(2 * n, n) // (n + 1)
         assert sum(tri.ASSOC_H_B.row(n)) == tri.binomial(2 * n, n)
 
 
@@ -148,7 +148,8 @@ def test_json_text_is_the_compact_dump_built_row_by_row(monkeypatch):
 
 def test_assoc_gamma_a_rows_are_the_catalan_binomial_products():
     for n in range(1, 300):
-        assert tri.ASSOC_GAMMA_A.row(n) == [tri.catalan(k) * tri.binomial(n - 1, 2 * k)
+        assert tri.ASSOC_GAMMA_A.row(n) == [math.comb(2 * k, k) // (k + 1)
+                                            * tri.binomial(n - 1, 2 * k)
                                             for k in range((n - 1) // 2 + 1)], n
 
 
@@ -211,7 +212,7 @@ def _naive_rows(first, row_len, keep, shift, lead, n_max):
 def test_recurrence_rows_match_a_per_k_reference(name):
     triangle, *recurrence = RECURRENCES[name]
     row_len = recurrence[1]
-    for n, want in enumerate(_naive_rows(*recurrence, 60), start=1):
+    for n, want in enumerate(_naive_rows(*recurrence, 150), start=1):
         assert len(want) == row_len(n)
         assert [triangle.value(n, k) for k in range(-1, len(want) + 1)] == [0, *want, 0]
 
@@ -227,9 +228,14 @@ def test_recurrence_rows_refuse_a_non_int_n(n):
 def test_wrong_lead_raises_naming_n_and_k():
     # Eulerian numbers divided by n + 1: row 2 is (1, 1) before the division.
     rows = tri._triangle_rows("eulerian-a-wrong-lead", (1,), lambda n: n,
-                              lambda n, k: k + 1, lambda n, k: n - k, lead=lambda n: n + 1)
+                              lambda n: (1, 1), lambda n: (n, -1), lead=lambda n: n + 1)
     assert rows(1) == (1,)
     with pytest.raises(ArithmeticError, match=r"n=2, k=0"):
+        rows(2)
+    # Row 2 of this one is (2, 5, 0) before the division by 2: k = 0 divides.
+    rows = tri._triangle_rows("first-bad-k-is-one", (2, 1), lambda n: n + 1,
+                              lambda n: (1, 2), lambda n: (n, -1), lead=lambda n: 2)
+    with pytest.raises(ArithmeticError, match=r"n=2, k=1"):
         rows(2)
 
 
