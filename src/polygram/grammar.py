@@ -7,62 +7,44 @@ weighted one-sided variants, p -> D(w*p) and p -> w*D(p) for a weight
 letter w, are first-class operator values so that iteration and
 coefficient extraction never special-case them.
 
-All three operators run on one packed kernel.  A monomial is one int: the
-exponent of letter i sits in bits [i*W, (i+1)*W).  A grammar and an
-operator compile once into a tuple of moves, one per term t of each rule
-x -> rule(x): (field shift of x, packed delta t - x + w, coefficient of t,
-bump), where w is the weight letter (nothing for plain D) and the bump is 1
-only for x = w under preD, whose D(w*m) sees the exponent of w one higher
-(so its delta is t alone).  One step applies every move to every term:
-e = field + bump; if e: out[key + delta] += c * (e * rc), then drops the
-zero coefficients; a grammar with no moves (every rule zero) steps to {}.
+Every operator compiles once into moves, one per term t of each rule
+x -> rule(x): (index of x, delta t - x + w, coefficient rc, bump), where w
+is the weight letter (nothing for plain D) and the bump is 1 only for x = w
+under preD, whose D(w*m) sees the exponent of w one higher.  A move sends
+c*m to c*(e*rc)*m*x^delta, e the exponent of x in m plus the bump; with no
+moves (every rule zero) a step gives zero.
 
-The step runs in two loop orders that build equal dicts.  ``_step`` takes
-the moves on the outside: the first move fills out with one comprehension,
-as key -> key + delta is one-to-one, and the other moves add into it.
-``_ordered_step`` takes the terms on the outside, so an iterate lists its
-terms in the order of the first (term, move) pair that reaches each.  Only
-the order differs, and only a failure reads it: the reader names the first
-stray term in dict order.  So every iterate handed out, and every iterate a
-failing check reads, comes from ``_ordered_step``; verify_identity decides
-its passing checks on ``_step``'s iterates, which it compares as dicts.
+The packed kernel serves every caller.  A monomial is one int, the exponent
+of letter i in bits [i*W, (i+1)*W).  ``_ordered_step`` takes the terms on
+the outside, so a failing check names the first stray term in the order of
+the first (term, move) pair that reaches each.  W is derived, never set: no
+exponent of op^n(start), n <= n_max, exceeds B = deg(start) + n_max *
+max(0, (max rule degree) - 1 + [weighted]), so W = bit_length(B) + 1 keeps
+a guard bit under every field.  The reader (``_read_off``) reads a family
+base + k*step only where every field lies in [0, 2^(W-1)), so a carry never
+passes for a match, and names the first differing k or the stray term.
 
-W is derived, never set.  No exponent of op^n(start), n <= n_max, exceeds
-B = deg(start) + n_max * max(0, (max rule degree) - 1 + [weighted]), so
-W = bit_length(B) + 1: every field stays below 2^(W-1), one guard bit
-under its neighbour, and no field carries into the next.  Python ints are
-unbounded, so there is no fixed width to overflow.
-
-A PowerPattern family base + k*step is kept to the k range in which every
-field of base + k*step lies in [0, 2^(W-1)), so a carry between fields can
-never pass for a match.  verify_identity packs each expected row the same
-way, {base + k*step: coefficient}, and compares it with the iterate as one
-dict.  Only when the two differ does the reader run: it takes k from one
-field, requires the whole key to equal the packed base + k*step, and names
-the first differing k or the stray term.  Keys are unpacked only to build a
-MultiPoly or to name a stray term.
+The line kernel serves verify_identity.  When every move delta differs from
+the first by a whole number t of pattern steps and the start lies on one
+line, ``_line_iterates`` holds each iterate as (base, dense coefficient
+list).  A step adds, for the moves at each t, the affine range
+(base_i + bump + k*step_i) * rc times the list at offset t - t_min: no
+packing, no width and no carry.
 """
 
 from __future__ import annotations
 
 from collections import deque, namedtuple
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, islice, repeat, zip_longest
+from operator import add, lshift, mul, sub
 from math import inf
 from typing import Callable, Iterator, Mapping
 
 from .poly import AlphabetMismatch, MultiPoly, check_letters
 from .report import Check, Report
 
-__all__ = [
-    "DerivOp",
-    "Grammar",
-    "PatternMismatch",
-    "PowerPattern",
-    "expansion_coefficients",
-    "iterate_operator",
-    "operator_iterates",
-    "verify_identity",
-]
+__all__ = ["DerivOp", "Grammar", "PatternMismatch", "PowerPattern", "expansion_coefficients",
+           "iterate_operator", "operator_iterates", "verify_identity"]
 
 
 class Grammar:
@@ -145,32 +127,19 @@ class DerivOp:
 # ----------------------------------------------------------------------
 # the packed kernel
 
-def _compile(grammar: Grammar, op: DerivOp, degree: int, n_max: int):
-    """(W, moves) for n_max applications of op to a start of total degree ``degree``.
-
-    An unknown weight letter is refused here, before any step runs.
-    """
+def _moves(grammar: Grammar, op: DerivOp) -> list:
+    """The moves of op, in rule order; an unknown weight letter is refused here."""
     letters = grammar.letters
     if op.weight is not None and op.weight not in letters:
         raise ValueError(f"unknown weight letter {op.weight!r} for alphabet {letters}")
-    weighted = op.weight is not None
-    top = max((rule.degree() for rule in grammar.rules.values()), default=0)
-    width = (max(degree, 0) + n_max * max(0, top - 1 + weighted)).bit_length() + 1
-    unit = [1 << (i * width) for i in range(len(letters))]
-    weight_bit = unit[letters.index(op.weight)] if weighted else 0
-    moves = []
-    for i, name in enumerate(letters):
-        bump = int(op.kind == "preD" and name == op.weight)
-        for exps, rc in grammar.rules[name].terms.items():
-            moves.append((i * width, _pack(exps, width) - unit[i] + weight_bit, rc, bump))
-    return width, tuple(moves)
+    w = letters.index(op.weight) if op.weight is not None else -1
+    return [(i, tuple(e - (j == i) + (j == w) for j, e in enumerate(exps)), rc,
+             int(op.kind == "preD" and i == w))
+            for i, name in enumerate(letters) for exps, rc in grammar.rules[name].terms.items()]
 
 
 def _pack(exps, width: int) -> int:
-    key = 0
-    for i, e in enumerate(exps):
-        key += e << (i * width)
-    return key
+    return sum(e << (i * width) for i, e in enumerate(exps))
 
 
 def _unpacked(letters: tuple[str, ...], terms: dict[int, int], width: int) -> MultiPoly:
@@ -192,44 +161,29 @@ def _ordered_step(terms: dict[int, int], moves, mask: int) -> dict[int, int]:
     return {key: c for key, c in out.items() if c}
 
 
-def _step(terms: dict[int, int], moves, mask: int) -> dict[int, int]:
-    if not moves:
-        return {}
-    # key -> key + delta is one-to-one, so the first move fills out directly.
-    (shift, delta, rc, bump), *rest = moves
-    out = {key + delta: c * (e * rc) for key, c in terms.items()
-           if (e := (key >> shift & mask) + bump)}
-    get = out.get
-    for shift, delta, rc, bump in rest:
-        for key, c in terms.items():
-            e = (key >> shift & mask) + bump
-            if e:
-                k = key + delta
-                out[k] = get(k, 0) + c * (e * rc)
-    return {key: c for key, c in out.items() if c}
-
-
-def _packed_iterates(grammar: Grammar, op: DerivOp, start: MultiPoly, n_max: int,
-                     step=_ordered_step):
-    """(W, iterator over packed op^n(start) for n = 0..n_max), each built by ``step``."""
+def _packed_iterates(grammar: Grammar, op: DerivOp, start: MultiPoly, n_max: int):
+    """(W, iterator over packed op^n(start) for n = 0..n_max), W set by the degree bound."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     start = start.with_letters(grammar.letters)
-    width, moves = _compile(grammar, op, start.degree(), n_max)
+    moves = _moves(grammar, op)
+    top = max((rule.degree() for rule in grammar.rules.values()), default=0)
+    width = (max(start.degree(), 0) + n_max * max(0, top - 1 + (op.weight is not None))
+             ).bit_length() + 1
     mask = (1 << width) - 1
+    moves = tuple((i * width, _pack(delta, width), rc, bump) for i, delta, rc, bump in moves)
     terms = {_pack(exps, width): c for exps, c in start.terms.items()}
     return width, accumulate(repeat(moves, n_max),
-                             lambda t, ms: step(t, ms, mask), initial=terms)
+                             lambda t, ms: _ordered_step(t, ms, mask), initial=terms)
 
 
 def operator_iterates(grammar: Grammar, op: DerivOp, start: MultiPoly,
                       n_max: int) -> Iterator[MultiPoly]:
     """start, op(start), op^2(start), ... up to op^n_max(start), yielded lazily.
 
-    Each iterate is one kernel step on the one before, so a sweep over
-    n <= n_max costs n_max steps in total, not n_max^2, and only the
-    iterates a caller keeps stay in memory.  A negative n_max or an unknown
-    weight letter is refused at the call.
+    Each iterate is one kernel step on the one before, and only the iterates
+    a caller keeps stay in memory.  A negative n_max or an unknown weight
+    letter is refused at the call.
     """
     width, iterates = _packed_iterates(grammar, op, start, n_max)
     return (_unpacked(grammar.letters, terms, width) for terms in iterates)
@@ -258,12 +212,10 @@ def _family_range(letters: tuple[str, ...], width: int,
                   pattern: PowerPattern) -> tuple[int, int]:
     """The k range [lo, hi] in which the family base + k*step is read at this width.
 
-    The pattern is checked against the alphabet first: AlphabetMismatch for
-    another alphabet, then ValueError for a base or step of another length.
-    In range, every field of base + k*step lies in [0, 2^(W-1)), so no field
-    carries into its neighbour and distinct k give distinct packed keys.
-    With no moving field every member is base itself, so only k = 0 is in
-    range.  hi < lo when no k is.
+    A pattern of another alphabet is refused (AlphabetMismatch), then one
+    whose base or step has another length (ValueError).  In range, every
+    field of base + k*step lies in [0, 2^(W-1)), so no field carries into its
+    neighbour.  With no moving field only k = 0 is in range; hi < lo if no k is.
     """
     if letters != pattern.letters:
         raise AlphabetMismatch(
@@ -289,11 +241,9 @@ def _read_off(letters: tuple[str, ...], terms: dict[int, int], width: int,
     lo, hi = _family_range(letters, width, pattern)
     # k is read from the first field that moves with k; with no such field
     # a zero mask reads every key as k = 0.
-    shift, mask, b0, s0 = 0, 0, 0, 1
-    for i, (b, s) in enumerate(zip(pattern.base, pattern.step)):
-        if s:
-            shift, mask, b0, s0 = i * width, (1 << width) - 1, b, s
-            break
+    i = next((i for i, s in enumerate(pattern.step) if s), None)
+    shift, mask, b0, s0 = (0, 0, 0, 1) if i is None else \
+        (i * width, (1 << width) - 1, pattern.base[i], pattern.step[i])
     base, step = _pack(pattern.base, width), _pack(pattern.step, width)
     found: dict[int, int] = {}
     for key, c in terms.items():
@@ -302,9 +252,7 @@ def _read_off(letters: tuple[str, ...], terms: dict[int, int], width: int,
             stray = _unpacked(letters, {key: c}, width)
             raise PatternMismatch(f"term {stray} does not fit the expected monomial family")
         found[k] = c
-    if not found:
-        return []
-    return [found.get(k, 0) for k in range(max(found) + 1)]
+    return [found.get(k, 0) for k in range(max(found, default=-1) + 1)]
 
 
 def expansion_coefficients(p: MultiPoly, pattern: PowerPattern) -> list[int]:
@@ -318,6 +266,73 @@ def expansion_coefficients(p: MultiPoly, pattern: PowerPattern) -> list[int]:
     return _read_off(p.letters, terms, width, pattern)
 
 
+# ----------------------------------------------------------------------
+# the line kernel
+
+def _steps(d, step) -> int | None:
+    """The integer j with d == j*step, or None."""
+    j = next((a // s for a, s in zip(d, step) if s), 0)
+    return j if all(a == j * s for a, s in zip(d, step)) else None
+
+
+def _line_iterates(grammar: Grammar, op: DerivOp, start: MultiPoly, n_max: int, step):
+    """Iterator over op^n(start), n = 1..n_max, or None when the line does not apply.
+
+    Each iterate is (base, coeffs), the sum of coeffs[k] * x^(base + k*step),
+    with coeffs nonzero at both ends ([] for zero).
+    """
+    moves = _moves(grammar, op)
+    first = moves[0][1] if moves else step  # any delta will do with no moves
+    by_t: dict[int, list[int]] = {}  # t -> rc summed per letter, then bump * rc
+    for i, delta, rc, bump in moves:
+        t = _steps(tuple(map(sub, delta, first)), step)
+        if t is None:
+            return None
+        row = by_t.setdefault(t, [0] * (len(step) + 1))
+        row[i] += rc
+        row[-1] += bump * rc
+    t_min, t_max = min(by_t, default=0), max(by_t, default=0)
+    groups = [(t - t_min, rcs, sum(map(mul, rcs, step))) for t, rcs in by_t.items()]
+    shift = tuple(d + t_min * s for d, s in zip(first, step))
+    terms = start.with_letters(grammar.letters).terms
+    origin = next(iter(terms), step)  # any base will do for a zero start
+    found = {_steps(tuple(map(sub, exps, origin)), step): c for exps, c in terms.items()}
+    if None in found:
+        return None
+    lo = min(found, default=0)
+
+    def advance(state, _):
+        base, coeffs = state
+        size = len(coeffs)
+        out = [0] * (size + t_max - t_min)
+        for j, (t, rcs, b) in enumerate(groups):
+            a = sum(map(mul, rcs, (*base, 1)))
+            terms = map(mul, range(a, a + b * size, b) if b else repeat(a), coeffs)
+            # The first move writes onto zeros; the others add.
+            out[t:t + size] = map(add, out[t:t + size], terms) if j else terms
+        while out and not out[-1]:
+            out.pop()
+        lo = next((k for k, c in enumerate(out) if c), 0)
+        return tuple(b + d + lo * s for b, d, s in zip(base, shift, step)), out[lo:]
+
+    coeffs = [found.get(k, 0) for k in range(lo, max(found, default=-1) + 1)]
+    state = tuple(b + lo * s for b, s in zip(origin, step)), coeffs
+    return islice(accumulate(repeat(None, n_max), advance, initial=state), 1, None)
+
+
+def _on_line(base, coeffs, pattern: PowerPattern, step, want: list[int]) -> bool:
+    """Whether sum coeffs[k]*x^(base + k*step) equals sum want[k]*x^(member k of pattern):
+    both are zero, or pattern.step is step, pattern.base lies off >= 0 steps before
+    base, and want is off zeros, then coeffs, then zeros."""
+    if not coeffs or tuple(pattern.step) != step:
+        return not coeffs and not any(want)
+    off = _steps(tuple(map(sub, base, pattern.base)), step)
+    if off is None or off < 0:
+        return False
+    end = off + len(coeffs)
+    return not any(want[:off]) and want[off:end] == coeffs and not any(want[end:])
+
+
 def verify_identity(grammar: Grammar, op: DerivOp, start: MultiPoly, n_max: int,
                     expected, normalization: Callable[[int], int],
                     pattern_for: Callable[[int], PowerPattern],
@@ -326,57 +341,42 @@ def verify_identity(grammar: Grammar, op: DerivOp, start: MultiPoly, n_max: int,
 
     ``expected`` is any triangle-like object with row(n); ``pattern_for(n)``
     names the monomial family carrying coefficient index k.  Every n is
-    checked even after a failure.
-
-    The iterates stay packed.  Each expected row is packed the same way, as
-    {base + k*step: norm * row[k]} over its nonzero products, and compared
-    with the iterate's terms as one dict.  That needs every nonzero product
-    at a k in the family's carry-free range (``_family_range``); there the
-    keys are distinct and none can alias a monomial off the family.  Equal
-    dicts then mean every term lies on the family in range and carries
-    norm * row[k], which is what the reader (``_read_off``) would read, and
-    the check passes.  Otherwise the reader reads the iterate, both rows are
-    zero-padded to one length and the first differing k, or the stray term,
-    is reported, so every failure is the reader's.  A normalization that is
-    a positive power of two scales by a shift.  The sweep steps with
-    ``_step`` until its first failure and with ``_ordered_step`` from there
-    on, so a stray term is named as ``expansion_coefficients`` would name it
-    on ``operator_iterates``.
+    checked, and its pattern refused as ``_family_range`` refuses it, even
+    after a failure.  The sweep starts on the line along pattern_for(1).step,
+    where ``_on_line`` decides exact polynomial equality as the reader would.
+    From the first check that does not pass there, or if no line applies, the
+    iterates come from ``_ordered_step`` and the reader decides: the first
+    differing k of the zero-padded rows, or the stray term, is reported as
+    ``expansion_coefficients`` would report it.  A normalization that is a
+    positive power of two scales by a shift.
     """
-    width, iterates = _packed_iterates(grammar, op, start, n_max, _step)
-    next(iterates)  # op^0(start) is not checked
-    ordered = False
+    width, iterates = _packed_iterates(grammar, op, start, n_max)
+    line = terms = None
     report = Report(label)
     for n in range(1, n_max + 1):
-        terms = next(iterates)
         pattern = pattern_for(n)
-        lo, hi = _family_range(grammar.letters, width, pattern)
+        _family_range(grammar.letters, width, pattern)
         norm = normalization(n)
         if norm > 0 and not norm & (norm - 1):
-            s = norm.bit_length() - 1
-            want = [c << s for c in expected.row(n)]
+            want = list(map(lshift, expected.row(n), repeat(norm.bit_length() - 1)))
         else:
-            want = [norm * c for c in expected.row(n)]
-        if not any(want[:lo]) and not any(want[hi + 1:]):
-            base, step = _pack(pattern.base, width), _pack(pattern.step, width)
-            if terms == {base + k * step: c for k, c in enumerate(want) if c}:
+            want = list(map(mul, expected.row(n), repeat(norm)))
+        if terms is None:
+            if n == 1:
+                step = tuple(pattern.step)
+                line = _line_iterates(grammar, op, start, n_max, step)
+            if line and _on_line(*next(line), pattern, step, want):
                 report.add(Check(label, n, True, ""))
                 continue
-        if not ordered:
-            # From the first failure on, read the iterates in term order.
-            _, iterates = _packed_iterates(grammar, op, start, n_max)
-            terms, ordered = next(islice(iterates, n, None)), True
+            terms = next(islice(iterates, n, None))
+        else:
+            terms = next(iterates)
         try:
             got = _read_off(grammar.letters, terms, width, pattern)
         except PatternMismatch as exc:
             report.add(Check(label, n, False, str(exc)))
             continue
-        size = max(len(got), len(want))
-        got += [0] * (size - len(got))
-        want += [0] * (size - len(want))
-        failure = ""
-        if got != want:
-            k = next(k for k in range(size) if got[k] != want[k])
-            failure = f"k={k}: got {got[k]}, want {want[k]}"
-        report.add(Check(label, n, not failure, failure))
+        diff = next(((k, a, b) for k, (a, b) in enumerate(zip_longest(got, want, fillvalue=0))
+                     if a != b), None)
+        report.add(Check(label, n, not diff, "k={}: got {}, want {}".format(*diff) if diff else ""))
     return report

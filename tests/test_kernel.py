@@ -4,11 +4,16 @@
 The derivation reference is the per-letter Leibniz route,
 D(p) = sum over letters x of rule(x) * dp/dx, built from
 ``partial_derivative`` below and MultiPoly ``*`` and ``+``; the matcher
-reference reads k off exponent tuples one letter at a time.
+reference reads k off exponent tuples one letter at a time.  The line
+kernel is held to the packed kernel's iterates, and whether a line applies
+is decided here with exact fractions.
 """
 
 import random
-from math import factorial
+from fractions import Fraction
+from itertools import islice
+from math import factorial, gcd
+from operator import sub
 
 import pytest
 
@@ -83,17 +88,52 @@ def every_op(letters):
         yield DerivOp("postD", w)
 
 
+def line_differences(grammar, start):
+    """Every move delta less the first (t - x; a weight letter shifts all alike),
+    and every start term less the first."""
+    deltas = [tuple(e - (j == i) for j, e in enumerate(exps))
+              for i, x in enumerate(grammar.letters) for exps in grammar.rules[x].terms]
+    starts = list(start.with_letters(grammar.letters).terms)
+    return [tuple(map(sub, d, ds[0])) for ds in (deltas, starts) if ds for d in ds]
+
+
+def is_multiple(v, step):
+    """Whether v == j*step for an integer j."""
+    if any(a for a, s in zip(v, step) if not s):
+        return False
+    ratios = {Fraction(a, s) for a, s in zip(v, step) if s}
+    return len(ratios) <= 1 and all(r.denominator == 1 for r in ratios)
+
+
+def line_dicts(grammar, op, start, n_max, step):
+    """op^n(start), n = 1..n_max, from the line kernel as exponent dicts, or None."""
+    line = grammar_module._line_iterates(grammar, op, start, n_max, step)
+    if line is None:
+        return None
+    out = []
+    for base, coeffs in line:
+        assert not coeffs or coeffs[0] and coeffs[-1]  # trimmed at both ends
+        out.append({tuple(b + k * s for b, s in zip(base, step)): c
+                    for k, c in enumerate(coeffs) if c})
+    return out
+
+
 def assert_kernel_matches(grammar, start, n_max):
     for op in every_op(grammar.letters):
         want = reference_iterates(grammar, op, start, n_max)
         got = list(operator_iterates(grammar, op, start, n_max))
         assert got == want, (str(grammar), str(op), str(start))
         assert all(0 not in p.terms.values() for p in got)
-        # The moves-outer step, which verify_identity decides on, builds the same dicts.
-        width, fast = _packed_iterates(grammar, op, start, n_max, grammar_module._step)
-        fast = [grammar_module._unpacked(grammar.letters, t, width) for t in fast]
-        assert fast == want, (str(grammar), str(op), str(start))
-        assert all(0 not in p.terms.values() for p in fast)
+        # The line kernel, which verify_identity decides on, builds the same
+        # iterates along the line through every move delta and start term,
+        # reversed too, and refuses a line twice as coarse unless all fit it.
+        diffs = line_differences(grammar, start)
+        v = next((v for v in diffs if any(v)), (1,) + (0,) * (len(grammar.letters) - 1))
+        s = tuple(x // gcd(*v) for x in v)
+        for step in (s, tuple(-x for x in s), tuple(2 * x for x in s)):
+            on_line = all(is_multiple(d, step) for d in diffs)
+            assert line_dicts(grammar, op, start, n_max, step) == \
+                ([p.terms for p in want[1:]] if on_line else None), (str(grammar), str(op), step)
         assert iterate_operator(grammar, op, start, n_max) == want[-1]
         assert iterate_operator(grammar, op, want[0], 1) == want[1]
 
@@ -106,6 +146,50 @@ def test_random_grammars_match_the_leibniz_route(seed):
     for _ in range(3):
         start = random_terms(rng, letters, 3, 3)
         assert_kernel_matches(grammar, start, rng.randint(1, 5))
+
+
+def collinear_grammar(rng, letters, step):
+    """Rules whose move deltas t - x all lie on one line along step, with at
+    least two moves."""
+    d0 = tuple(rng.randint(0, 3) for _ in letters)
+    rules = {}
+    for i, x in enumerate(letters):
+        terms = {}
+        for c in rng.sample(range(-2, 3), rng.randint(1, 4)):
+            t = tuple(d + c * s + (j == i) for j, (d, s) in enumerate(zip(d0, step)))
+            if min(t) >= 0:
+                terms[t] = rng.choice((-3, -1, 1, 2, 4))
+        rules[x] = MultiPoly(letters, terms)
+    if sum(len(rule.terms) for rule in rules.values()) < 2:
+        return collinear_grammar(rng, letters, step)
+    return Grammar(letters, rules)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_collinear_grammars_step_on_the_line(seed):
+    rng = random.Random(7300 + seed)
+    letters = tuple("uvw"[:2 + seed % 2])
+    step = (0,) * len(letters)
+    while not any(step):
+        step = tuple(rng.randint(-2, 2) for _ in letters)
+    grammar = collinear_grammar(rng, letters, step)
+    if seed % 3 == 0:
+        # One term without the last letter, so preD and postD of that letter
+        # weigh by a letter absent from the start.
+        exps = tuple(rng.randint(0, 3) for _ in letters[1:]) + (0,)
+        start = MultiPoly(letters, {exps: rng.choice((-2, 1, 5))})
+    else:
+        base = tuple(rng.randint(2, 8) for _ in letters)
+        terms = {}
+        for k in rng.sample(range(4), rng.randint(2, 3)):
+            exps = tuple(b + k * s for b, s in zip(base, step))
+            if min(exps) >= 0:
+                terms[exps] = rng.choice((-2, -1, 1, 3))
+        start = MultiPoly(letters, terms)
+    for op in every_op(letters):
+        want = [p.terms for p in islice(operator_iterates(grammar, op, start, 12), 1, None)]
+        for direction in (step, tuple(-s for s in step)):
+            assert line_dicts(grammar, op, start, 12, direction) == want, (str(grammar), str(op))
 
 
 @pytest.mark.parametrize("letters", ALPHABETS)
@@ -379,7 +463,7 @@ def test_exponents_at_the_top_of_the_width_are_read():
 
 
 # ----------------------------------------------------------------------
-# verify_identity's packed comparison against the reader route
+# verify_identity's line comparison against the reader route
 
 def reference_checks(grammar, op, start, n_max, expected, normalization, pattern_for):
     """(n, ok, detail) per n, from expansion_coefficients and a zero-padded
@@ -402,9 +486,21 @@ def reference_checks(grammar, op, start, n_max, expected, normalization, pattern
     return checks
 
 
+def read_rows(grammar, op, start, n_max, pattern_for):
+    """row(n) read off the iterates themselves, for an identity true by construction."""
+    rows = [expansion_coefficients(p, pattern_for(n))
+            for n, p in enumerate(operator_iterates(grammar, op, start, n_max)) if n]
+    return lambda n: rows[n - 1]
+
+
+def never_called(n):
+    pytest.fail(f"pattern_for({n}) called")
+
+
 def identity_cases():
     """(id, grammar, op, start, n_max, row(n), normalization, pattern_for): true
-    identities of the verify targets, and the same with stray terms."""
+    identities of the verify targets, the same with stray terms, and the edges
+    of the line kernel."""
     D = DerivOp("D")
     f, g = MultiPoly.variables("f g")
     grammar = Grammar(("f", "g"), {"f": f * g, "g": 4 * f * f})
@@ -428,7 +524,61 @@ def identity_cases():
          lambda n: PowerPattern(("y", "z"), (2 * n - 1, 2), (-2, 2))),
         ("motzkin-t", cubic, D, t * t * u * u, 6, MOTZKIN_T.row, lambda n: factorial(n + 1),
          lambda n: PowerPattern(("t", "u", "v"), (2, 2 * n + 2, 0), (0, -1, 1))),
+        *line_cases(),
     ]
+
+
+def line_cases():
+    D = DerivOp("D")
+    f, g = MultiPoly.variables("f g")
+    grammar = Grammar(("f", "g"), {"f": f * g, "g": 4 * f * f})
+    norm = lambda n: 2 ** (n + 1)
+
+    def family(base, step):
+        return lambda n: PowerPattern(("f", "g"), base(n), step)
+
+    top = lambda n: len(GAMMA_A.row(n)) - 1
+    tilted = Grammar(("f", "g"), {"f": f * g, "g": -2 * f * f * g})
+    on_line = family(lambda n: (1, n + 1), (2, -1))
+    u, v = MultiPoly.variables("u v")
+    dies = Grammar(("u", "v"), {"u": u * v, "v": -v * v})  # D(u^a v^b) = (a - b) u^a v^(b+1)
+    by_row = lambda n: PowerPattern(("u", "v"), (2, n), (1, -1))
+    one = MultiPoly.variable(("u",), "u")
+    return [
+        ("reversed-step", grammar, D, g, 10, lambda n: GAMMA_A.row(n)[::-1], norm,
+         family(lambda n: (2 + 2 * top(n), n - 1 - 2 * top(n)), (-2, 2))),
+        ("twice-the-step", grammar, D, g, 10, lambda n: GAMMA_A.row(n)[::2], norm,
+         family(lambda n: (2, n - 1), (4, -4))),
+        ("half-the-step", grammar, D, g, 10,
+         lambda n: [c for x in GAMMA_A.row(n) for c in (x, 0)][:-1], norm,
+         family(lambda n: (2, n - 1), (1, -1))),
+        ("family-starts-early", grammar, D, g, 10, lambda n: [0] + GAMMA_A.row(n), norm,
+         family(lambda n: (0, n + 1), (2, -2))),
+        ("step-flips", grammar, D, g, 10, GAMMA_A.row, norm,
+         lambda n: PowerPattern(("f", "g"), (2, n - 1), (2, -2) if n % 2 else (-2, 2))),
+        ("start-on-the-line", tilted, D, f * g - 3 * f**3, 6,
+         read_rows(tilted, D, f * g - 3 * f**3, 6, on_line), lambda n: 1, on_line),
+        ("start-off-the-line", grammar, D, g + 1, 10, GAMMA_A.row, norm,
+         family(lambda n: (2, n - 1), (2, -2))),
+        ("base-between-steps", grammar, D, g, 6, GAMMA_A.row, norm,
+         family(lambda n: (3, n - 2), (2, -2))),
+        ("one-move", Grammar(("u",), {"u": one * one}), D, one, 8, lambda n: [1], factorial,
+         lambda n: PowerPattern(("u",), (n + 1,), (1,))),
+        ("no-moves", Grammar(("u",), {"u": MultiPoly(("u",))}), D, one, 4, lambda n: [1],
+         lambda n: 1, lambda n: PowerPattern(("u",), (1,), (1,))),
+        ("dies-mid-sweep", dies, D, -3 * u * u, 5, read_rows(dies, D, -3 * u * u, 5, by_row),
+         lambda n: 1, by_row),
+        ("n-max-zero", grammar, D, g, 0, GAMMA_A.row, norm, never_called),
+    ]
+
+
+# The n from which the line kernel does not apply to a sweep, whatever the
+# row, so that the reader decides every check from there on; every other
+# sweep leaves the line at its first failing check.  Some cases have one
+# verdict whatever the row.
+OFF_LINE = {"twice-the-step": 1, "start-off-the-line": 1, "base-between-steps": 1,
+            "stray-rule": 1, "step-flips": 2}
+VERDICTS = {"stray-rule": {False}, "base-between-steps": {False}, "n-max-zero": set()}
 
 
 def bumped(row):
@@ -442,6 +592,7 @@ def internal_zero(row):
 ROW_MUTATIONS = {
     "none": lambda row: row,
     "bumped": bumped,
+    "bumped-first": lambda row: [c + (k == 0) for k, c in enumerate(row or [0])],
     "dropped-last": lambda row: row[:-1],
     "extra-trailing": lambda row: row + [1],
     "trailing-zero": lambda row: row + [0],
@@ -460,7 +611,8 @@ NORMALIZATIONS = {
 }
 
 
-def assert_same_checks(monkeypatch, grammar, op, start, n_max, row, norm, pattern_for):
+def assert_same_checks(monkeypatch, grammar, op, start, n_max, row, norm, pattern_for,
+                       off_line=None):
     reads = []
     real = grammar_module._read_off
     monkeypatch.setattr(grammar_module, "_read_off",
@@ -470,8 +622,10 @@ def assert_same_checks(monkeypatch, grammar, op, start, n_max, row, norm, patter
     monkeypatch.setattr(grammar_module, "_read_off", real)
     got = [(c.n, c.ok, c.detail) for c in report.checks]
     assert got == reference_checks(grammar, op, start, n_max, expected, norm, pattern_for)
-    # A passing check never reaches the reader; each failing one reaches it once.
-    assert len(reads) == sum(not ok for _, ok, _ in got)
+    # The line decides every check before the first failing one or off_line;
+    # from there on the reader reads each check once.
+    first = min([n for n, ok, _ in got if not ok] + [off_line or n_max + 1])
+    assert len(reads) == n_max + 1 - first
     return got
 
 
@@ -482,9 +636,10 @@ def test_the_packed_comparison_gives_the_reader_verdict_on_every_mutation(monkey
     for mutate in ROW_MUTATIONS.values():
         for scale in NORMALIZATIONS.values():
             checks = assert_same_checks(monkeypatch, grammar, op, start, n_max,
-                                        lambda n: mutate(row(n)), scale(norm), pattern_for)
+                                        lambda n: mutate(row(n)), scale(norm), pattern_for,
+                                        OFF_LINE.get(name))
             verdicts.update(ok for _, ok, _ in checks)
-    assert verdicts == ({False} if name == "stray-rule" else {True, False})
+    assert verdicts == VERDICTS.get(name, {True, False})
 
 
 def test_a_stray_term_is_named_in_term_order():
@@ -518,3 +673,33 @@ def test_the_packed_comparison_refuses_carries_and_extra_k_on_a_fixed_family(mon
             for norm in (1, 2, -1, 0):
                 assert_same_checks(monkeypatch, grammar, DerivOp("D"), start, 2,
                                    lambda n: row, lambda n: norm, lambda n: pattern)
+
+
+def test_every_grammar_target_row_passes_on_the_line(monkeypatch):
+    # At default bounds each of the 12 rows of the grammar targets takes the
+    # line, and no check reaches the reader or steps the packed kernel.
+    from polygram import verify
+
+    lines, reads, packed_steps, inside = [], [], [], []
+    real_line, real_read = grammar_module._line_iterates, grammar_module._read_off
+    real_step, real_verify = grammar_module._ordered_step, grammar_module.verify_identity
+
+    def verify_identity(*args):
+        inside.append(1)
+        try:
+            return real_verify(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(grammar_module, "verify_identity", verify_identity)
+    monkeypatch.setattr(grammar_module, "_line_iterates",
+                        lambda *args: lines.append(real_line(*args)) or lines[-1])
+    monkeypatch.setattr(grammar_module, "_read_off",
+                        lambda *args: reads.append(1) or real_read(*args))
+    # thm42's ring checks step the packed kernel outside verify_identity.
+    monkeypatch.setattr(grammar_module, "_ordered_step",
+                        lambda *args: packed_steps.append(bool(inside)) or real_step(*args))
+    for name in ("thm11", "thm32", "prop41", "thm42", "thm43", "thm44"):
+        assert verify.run_target(name).ok, name
+    assert len(lines) == 12 and all(line is not None for line in lines)
+    assert reads == [] and not any(packed_steps)
