@@ -29,15 +29,20 @@ the first by a whole number t of pattern steps and the start lies on one
 line, ``_line_iterates`` holds each iterate as (base, dense coefficient
 list).  A step adds, for the moves at each t, the affine range
 (base_i + bump + k*step_i) * rc times the list at offset t - t_min: no
-packing, no width and no carry.
+packing, no width and no carry.  The sweep keeps a divisor d, the true
+iterate being d times the list; a step is linear, so d carries over.  A
+check passes on the list against normalization(n) / d times the row when d
+divides it, and the pass divides that ratio out of the list, exactly, with d
+set to normalization(n): neither side of a compare holds n!.  The reader
+still compares against the scaled row.
 """
 
 from __future__ import annotations
 
 from collections import deque, namedtuple
 from itertools import accumulate, islice, repeat, zip_longest
-from operator import add, lshift, mul, sub
-from math import inf
+from operator import add, floordiv, lshift, mul, rshift, sub
+from math import gcd, inf
 from typing import Callable, Iterator, Mapping
 
 from .poly import AlphabetMismatch, MultiPoly, check_letters
@@ -279,7 +284,8 @@ def _line_iterates(grammar: Grammar, op: DerivOp, start: MultiPoly, n_max: int, 
     """Iterator over op^n(start), n = 1..n_max, or None when the line does not apply.
 
     Each iterate is (base, coeffs), the sum of coeffs[k] * x^(base + k*step),
-    with coeffs nonzero at both ends ([] for zero).
+    with coeffs nonzero at both ends ([] for zero).  The next step reads the
+    list it yielded, so a caller may divide it in place in between.
     """
     moves = _moves(grammar, op)
     first = moves[0][1] if moves else step  # any delta will do with no moves
@@ -333,6 +339,13 @@ def _on_line(base, coeffs, pattern: PowerPattern, step, want: list[int]) -> bool
     return not any(want[:off]) and want[off:end] == coeffs and not any(want[end:])
 
 
+def _scaled(row: list[int], norm: int) -> list[int]:
+    """norm * row; a normalization that is a positive power of two is a shift."""
+    if norm > 0 and not norm & (norm - 1):
+        return list(map(lshift, row, repeat(norm.bit_length() - 1)))
+    return list(map(mul, row, repeat(norm)))
+
+
 def verify_identity(grammar: Grammar, op: DerivOp, start: MultiPoly, n_max: int,
                     expected, normalization: Callable[[int], int],
                     pattern_for: Callable[[int], PowerPattern],
@@ -344,30 +357,43 @@ def verify_identity(grammar: Grammar, op: DerivOp, start: MultiPoly, n_max: int,
     checked, and its pattern refused as ``_family_range`` refuses it, even
     after a failure.  The sweep starts on the line along pattern_for(1).step,
     where ``_on_line`` decides exact polynomial equality as the reader would.
-    From the first check that does not pass there, or if no line applies, the
-    iterates come from ``_ordered_step`` and the reader decides: the first
-    differing k of the zero-padded rows, or the stray term, is reported as
-    ``expansion_coefficients`` would report it.  A normalization that is a
-    positive power of two scales by a shift.
+    There the iterate is d * coeffs, d = 1 at first.  Where d divides
+    norm = normalization(n), coeffs is compared with (norm // d) * row; a pass
+    divides that ratio out of coeffs and sets d = norm.  Otherwise (norm zero,
+    or a chain that does not divide) both sides are scaled by the cofactors of
+    gcd(d, norm).  From the first check that does not pass there, or if no
+    line applies, the iterates come from ``_ordered_step`` and the reader
+    decides against norm * row: the first differing k of the zero-padded
+    rows, or the stray term, is reported as ``expansion_coefficients`` would.
     """
     width, iterates = _packed_iterates(grammar, op, start, n_max)
     line = terms = None
-    report = Report(label)
+    report, d = Report(label), 1
     for n in range(1, n_max + 1):
         pattern = pattern_for(n)
         _family_range(grammar.letters, width, pattern)
         norm = normalization(n)
-        if norm > 0 and not norm & (norm - 1):
-            want = list(map(lshift, expected.row(n), repeat(norm.bit_length() - 1)))
-        else:
-            want = list(map(mul, expected.row(n), repeat(norm)))
+        row = expected.row(n)
         if terms is None:
             if n == 1:
                 step = tuple(pattern.step)
                 line = _line_iterates(grammar, op, start, n_max, step)
-            if line and _on_line(*next(line), pattern, step, want):
-                report.add(Check(label, n, True, ""))
-                continue
+            if line:
+                base, coeffs = next(line)
+                r, rem = divmod(norm, d)
+                a = 1  # d * coeffs == norm * row iff a * coeffs == r * row
+                if rem:
+                    g = gcd(d, norm)
+                    a, r = d // g, norm // g
+                if _on_line(base, coeffs if a == 1 else list(map(mul, coeffs, repeat(a))),
+                            pattern, step, row if r == 1 else list(map(mul, row, repeat(r)))):
+                    if a == 1 and abs(r) > 1:  # divide r out; a power of two is a shift
+                        e = r.bit_length() - 1
+                        f, x = (rshift, e) if r == 1 << e else (floordiv, r)
+                        coeffs[:] = map(f, coeffs, repeat(x))
+                        d = norm
+                    report.add(Check(label, n, True, ""))
+                    continue
             terms = next(islice(iterates, n, None))
         else:
             terms = next(iterates)
@@ -376,6 +402,7 @@ def verify_identity(grammar: Grammar, op: DerivOp, start: MultiPoly, n_max: int,
         except PatternMismatch as exc:
             report.add(Check(label, n, False, str(exc)))
             continue
+        want = _scaled(row, norm)
         diff = next(((k, a, b) for k, (a, b) in enumerate(zip_longest(got, want, fillvalue=0))
                      if a != b), None)
         report.add(Check(label, n, not diff, "k={}: got {}, want {}".format(*diff) if diff else ""))

@@ -5,10 +5,12 @@ cube face counts.
 Every triangle is a Triangle record holding the function that builds row n
 as a whole; an entry is read off its row, and entries off the row are zero.
 Most closed forms build a row from one binomial row, each binomial stepped
-from the last.  Recurrence-backed rows step forward in a loop from the last
-row asked for and keep only that row, so sweeping over n is linear.  Where a
-closed form and a recurrence both exist (the associahedron gamma rows) they
-are implemented separately and cross-checked in the tests.
+from the last; the Motzkin rows step the central binomials the same way, and
+the cube rows shift the binomials.  Recurrence-backed rows step forward in a
+loop from the last row asked for and keep only that row, so sweeping over n
+is linear.  Where a closed form and a recurrence both exist (the
+associahedron gamma rows) they are implemented separately and cross-checked
+in the tests.
 
 Memory grows with one row, not with the number of rows asked for.
 ``_TIPS`` holds, per recurrence, only the last rows its step reads (one or
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import math
 from itertools import repeat
-from operator import add, floordiv, mod, mul
+from operator import add, floordiv, lshift, mod, mul
 from typing import Callable, Iterator, Sequence
 
 __all__ = [
@@ -144,6 +146,15 @@ def binomial_row(m: int) -> list[int]:
     return row
 
 
+def _central_binomials(n: int) -> list[int]:
+    """C(m, m // 2) for m = 0..n, each stepped from the one before: times
+    (m + 1) / (m // 2 + 1) from an even m, times 2 from an odd one."""
+    row = [1]
+    for m in range(n):
+        row.append(row[-1] * (m + 1) // (m // 2 + 1) if m % 2 == 0 else row[-1] * 2)
+    return row
+
+
 def _narayana_h_a_row(n: int) -> list[int]:
     # h-vector of the type A associahedron: binom(n,k) binom(n,k+1) / n.
     c = binomial_row(n)
@@ -214,11 +225,10 @@ ASSOC_GAMMA_B = Triangle(
     oeis="A089627")
 ASSOC_GAMMA_B_REC = Triangle("assoc-gamma-b", _assoc_gamma_b_rows)
 MOTZKIN_T = Triangle(
-    "motzkin-T",
-    lambda n: [c * binomial(n - k, (n - k) // 2) for k, c in enumerate(binomial_row(n))],
+    "motzkin-T", lambda n: map(mul, binomial_row(n), reversed(_central_binomials(n))),
     first_n=0, oeis="A107230")
 CUBE_F = Triangle(
-    "cube-f", lambda n: [c * 2 ** (n - k) for k, c in enumerate(binomial_row(n))],
+    "cube-f", lambda n: map(lshift, binomial_row(n), range(n, -1, -1)),
     first_n=0, oeis="A038207")
 
 TRIANGLES: dict[str, Triangle] = {

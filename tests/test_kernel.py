@@ -24,7 +24,7 @@ from polygram.grammar import (DerivOp, Grammar, PatternMismatch, PowerPattern,
                               operator_iterates, verify_identity)
 from polygram.poly import AlphabetMismatch, MultiPoly
 from polygram.triangles import (ASSOC_GAMMA_A, EULERIAN_A, GAMMA_A, GAMMA_B, MOTZKIN_T,
-                                plain_triangle)
+                                binomial_row, plain_triangle)
 
 ALPHABETS = ("u", "u v", "t u v", "s t u v")
 
@@ -601,13 +601,25 @@ ROW_MUTATIONS = {
     "negated": lambda row: [-c for c in row],
 }
 
+# (normalization, row) -> the pair a sweep is checked against.  The line
+# divides a passing normalization out of its iterate when the last one divides
+# it ("factorial" grows that chain past the true one), and cross-multiplies
+# when it does not: "shrinking" keeps the identity true with normalization 1
+# at every third n, its factor moved into the row, so a factorial chain reads
+# n! when 3 does not divide n and 1 when it does.  "halved" must fail wherever
+# the true row has an odd entry, so the line may not divide without the
+# remainder.
 NORMALIZATIONS = {
-    "as-is": lambda norm: norm,
-    "one": lambda norm: lambda n: 1,
-    "power-of-two": lambda norm: lambda n: 2 ** (n % 4),
-    "negated": lambda norm: lambda n: -norm(n),
-    "zero": lambda norm: lambda n: 0,
-    "tripled": lambda norm: lambda n: 3 * norm(n),
+    "as-is": lambda norm, row: (norm, row),
+    "one": lambda norm, row: (lambda n: 1, row),
+    "power-of-two": lambda norm, row: (lambda n: 2 ** (n % 4), row),
+    "negated": lambda norm, row: (lambda n: -norm(n), row),
+    "zero": lambda norm, row: (lambda n: 0, row),
+    "tripled": lambda norm, row: (lambda n: 3 * norm(n), row),
+    "factorial": lambda norm, row: (lambda n: factorial(n) * norm(n), row),
+    "shrinking": lambda norm, row: (lambda n: norm(n) if n % 3 else 1,
+                                    lambda n: row(n) if n % 3 else [norm(n) * c for c in row(n)]),
+    "halved": lambda norm, row: (lambda n: 2 * norm(n), lambda n: [c // 2 for c in row(n)]),
 }
 
 
@@ -634,11 +646,16 @@ def test_the_packed_comparison_gives_the_reader_verdict_on_every_mutation(monkey
     name, grammar, op, start, n_max, row, norm, pattern_for = case
     verdicts = set()
     for mutate in ROW_MUTATIONS.values():
-        for scale in NORMALIZATIONS.values():
-            checks = assert_same_checks(monkeypatch, grammar, op, start, n_max,
-                                        lambda n: mutate(row(n)), scale(norm), pattern_for,
-                                        OFF_LINE.get(name))
-            verdicts.update(ok for _, ok, _ in checks)
+        mutated = lambda n: mutate(row(n))
+        checks = {}
+        for key, scale in NORMALIZATIONS.items():
+            scaled_norm, scaled_row = scale(norm, mutated)
+            checks[key] = assert_same_checks(monkeypatch, grammar, op, start, n_max, scaled_row,
+                                             scaled_norm, pattern_for, OFF_LINE.get(name))
+            verdicts.update(ok for _, ok, _ in checks[key])
+        # A true check whose row has an odd entry is false once halved.
+        for (n, ok, _), (_, halved_ok, _) in zip(checks["as-is"], checks["halved"]):
+            assert not (ok and halved_ok and any(c % 2 for c in mutated(n))), n
     assert verdicts == VERDICTS.get(name, {True, False})
 
 
@@ -675,14 +692,32 @@ def test_the_packed_comparison_refuses_carries_and_extra_k_on_a_fixed_family(mon
                                    lambda n: row, lambda n: norm, lambda n: pattern)
 
 
+def test_a_passing_sweep_holds_the_unscaled_rows(monkeypatch):
+    # prop41's D^n(uv) = n! * sum_k 4^k C(n+1, 2k) u^(n+1+2k) v^(n+1-2k).  After
+    # each passing check the line holds the row itself, n! divided out of it.
+    u, v = MultiPoly.variables("u v")
+    grammar = Grammar(("u", "v"), {"u": u * u * v, "v": 4 * u**3})
+    row = lambda n: [4 ** k * c for k, c in enumerate(binomial_row(n + 1)[::2])]
+    held, real = [], grammar_module._line_iterates
+    monkeypatch.setattr(grammar_module, "_line_iterates", lambda *args: (
+        held.append(coeffs) or (base, coeffs) for base, coeffs in real(*args)))
+    pattern = lambda n: PowerPattern(("u", "v"), (n + 1, n + 1), (2, -2))
+    report = verify_identity(grammar, DerivOp("D"), u * v, 60, plain_triangle("prop41", row),
+                             factorial, pattern, "prop41")
+    assert report.ok and len(report.checks) == 60
+    assert held == [row(n) for n in range(1, 61)]
+
+
 def test_every_grammar_target_row_passes_on_the_line(monkeypatch):
     # At default bounds each of the 12 rows of the grammar targets takes the
-    # line, and no check reaches the reader or steps the packed kernel.
+    # line, and no check reaches the reader, steps the packed kernel or builds
+    # a row scaled by its normalization.
     from polygram import verify
 
-    lines, reads, packed_steps, inside = [], [], [], []
+    lines, reads, packed_steps, inside, scaled = [], [], [], [], []
     real_line, real_read = grammar_module._line_iterates, grammar_module._read_off
     real_step, real_verify = grammar_module._ordered_step, grammar_module.verify_identity
+    real_scaled = grammar_module._scaled
 
     def verify_identity(*args):
         inside.append(1)
@@ -696,10 +731,12 @@ def test_every_grammar_target_row_passes_on_the_line(monkeypatch):
                         lambda *args: lines.append(real_line(*args)) or lines[-1])
     monkeypatch.setattr(grammar_module, "_read_off",
                         lambda *args: reads.append(1) or real_read(*args))
+    monkeypatch.setattr(grammar_module, "_scaled",
+                        lambda *args: scaled.append(1) or real_scaled(*args))
     # thm42's ring checks step the packed kernel outside verify_identity.
     monkeypatch.setattr(grammar_module, "_ordered_step",
                         lambda *args: packed_steps.append(bool(inside)) or real_step(*args))
     for name in ("thm11", "thm32", "prop41", "thm42", "thm43", "thm44"):
         assert verify.run_target(name).ok, name
     assert len(lines) == 12 and all(line is not None for line in lines)
-    assert reads == [] and not any(packed_steps)
+    assert reads == [] and not any(packed_steps) and scaled == []

@@ -153,6 +153,15 @@ def test_assoc_gamma_a_rows_are_the_catalan_binomial_products():
                                             for k in range((n - 1) // 2 + 1)], n
 
 
+def test_motzkin_and_cube_rows_are_the_per_entry_closed_forms():
+    # The rows step central binomials and shift binomial rows; each entry is
+    # C(n, k) C(n - k, (n - k) // 2) and C(n, k) 2^(n - k).
+    for n in range(301):
+        assert tri.MOTZKIN_T.row(n) == [math.comb(n, k) * math.comb(n - k, (n - k) // 2)
+                                        for k in range(n + 1)], n
+        assert tri.CUBE_F.row(n) == [math.comb(n, k) * 2 ** (n - k) for k in range(n + 1)], n
+
+
 def test_rows_far_past_the_recursion_limit():
     assert sum(tri.EULERIAN_A.row(1200)) == tri.factorial(1200)
 
