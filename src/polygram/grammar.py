@@ -41,8 +41,8 @@ from __future__ import annotations
 
 from collections import deque, namedtuple
 from itertools import accumulate, islice, repeat, zip_longest
-from operator import add, floordiv, lshift, mul, rshift, sub
-from math import gcd, inf
+from operator import add, floordiv, lshift, mul, sub
+from math import inf
 from typing import Callable, Iterator, Mapping
 
 from .poly import AlphabetMismatch, MultiPoly, check_letters
@@ -360,8 +360,8 @@ def verify_identity(grammar: Grammar, op: DerivOp, start: MultiPoly, n_max: int,
     There the iterate is d * coeffs, d = 1 at first.  Where d divides
     norm = normalization(n), coeffs is compared with (norm // d) * row; a pass
     divides that ratio out of coeffs and sets d = norm.  Otherwise (norm zero,
-    or a chain that does not divide) both sides are scaled by the cofactors of
-    gcd(d, norm).  From the first check that does not pass there, or if no
+    or a chain that does not divide) d * coeffs is compared with norm * row
+    and d is kept.  From the first check that does not pass there, or if no
     line applies, the iterates come from ``_ordered_step`` and the reader
     decides against norm * row: the first differing k of the zero-padded
     rows, or the stray term, is reported as ``expansion_coefficients`` would.
@@ -383,14 +383,11 @@ def verify_identity(grammar: Grammar, op: DerivOp, start: MultiPoly, n_max: int,
                 r, rem = divmod(norm, d)
                 a = 1  # d * coeffs == norm * row iff a * coeffs == r * row
                 if rem:
-                    g = gcd(d, norm)
-                    a, r = d // g, norm // g
+                    a, r = d, norm
                 if _on_line(base, coeffs if a == 1 else list(map(mul, coeffs, repeat(a))),
                             pattern, step, row if r == 1 else list(map(mul, row, repeat(r)))):
-                    if a == 1 and abs(r) > 1:  # divide r out; a power of two is a shift
-                        e = r.bit_length() - 1
-                        f, x = (rshift, e) if r == 1 << e else (floordiv, r)
-                        coeffs[:] = map(f, coeffs, repeat(x))
+                    if a == 1 and abs(r) > 1:  # divide r out of the list
+                        coeffs[:] = map(floordiv, coeffs, repeat(r))
                         d = norm
                     report.add(Check(label, n, True, ""))
                     continue
