@@ -27,7 +27,6 @@ from .triangles import _recurrence_row, binomial, binomial_row
 from .unipoly import UniPoly, _mac, _trimmed
 
 __all__ = [
-    "DOUBLE_ANGLE_RULES",
     "chebyshev_t",
     "chebyshev_u",
     "closed_form_series",
@@ -36,9 +35,6 @@ __all__ = [
     "secant_derivative_poly",
     "tangent_derivative_poly",
 ]
-
-# f ~ sec(2x), g ~ 2 tan(2x): D f = f g and D g = 4 f^2.
-DOUBLE_ANGLE_RULES = "f -> f*g; g -> 4*f^2"
 
 
 @lru_cache(maxsize=None, typed=True)

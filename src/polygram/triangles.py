@@ -33,7 +33,7 @@ __all__ = [
     "factorial",
     "plain_triangle",
     "lookup_triangle",
-    "bfile_lines",
+    "bfile_rows",
     "triangle_json_text",
 ]
 
@@ -249,19 +249,19 @@ def lookup_triangle(name: str) -> Triangle:
             f"unknown triangle {name!r}; known: {', '.join(sorted(TRIANGLES))}") from None
 
 
-def bfile_lines(triangle: Triangle, rows: int) -> Iterator[str]:
+def bfile_rows(triangle: Triangle, rows: int) -> Iterator[list[str]]:
     """OEIS-style b-file: one 'index value' line per entry, reading row-major.
 
     Rows and indices both start at the triangle's first row, as OEIS
-    offsets do.  Lines are yielded as each row is built.
+    offsets do.  The header line comes as a list of its own, then the lines
+    of each row as one list, yielded as that row is built.
     """
     first = triangle.first_n
-    yield f"# {triangle.name} read by rows (rows {first}..{first + rows - 1}), offset {first}"
+    yield [f"# {triangle.name} read by rows (rows {first}..{first + rows - 1}), offset {first}"]
     idx = first
     for row in triangle.first_rows(rows):
-        for v in row:
-            yield f"{idx} {v}"
-            idx += 1
+        yield [f"{i} {v}" for i, v in enumerate(row, idx)]
+        idx += len(row)
 
 
 def triangle_json_text(triangle: Triangle, rows: int) -> Iterator[str]:

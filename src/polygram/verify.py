@@ -22,7 +22,10 @@ values at i*h) enters the ring through one reduction,
 Only the triangles and ``Report`` are imported with the module.  Each
 target imports the rest of polygram when it runs, so a single target loads
 only its own modules (thm21 and thm22 load ``gamma`` and nothing of the
-grammar or ring code), and a module patched by a caller is read as patched.
+grammar or ring code; thm32 loads the grammar code and nothing of the
+rings), and a module patched by a caller is read as patched.  The rule
+texts are module constants here, so a grammar target reads no ring module
+for them.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ __all__ = ["TARGETS", "Target", "check_alternating_counts", "check_chebyshev_spe
            "check_generating_functions", "check_imaginary_assoc_forms", "check_scaled_tan_sec",
            "check_sqrt_gamma_forms", "run_all", "run_target"]
 
+# f ~ sec(2x), g ~ 2 tan(2x): D f = f g and D g = 4 f^2.
+_DOUBLE_ANGLE_RULES = "f -> f*g; g -> 4*f^2"
 _CUBIC_RULES = "u -> u^2*v; v -> u^3"
 
 
@@ -131,9 +136,7 @@ def _target_thm22(n_max: int) -> Report:
 def _target_thm32(n_max: int) -> Report:
     # The four expansions over {f -> f*g, g -> 4*f^2}, read against the
     # recurrence-backed triangles.
-    from . import classical
-
-    return _run_rows("thm32", classical.DOUBLE_ANGLE_RULES, n_max, (
+    return _run_rows("thm32", _DOUBLE_ANGLE_RULES, n_max, (
         ("D^n(f)", "D", "f", GAMMA_B, lambda n: 1, lambda n: (1, n), (2, -2)),
         ("D^n(g)", "D", "g", GAMMA_A, lambda n: 2 ** (n + 1), lambda n: (2, n - 1), (2, -2)),
         ("(fD)^n(f)", "postD:f", "f", ASSOC_GAMMA_B_REC, factorial,
@@ -192,7 +195,7 @@ def check_scaled_tan_sec(n_max: int) -> Report:
     from .quadratic import QuadraticRing
     from .unipoly import UniPoly
 
-    iterates = _paired_iterates(classical.DOUBLE_ANGLE_RULES, "D", "f", "g", n_max)
+    iterates = _paired_iterates(_DOUBLE_ANGLE_RULES, "D", "f", "g", n_max)
     next(iterates)  # n = 0 is not checked
     ring = QuadraticRing(UniPoly("h", (1, 0, 1)))
     report = Report("prop12")
@@ -261,7 +264,7 @@ def check_imaginary_assoc_forms(n_max: int) -> Report:
     from .quadratic import QuadraticRing
     from .unipoly import UniPoly
 
-    iterates = _paired_iterates(classical.DOUBLE_ANGLE_RULES, "postD:f", "f", "g", n_max)
+    iterates = _paired_iterates(_DOUBLE_ANGLE_RULES, "postD:f", "f", "g", n_max)
     next(iterates)  # n = 0 is not checked
     f_ring = QuadraticRing(UniPoly("h", (1, 0, 1)))
     ring = QuadraticRing(UniPoly("h", (-1,)))

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -7,7 +8,7 @@ import sys
 
 import pytest
 
-from polygram import classical, cli
+from polygram import classical, cli, verify
 from polygram.cli import main
 
 
@@ -260,16 +261,24 @@ def test_rule_literal_past_the_4300_digit_limit_parses(capsys):
     assert out == f"{big}*u\n"
 
 
-@pytest.mark.parametrize("target", ["prop12", "cor33"])
+# How each double-angle target words a check that the mixed rules break.
+MIXED_PARITY_FAILURE = {
+    "prop12": ": FAIL (got ",
+    "cor33": ": FAIL (got ",
+    "thm32": "does not fit the expected monomial family",
+}
+
+
+@pytest.mark.parametrize("target", ["prop12", "cor33", "thm32"])
 def test_mixed_parity_rules_fail_the_check(capsys, monkeypatch, target):
     # f -> f*g + g mixes odd and even powers of f in every iterate: a
     # falsified identity (exit 1), not a usage error (exit 2)
-    monkeypatch.setattr(classical, "DOUBLE_ANGLE_RULES", "f -> f*g + g; g -> 4*f^2")
+    monkeypatch.setattr(verify, "_DOUBLE_ANGLE_RULES", "f -> f*g + g; g -> 4*f^2")
     code, out, err = run_cli(capsys, "verify", "--target", target, "--n-max", "3")
     assert code == 1 and err == ""
     lines = out.splitlines()
     assert lines[-1] == f"{target}: FAIL"
-    assert any(": FAIL (got " in line for line in lines[:-1])
+    assert any(MIXED_PARITY_FAILURE[target] in line for line in lines[:-1])
 
 
 def test_table_unknown_name_exits_2(capsys):
@@ -500,7 +509,8 @@ UNBUFFERED = pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered
 @UNBUFFERED
 @pytest.mark.parametrize("case", sorted(CLOSED_OUTPUT_CASES))
 @pytest.mark.parametrize("argv", ["verify --target thm42 --n-max 1", "verify --target egf",
-                                  "--help", "verify --help"])
+                                  "--help", "verify --help",
+                                  "table --name eulerian-b --rows 40 --format bfile"])
 def test_unwritable_output_exits_2(case, unbuffered, argv):
     redirect = CLOSED_OUTPUT_CASES[case]
     done = _shell(f"{POLYGRAM} {argv} {redirect}", unbuffered)
@@ -539,3 +549,64 @@ def test_a_broken_pipe_in_process_returns_2(capsys, monkeypatch):
     code = main(["verify", "--target", "thm42", "--n-max", "1"])
     assert code == 2
     assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+
+class CountingStdout:
+    """A stdout that keeps each write as one item."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+# argv -> the number of sys.stdout.write calls its text output makes.
+WRITE_COUNTS = {
+    # the header, then one write per row
+    "table --name eulerian-b --rows 40 --format bfile": 1 + 40,
+    "table --name gamma-a --rows 25": 25,
+    "verify --target thm32 --n-max 20": 1,
+    # one per report, then the all: line
+    "verify --target all": len(verify.TARGETS) + 1,
+}
+
+
+@pytest.mark.parametrize("argv", sorted(WRITE_COUNTS))
+def test_text_output_is_one_write_per_row_or_report(monkeypatch, argv):
+    stdout = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(argv.split()) == 0
+    assert len(stdout.writes) == WRITE_COUNTS[argv]
+    assert all(text.endswith("\n") for text in stdout.writes)
+    if "bfile" in argv:
+        assert stdout.writes[0].startswith("# eulerian-b") and stdout.writes[0].count("\n") == 1
+        # row n of eulerian-b has n + 1 entries, one line each
+        assert [text.count("\n") for text in stdout.writes[1:]] == list(range(2, 42))
+
+
+@pytest.mark.parametrize("argv", sorted(WRITE_COUNTS))
+def test_stdout_bytes_do_not_depend_on_buffering(argv):
+    buffered = _shell(f"{POLYGRAM} {argv}", unbuffered=False)
+    unbuffered = _shell(f"{POLYGRAM} {argv}", unbuffered=True)
+    assert buffered.returncode == unbuffered.returncode == 0
+    assert buffered.stdout == unbuffered.stdout != b""
+
+
+def test_only_entry_freezes_the_collector(capsys):
+    frozen = gc.get_freeze_count()
+    assert main(["verify", "--target", "thm42", "--n-max", "1"]) == 0
+    assert gc.get_freeze_count() == frozen
+    # entry freezes the heap just before its SystemExit.
+    script = ("import gc, sys\n"
+              "from polygram import cli\n"
+              "sys.argv = ['polygram', 'verify', '--target', 'thm42', '--n-max', '1']\n"
+              "try:\n    cli.entry()\n"
+              "except SystemExit as exc:\n"
+              "    sys.stderr.write(f'{exc.code} {gc.get_freeze_count() > 0}')\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert done.stderr == "0 True"

@@ -106,9 +106,10 @@ def test_lookup_and_oeis_aliases():
 
 
 def test_bfile_export():
-    lines = list(tri.bfile_lines(tri.GAMMA_B, 3))
-    assert lines[0].startswith("#") and "offset 1" in lines[0]
-    assert lines[1:] == ["1 1", "2 1", "3 4", "4 1", "5 20"]
+    blocks = list(tri.bfile_rows(tri.GAMMA_B, 3))
+    assert len(blocks[0]) == 1
+    assert blocks[0][0].startswith("#") and "offset 1" in blocks[0][0]
+    assert blocks[1:] == [["1 1"], ["2 1", "3 4"], ["4 1", "5 20"]]
 
 
 def test_table_rows_are_built_as_they_are_read(monkeypatch):
@@ -118,9 +119,10 @@ def test_table_rows_are_built_as_they_are_read(monkeypatch):
     rows = tri.CUBE_F.first_rows(50)
     assert built == []
     assert next(rows) == [1] and built == [0]
-    lines = tri.bfile_lines(tri.CUBE_F, 50)
-    assert next(lines).startswith("# cube-f") and built == [0]
-    assert next(lines) == "0 1" and built == [0, 0]
+    blocks = tri.bfile_rows(tri.CUBE_F, 50)
+    assert next(blocks)[0].startswith("# cube-f") and built == [0]
+    assert next(blocks) == ["0 1"] and built == [0, 0]
+    assert next(blocks) == ["1 2", "2 1"] and built == [0, 0, 1]
     assert len(list(rows)) == 49 and built[-1] == 49
 
 
