@@ -2,16 +2,15 @@
 
 A constant modulus is allowed, so q = -1 gives the Gaussian integers over
 any base letter.  An ``ExtPoly`` is a reduced value a + b*s: no s^2
-survives.  Its only arithmetic is the product with an int or a ``UniPoly``
-scalar.  A sum of terms c * s^e * x^b enters the ring through one
-reduction, ``QuadraticRing.collect``.
+survives, and it has no arithmetic.  A sum of terms c * s^e * x^b enters
+the ring through one reduction, ``QuadraticRing.collect``; ``of`` only
+wraps two components that are already reduced.
 
 The ring caches each power q^j next to its nonzero slots r^j, with
 q^j(x) = r^j(x^step).  An even modulus (no odd-index coefficient, as
 1 + h^2, x^2 - 1 or -1) has step 2, so ``collect`` adds c * r^j at stride 2
 from slot b and touches half the slots; any other modulus (thm31's 4x - 1)
-has step 1, and r^j is q^j's own tuple.  ``modulus_power`` and
-``root_power`` return the cached q^j.
+has step 1, and r^j is q^j's own tuple.
 """
 
 from __future__ import annotations
@@ -36,14 +35,6 @@ class ExtPoly:
     @property
     def is_real(self) -> bool:
         return self.b.is_zero
-
-    def __mul__(self, other):
-        # The want sides of thm42 and cor33 multiply a root power by a UniPoly.
-        if isinstance(other, (int, UniPoly)):
-            return ExtPoly(self.a * other, self.b * other, self.modulus)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, ExtPoly):
@@ -90,19 +81,6 @@ class QuadraticRing:
             q_j = powers[-1][0] * self.modulus
             powers.append((q_j, q_j.coeffs[::self._step]))
         return powers[j]
-
-    def modulus_power(self, j: int) -> UniPoly:
-        """q^j."""
-        return self._power(j)[0]
-
-    def root_power(self, k: int) -> ExtPoly:
-        """s^k reduced: q^(k//2), times s when k is odd."""
-        if k < 0:
-            raise ValueError(f"power must be >= 0, got {k}")
-        q_pow = self.modulus_power(k // 2)
-        if k % 2:
-            return self.of(0, q_pow)
-        return self.of(q_pow, 0)
 
     def collect(self, terms) -> ExtPoly:
         """Sum c * s^e * x^b over (e, b, c) triples, reduced by s^2 = q.

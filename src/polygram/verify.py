@@ -18,6 +18,12 @@ powers of q become equalities in ``QuadraticRing``.  Every polynomial in
 the adjoined root (a two-letter iterate, thm31's shifted sums, cor33's
 values at i*h) enters the ring through one reduction,
 ``QuadraticRing.collect``, with no rational function arithmetic anywhere.
+Where every term of the got side carries a known power of the root (thm42,
+cor33, thm31), that common power is divided out of the got side before
+``collect``, not multiplied into the want side.  q is not a square, so the
+ring has no zero divisors and s^m X = s^m Y exactly when X = Y; a term
+below the common power, or a thm31 P_n / Q_n of degree above it, fails its
+check.
 
 Only the triangles and ``Report`` are imported with the module.  Each
 target imports the rest of polygram when it runs, so a single target loads
@@ -42,19 +48,26 @@ if TYPE_CHECKING:
     from .poly import MultiPoly
     from .quadratic import ExtPoly, QuadraticRing
 
-__all__ = ["TARGETS", "Target", "check_alternating_counts", "check_chebyshev_specialization",
-           "check_generating_functions", "check_imaginary_assoc_forms", "check_scaled_tan_sec",
-           "check_sqrt_gamma_forms", "run_all", "run_target"]
+__all__ = ["TARGETS", "Target", "check_alternating_counts", "run_all", "run_target"]
 
 # f ~ sec(2x), g ~ 2 tan(2x): D f = f g and D g = 4 f^2.
 _DOUBLE_ANGLE_RULES = "f -> f*g; g -> 4*f^2"
 _CUBIC_RULES = "u -> u^2*v; v -> u^3"
 
 
-def _specialize(p: MultiPoly, ring: QuadraticRing, scale: int) -> ExtPoly:
-    # Two-letter p with its first letter -> s and its second -> scale*x, over
-    # s^2 = q(x): a term c u^a v^b is c scale^b s^a x^b.
-    return ring.collect((a, b, c * scale ** b) for (a, b), c in p.terms.items())
+def _expect_root_free(report: Report, name: str, n: int, p: MultiPoly, ring: QuadraticRing,
+                      scale: int, power: int, want: ExtPoly) -> None:
+    # Checks p = s^power * want, with two-letter p's first letter -> s and its
+    # second -> scale*x over s^2 = q(x): a term c u^a v^b reads
+    # c scale^b s^(a-power) x^b.  A term below s^power fails the check.
+    low = min(p.terms, default=(power,))
+    if low[0] < power:
+        term = type(p)._raw(p.letters, {low: p.terms[low]})
+        report.add(Check(name, n, False,
+                         f"term {term} lies below the common power {p.letters[0]}^{power}"))
+        return
+    report.expect(name, n, ring.collect((a - power, b, c * scale ** b)
+                                        for (a, b), c in p.terms.items()), want)
 
 
 def _run_rows(target: str, rules: str, n_max: int, rows) -> Report:
@@ -156,13 +169,29 @@ def _target_prop41(n_max: int) -> Report:
 
 
 def _target_thm42(n_max: int) -> Report:
+    from . import classical
+    from .quadratic import QuadraticRing
+    from .unipoly import UniPoly
+
     even_slots = plain_triangle("binomial-even-slots", lambda n: binomial_row(n + 1)[::2])
     odd_slots = plain_triangle("binomial-odd-slots", lambda n: binomial_row(n + 1)[1::2])
     report = _run_rows("thm42", _CUBIC_RULES, n_max, (
         ("D^n(uv)", "D", "u*v", even_slots, factorial, lambda n: (n + 1, n + 1), (2, -2)),
         ("D^n(u^2)", "D", "u^2", odd_slots, factorial, lambda n: (n + 2, n), (2, -2)),
     ))
-    report.extend(check_chebyshev_specialization(n_max))
+    # The Chebyshev specialization, n = 0 included: under u -> s, v -> x with
+    # s^2 = x^2 - 1, D^n(uv) must read n! s^(n+1) T_(n+1)(x) and D^n(u^2)
+    # n! s^(n+2) U_n(x).  Half-integer powers of x^2 - 1 are exactly the odd
+    # powers of s.
+    ring = QuadraticRing(UniPoly("x", (-1, 0, 1)))
+    for n, (d_uv, d_u2) in _paired_iterates(_CUBIC_RULES, "D", "u*v", "u^2", n_max):
+        fact = factorial(n)
+        cases = (
+            ("uv-specialized", d_uv, classical.chebyshev_t(n + 1), n + 1),
+            ("u^2-specialized", d_u2, classical.chebyshev_u(n), n + 2),
+        )
+        for name, value, cheb, s_power in cases:
+            _expect_root_free(report, name, n, value, ring, 1, s_power, ring.of(cheb * fact))
     return report
 
 
@@ -182,15 +211,10 @@ def _target_thm44(n_max: int) -> Report:
     ))
 
 
-def check_scaled_tan_sec(n_max: int) -> Report:
-    """Derivative iterates of the double-angle system against scaled P_n / Q_n.
-
-    Under g = 2h and f = s with s^2 = 1 + h^2, D^n(f) must read 2^n Q_n(h) s
-    and D^n(g) must read 2^(n+1) P_n(h); a term of the wrong parity in f
-    leaves a component that should be zero.
-    """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+def _target_prop12(n_max: int) -> Report:
+    # Under g = 2h and f = s with s^2 = 1 + h^2, D^n(f) must read 2^n Q_n(h) s
+    # and D^n(g) must read 2^(n+1) P_n(h); a term of the wrong parity in f
+    # leaves a component that should be zero.
     from . import classical
     from .quadratic import QuadraticRing
     from .unipoly import UniPoly
@@ -205,21 +229,20 @@ def check_scaled_tan_sec(n_max: int) -> Report:
             ("D^n(g)", d_g, ring.of(2 ** (n + 1) * classical.tangent_derivative_poly(n, "h"))),
         )
         for name, value, want in cases:
-            report.expect(name, n, _specialize(value, ring, 2), want)
+            _expect_root_free(report, name, n, value, ring, 2, 0, want)
     return report
 
 
-def check_sqrt_gamma_forms(n_max: int) -> Report:
-    """Row generating functions of both gamma triangles against tangent and
-    secant derivative polynomials taken at 1/sqrt(4x-1).
-
-    With s adjoined as sqrt(4x-1) =: sqrt(q), 1/s is s/q, so after clearing
-    q powers both sides are ordinary polynomials.  The parities of P_n and
-    Q_n force every surviving power of s to be even; any odd power left over
-    is reported as a failure.
-    """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+def _target_thm31(n_max: int) -> Report:
+    # Row generating functions of both gamma triangles against P_n and Q_n at
+    # 1/sqrt(4x-1).  With s adjoined as sqrt(4x-1) =: sqrt(q), 1/s is s/q, and
+    # clearing denominators gives
+    #   2^(n+1) x a_n(x) q^(n+1) = sum_k [P_n]_k s^(n+1+k) q^(n+1-k),
+    #   b_n(x) q^n = sum_k [Q_n]_k s^(n+k) q^(n-k).
+    # As s^2 = q, each right side is q^shift sum_k c_k s^(shift-k), and q^shift
+    # divides out of both sides.  The parities of P_n and Q_n force every
+    # surviving power of s to be even; an odd one left over fails the check,
+    # and so does a degree above shift.
     from . import classical
     from .quadratic import QuadraticRing
     from .unipoly import UniPoly
@@ -228,38 +251,29 @@ def check_sqrt_gamma_forms(n_max: int) -> Report:
     ring = QuadraticRing(4 * x - 1)
     report = Report("thm31")
     for n in range(1, n_max + 1):
-        row_a = UniPoly("x", GAMMA_A.row(n))
-        row_b = UniPoly("x", GAMMA_B.row(n))
         cases = (
-            # 2^(n+1) x a_n(x) q^(n+1) == sum_k [P_n]_k s^(n+1+k) q^(n+1-k)
             ("gamma-a-gf", classical.tangent_derivative_poly(n), n + 1,
-             2 ** (n + 1) * x * row_a * ring.modulus_power(n + 1)),
-            # b_n(x) q^n == sum_k [Q_n]_k s^(n+k) q^(n-k)
-            ("gamma-b-gf", classical.secant_derivative_poly(n), n,
-             row_b * ring.modulus_power(n)),
+             2 ** (n + 1) * x * UniPoly("x", GAMMA_A.row(n))),
+            ("gamma-b-gf", classical.secant_derivative_poly(n), n, UniPoly("x", GAMMA_B.row(n))),
         )
-        for name, dpoly, shift, lhs in cases:
-            # s^(shift+k) q^(shift-k) = s^(3 shift - k), as s^2 = q
-            got = ring.collect((3 * shift - k, 0, c) for k, c in enumerate(dpoly.coeffs))
+        for name, dpoly, shift, want in cases:
+            if dpoly.degree > shift:
+                report.add(Check(name, n, False, f"degree {dpoly.degree} is above {shift}"))
+                continue
+            got = ring.collect((shift - k, 0, c) for k, c in enumerate(dpoly.coeffs))
             if not got.is_real:
                 report.add(Check(name, n, False, "odd power of the adjoined root survived"))
                 continue
-            report.expect(name, n, got.a, lhs)
+            report.expect(name, n, got.a, want)
     return report
 
 
-def check_imaginary_assoc_forms(n_max: int) -> Report:
-    """Weighted derivative iterates against Legendre/Narayana-type values at
-    an imaginary argument.
-
-    Under the double-angle rules, (fD)^n(f) equals n! f^(n+1) (-i)^n L_n(i h)
-    and (fD)^n(g) equals 2 (n+1)! f^(n+2) (-i)^(n-1) N_n(i h), with i adjoined
-    as the root of -1 over the letter h.  Both right-hand sides must come out
-    with zero imaginary component; the left-hand sides are read with g = 2h
-    and f = s, s^2 = 1 + h^2.
-    """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+def _target_cor33(n_max: int) -> Report:
+    # Under the double-angle rules, (fD)^n(f) equals n! f^(n+1) (-i)^n L_n(i h)
+    # and (fD)^n(g) equals 2 (n+1)! f^(n+2) (-i)^(n-1) N_n(i h), with i
+    # adjoined as the root of -1 over the letter h.  Both right-hand sides
+    # must come out with zero imaginary component; the left-hand sides are
+    # read with g = 2h and f = s, s^2 = 1 + h^2.
     from . import classical
     from .quadratic import QuadraticRing
     from .unipoly import UniPoly
@@ -282,48 +296,16 @@ def check_imaginary_assoc_forms(n_max: int) -> Report:
             if not rhs.is_real:
                 report.add(Check(name, n, False, "imaginary component survived"))
                 continue
-            report.expect(name, n, _specialize(value, f_ring, 2),
-                          f_ring.root_power(f_power) * rhs.a)
+            _expect_root_free(report, name, n, value, f_ring, 2, f_power, f_ring.of(rhs.a))
     return report
 
 
-def check_chebyshev_specialization(n_max: int) -> Report:
-    """Derivative iterates of the cubic-rule grammar under u -> s, v -> x with
-    s^2 = x^2 - 1, against n! s^(n+1) T_(n+1)(x) and n! s^(n+2) U_n(x).
-
-    Half-integer powers of x^2 - 1 are exactly the odd powers of s, so the
-    comparison is plain equality of reduced ring elements.
-    """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    from . import classical
-    from .quadratic import QuadraticRing
-    from .unipoly import UniPoly
-
-    ring = QuadraticRing(UniPoly("x", (-1, 0, 1)))
-    report = Report("thm42")
-    for n, (d_uv, d_u2) in _paired_iterates(_CUBIC_RULES, "D", "u*v", "u^2", n_max):
-        fact = factorial(n)
-        cases = (
-            ("uv-specialized", d_uv, classical.chebyshev_t(n + 1), n + 1),
-            ("u^2-specialized", d_u2, classical.chebyshev_u(n), n + 2),
-        )
-        for name, value, cheb, s_power in cases:
-            report.expect(name, n, _specialize(value, ring, 1),
-                          ring.root_power(s_power) * (cheb * fact))
-    return report
-
-
-def check_generating_functions(n_max: int) -> Report:
-    """Coefficients of the closed tangent/secant generating functions, order
-    by order, against the recurrence-built polynomials.
-
-    The closed forms are (u + tan t) / (1 - u tan t) and sec t / (1 - u tan t);
-    both are assembled by series arithmetic only.  They are exponential
-    generating functions, so coefficient n of each is P_n or Q_n itself.
-    """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+def _target_egf(n_max: int) -> Report:
+    # Coefficients of the closed tangent/secant generating functions
+    # (u + tan t) / (1 - u tan t) and sec t / (1 - u tan t), order by order,
+    # against the recurrence-built polynomials.  Both are assembled by series
+    # arithmetic only; they are exponential generating functions, so
+    # coefficient n of each is P_n or Q_n itself.
     from . import classical
     from .unipoly import _trimmed
 
@@ -379,17 +361,17 @@ TARGETS: dict[str, Target] = {
         Target("thm11", 15, "weighted iterates carry scaled Eulerian rows of both types",
                _target_thm11),
         Target("prop12", 12, "derivative iterates reduce to scaled tangent/secant polynomials",
-               check_scaled_tan_sec),
+               _target_prop12),
         Target("thm21", 12, "type A gamma rows expand to the Coxeter and associahedron h-rows",
                _target_thm21),
         Target("thm22", 12, "type B gamma rows expand to the Coxeter and associahedron h-rows",
                _target_thm22),
         Target("thm31", 12, "gamma row generating functions via the square root of 4x-1",
-               check_sqrt_gamma_forms),
+               _target_thm31),
         Target("thm32", 25, "the four coefficient expansions over the double-angle rules",
                _target_thm32),
         Target("cor33", 10, "weighted iterates against Legendre/Narayana values at i*h",
-               check_imaginary_assoc_forms),
+               _target_cor33),
         Target("prop41", 15, "quartic-rule iterates carry 4^k binomial rows",
                _target_prop41),
         Target("thm42", 12, "cubic-rule expansions and their Chebyshev specialization",
@@ -399,7 +381,7 @@ TARGETS: dict[str, Target] = {
         Target("thm44", 15, "three-letter grammar carries Motzkin prefix and cube face rows",
                _target_thm44),
         Target("egf", 12, "closed tangent/secant generating functions match the recurrences",
-               check_generating_functions),
+               _target_egf),
         Target("alternating", 8, "alternating counts match polynomial values at zero",
                _target_alternating),
     )

@@ -19,9 +19,7 @@ from polygram.grammar import DerivOp, iterate_operator
 from polygram.parser import parse_grammar, parse_poly
 from polygram.poly import MultiPoly
 from test_kernel import partial_derivative
-from polygram.verify import (check_alternating_counts, check_chebyshev_specialization,
-                             check_generating_functions, check_imaginary_assoc_forms,
-                             check_sqrt_gamma_forms, run_target)
+from polygram.verify import check_alternating_counts, run_target
 
 
 def _finish(number: int, label: str, ok: bool, t0: float, budget: float) -> None:
@@ -102,15 +100,16 @@ def test_criterion_06_grammar_coefficient_identities_to_15():
 
 def test_criterion_07_quadratic_extension_identities():
     t0 = time.perf_counter()
-    ok = (check_sqrt_gamma_forms(12).ok
-          and check_imaginary_assoc_forms(10).ok
-          and check_chebyshev_specialization(12).ok)
+    thm42 = [c for c in run_target("thm42", 12).checks if c.name.endswith("-specialized")]
+    ok = (run_target("thm31", 12).ok
+          and run_target("cor33", 10).ok
+          and len(thm42) == 26 and all(c.ok for c in thm42))
     _finish(7, "square-root and imaginary-unit identities", ok, t0, 5.0)
 
 
 def test_criterion_08_generating_function_checks():
     t0 = time.perf_counter()
-    egf = check_generating_functions(12)
+    egf = run_target("egf", 12)
     alt = check_alternating_counts(8, 6)
     ok = egf.ok and alt.ok and oracles.count_alternating(4, "A") == 5
     _finish(8, "series coefficients and alternating counts", ok, t0, 10.0)

@@ -9,8 +9,7 @@ from polygram.classical import (_series_invert, _series_mul, chebyshev_t, chebys
                                 secant_derivative_poly, tangent_derivative_poly)
 from polygram.triangles import binomial, factorial
 from polygram.unipoly import UniPoly
-from polygram.verify import (check_alternating_counts, check_generating_functions,
-                             check_scaled_tan_sec)
+from polygram.verify import check_alternating_counts, run_target
 
 
 def test_tangent_and_secant_polys_small():
@@ -184,19 +183,19 @@ def test_generating_functions_catch_a_wrong_coefficient(monkeypatch, name):
         return UniPoly(p.var, p.coeffs[:-1] + (p.coeffs[-1] + 1,))
 
     monkeypatch.setattr(classical, name, bumped)
-    report = check_generating_functions(8)
+    report = run_target("egf", 8)
     assert not report.ok
     assert [c.n for c in report.checks if not c.ok] == [5]
 
 
 def test_scaled_tan_sec_reduction():
-    report = check_scaled_tan_sec(12)
+    report = run_target("prop12", 12)
     assert report.ok
     assert len(report.checks) == 24
 
 
 def test_generating_function_coefficients():
-    report = check_generating_functions(12)
+    report = run_target("egf", 12)
     assert report.ok
     names = {c.name for c in report.checks}
     assert names == {"tan-side", "sec-side"}

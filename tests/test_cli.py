@@ -264,7 +264,7 @@ def test_rule_literal_past_the_4300_digit_limit_parses(capsys):
 # How each double-angle target words a check that the mixed rules break.
 MIXED_PARITY_FAILURE = {
     "prop12": ": FAIL (got ",
-    "cor33": ": FAIL (got ",
+    "cor33": ": FAIL (term f*g lies below the common power f^2)",
     "thm32": "does not fit the expected monomial family",
 }
 
@@ -279,6 +279,36 @@ def test_mixed_parity_rules_fail_the_check(capsys, monkeypatch, target):
     lines = out.splitlines()
     assert lines[-1] == f"{target}: FAIL"
     assert any(MIXED_PARITY_FAILURE[target] in line for line in lines[:-1])
+
+
+def test_a_term_below_the_common_root_power_fails_the_check(capsys, monkeypatch):
+    # u -> u^2*v + v puts terms below s^(n+1) into D^n(uv): a failed check
+    # (exit 1), not an exit 2 from a negative power of s in collect
+    monkeypatch.setattr(verify, "_CUBIC_RULES", "u -> u^2*v + v; v -> u^3")
+    code, out, err = run_cli(capsys, "verify", "--target", "thm42", "--n-max", "2")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert lines[-1] == "thm42: FAIL"
+    assert "thm42: uv-specialized n=1: FAIL (term v^2 lies below the common power u^2)" in lines
+    assert "thm42: u^2-specialized n=2: FAIL (term 2*v^2 lies below the common power u^4)" in lines
+
+
+def test_a_tangent_polynomial_of_too_high_degree_fails_thm31(capsys, monkeypatch):
+    # One extra top coefficient puts P_5 at degree 7, above s^6: a failed
+    # check (exit 1), not an exit 2 from a negative power of s in collect
+    real = classical.tangent_derivative_poly
+
+    def padded(n, *args):
+        p = real(n, *args)
+        return p if n != 5 else type(p)(p.var, p.coeffs + (1,))
+
+    monkeypatch.setattr(classical, "tangent_derivative_poly", padded)
+    code, out, err = run_cli(capsys, "verify", "--target", "thm31", "--n-max", "6")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert lines[-1] == "thm31: FAIL"
+    assert [line for line in lines if "FAIL (" in line] == [
+        "thm31: gamma-a-gf n=5: FAIL (degree 7 is above 6)"]
 
 
 def test_table_unknown_name_exits_2(capsys):

@@ -5,8 +5,9 @@ import pytest
 from polygram import classical
 from polygram.quadratic import ExtPoly, QuadraticRing
 from polygram.unipoly import UniPoly
-from polygram.verify import (check_chebyshev_specialization, check_imaginary_assoc_forms,
-                             check_scaled_tan_sec, check_sqrt_gamma_forms)
+from polygram.verify import run_target
+
+_SPECIALIZED = ("uv-specialized", "u^2-specialized")
 
 
 def product(x, y, q):
@@ -17,7 +18,7 @@ def product(x, y, q):
 
 def term_sum(q, terms):
     """The pair (a, b) of sum c * s^e * x^b over (e, b, c), each s^e taken as e
-    products by s: the reference for ``collect`` and ``root_power``."""
+    products by s: the reference for ``collect``."""
     zero, one = UniPoly(q.var), UniPoly(q.var, (1,))
     x = UniPoly.variable(q.var)
     a = b = zero
@@ -32,7 +33,8 @@ def term_sum(q, terms):
 def test_defining_relation():
     x = UniPoly.variable("x")
     ring = QuadraticRing(4 * x - 1)
-    assert ring.collect([(2, 0, 1)]) == ring.root_power(2) == ring.of(4 * x - 1)
+    assert ring.collect([(2, 0, 1)]) == ring.of(4 * x - 1)
+    assert ring.collect([(1, 0, 1)]) == ring.of(0, 1)
 
 
 _X = UniPoly.variable("x")
@@ -67,30 +69,27 @@ def test_conjugate_product_collapses():
 def test_gaussian_unit():
     ring = QuadraticRing(UniPoly("h", (-1,)))
     assert ring.collect([(2, 0, 1)]) == ring.of(-1)
-    assert ring.root_power(3) == ring.of(0, -1)
-    assert ring.root_power(4) == ring.of(1)
+    assert ring.collect([(3, 0, 1)]) == ring.of(0, -1)
+    assert ring.collect([(4, 0, 1)]) == ring.of(1)
 
 
-def test_the_scalar_product_is_the_only_arithmetic():
+def test_extpoly_has_no_arithmetic():
+    # A value enters the ring only through collect; nothing multiplies or adds one.
     x = UniPoly.variable("x")
     ring = QuadraticRing(x**2 - 1)
     e = ring.of(x + 2, 3 * x)
-    assert e * (x - 1) == (x - 1) * e == ring.of((x + 2) * (x - 1), 3 * x * (x - 1))
-    assert e * -2 == -2 * e == ring.of(-2 * x - 4, -6 * x)
-    assert e * 0 == ring.of(0)
-    for other in (e, 1.5, "s"):
+    for op in (lambda: e * x, lambda: x * e, lambda: e * 2, lambda: 2 * e,
+               lambda: e * e, lambda: e + e):
         with pytest.raises(TypeError):
-            e * other
-    with pytest.raises(TypeError):
-        e + e
+            op()
 
 
 def test_root_power_reduction():
     x = UniPoly.variable("x")
     ring = QuadraticRing(4 * x - 1)
     q = 4 * x - 1
-    assert ring.root_power(4) == ring.of(q * q)
-    assert ring.root_power(5) == ring.of(UniPoly("x"), q * q)
+    assert ring.collect([(4, 0, 1)]) == ring.of(q * q)
+    assert ring.collect([(5, 0, 1)]) == ring.of(UniPoly("x"), q * q)
 
 
 def test_of_lifts_ints_and_still_refuses_bools():
@@ -113,8 +112,8 @@ def test_collect_matches_a_term_by_term_sum(var, modulus, max_e):
     ring = QuadraticRing(UniPoly(var, modulus))
     power = [1]  # q^j by a double loop over plain lists
     for j in range(max_e + 1):
-        assert ring.modulus_power(j).coeffs == tuple(power)
-        assert ring.modulus_power(j) is ring.modulus_power(j)  # cached, not rebuilt
+        assert ring._power(j)[0].coeffs == tuple(power)
+        assert ring._power(j) is ring._power(j)  # cached, not rebuilt
         following = [0] * (len(power) + len(modulus) - 1)
         for i, a in enumerate(power):
             for k, c in enumerate(modulus):
@@ -186,26 +185,28 @@ def test_square_modulus_gives_plain_substitution():
             want = want + c * r ** e * x ** b
         got = ring.collect(terms)
         assert send(got) == want
-        assert send(got * (x - 2)) == want * (x - 2)
+        assert send(ring.collect(_times(terms, [(0, 1, 1), (0, 0, -2)]))) == want * (x - 2)
         done += 1
 
 
 def test_sqrt_gamma_forms():
-    report = check_sqrt_gamma_forms(12)
+    report = run_target("thm31", 12)
     assert report.ok
     assert {c.name for c in report.checks} == {"gamma-a-gf", "gamma-b-gf"}
 
 
 def test_imaginary_assoc_forms():
-    report = check_imaginary_assoc_forms(10)
+    report = run_target("cor33", 10)
     assert report.ok
     assert len(report.checks) == 20
 
 
 def test_chebyshev_specialization():
-    report = check_chebyshev_specialization(12)
+    report = run_target("thm42", 12)
     assert report.ok
-    anchors = [c for c in report.checks if c.n == 0]
+    checks = [c for c in report.checks if c.name in _SPECIALIZED]
+    assert len(checks) == 26
+    anchors = [c for c in checks if c.n == 0]
     assert len(anchors) == 2 and all(c.ok for c in anchors)
 
 
@@ -218,22 +219,22 @@ def test_root_power_in_any_order_matches_direct_powers():
     for k in order:
         q_pow = q ** (k // 2)
         want = ring.of(UniPoly("x"), q_pow) if k % 2 else ring.of(q_pow, 0)
-        assert ring.root_power(k) == want == ring.of(*term_sum(q, [(k, 0, 1)]))
-        assert ring.modulus_power(k) == q ** k
+        assert ring.collect([(k, 0, 1)]) == want == ring.of(*term_sum(q, [(k, 0, 1)]))
+        assert ring._power(k)[0] == q ** k
     with pytest.raises(ValueError):
-        ring.root_power(-1)
-    with pytest.raises(ValueError):
-        ring.modulus_power(-1)
+        ring._power(-1)
 
 
-def test_three_shift_rewrite_matches_the_ring_product():
-    # thm31 reads s^(shift+k) q^(shift-k) as s^(3 shift - k), since s^2 = q.
+def test_shift_rewrite_matches_the_ring_product():
+    # thm31 reads s^(shift+k) q^(shift-k) as q^shift s^(shift-k), since
+    # s^2 = q, and then compares only s^(shift-k).
     x = UniPoly.variable("x")
-    ring = QuadraticRing(4 * x - 1)
+    q = 4 * x - 1
+    ring = QuadraticRing(q)
     for shift in range(13):
         for k in range(shift + 1):
-            assert (ring.root_power(3 * shift - k)
-                    == ring.root_power(shift + k) * ring.modulus_power(shift - k))
+            assert (ring.collect((shift + k, b, c) for b, c in enumerate((q ** (shift - k)).coeffs))
+                    == ring.collect((shift - k, b, c) for b, c in enumerate((q ** shift).coeffs)))
 
 
 def _bump_one_coefficient(real, bad_n, slot=-1):
@@ -253,7 +254,7 @@ def test_sqrt_gamma_forms_catch_a_wrong_coefficient(monkeypatch, name, slot, det
     # slot -2 breaks the parity of P_n / Q_n, so an odd power of s survives
     monkeypatch.setattr(classical, name,
                         _bump_one_coefficient(getattr(classical, name), 5, slot))
-    report = check_sqrt_gamma_forms(8)
+    report = run_target("thm31", 8)
     assert not report.ok
     [bad] = [c for c in report.checks if not c.ok]
     assert bad.n == 5 and bad.detail.startswith(detail)
@@ -266,9 +267,9 @@ def test_chebyshev_specialization_catches_a_wrong_coefficient(monkeypatch, name)
     shift = 1 if name == "chebyshev_t" else 0
     monkeypatch.setattr(classical, name,
                         _bump_one_coefficient(getattr(classical, name), bad_n + shift))
-    report = check_chebyshev_specialization(9)
+    report = run_target("thm42", 9)
     assert not report.ok
-    assert {c.n for c in report.checks if not c.ok} == {bad_n}
+    assert {(c.name in _SPECIALIZED, c.n) for c in report.checks if not c.ok} == {(True, bad_n)}
 
 
 @pytest.mark.parametrize("name", ["legendre_like", "narayana_like"])
@@ -277,7 +278,7 @@ def test_imaginary_assoc_forms_catch_a_wrong_coefficient(monkeypatch, name, slot
     # slot -2 breaks the parity of L_n / N_n, so the value at i*h is not real
     monkeypatch.setattr(classical, name,
                         _bump_one_coefficient(getattr(classical, name), 4, slot))
-    report = check_imaginary_assoc_forms(7)
+    report = run_target("cor33", 7)
     [bad] = [c for c in report.checks if not c.ok]
     assert bad.n == 4 and bad.detail.startswith(detail)
 
@@ -286,5 +287,5 @@ def test_imaginary_assoc_forms_catch_a_wrong_coefficient(monkeypatch, name, slot
 def test_scaled_tan_sec_catches_a_wrong_coefficient(monkeypatch, name):
     monkeypatch.setattr(classical, name,
                         _bump_one_coefficient(getattr(classical, name), 5))
-    report = check_scaled_tan_sec(8)
+    report = run_target("prop12", 8)
     assert {c.n for c in report.checks if not c.ok} == {5}

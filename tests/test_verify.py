@@ -9,7 +9,7 @@ from polygram.poly import MultiPoly
 from polygram.quadratic import QuadraticRing
 from polygram.report import Check, Report
 from polygram.unipoly import UniPoly
-from polygram.verify import TARGETS, _specialize, run_all, run_target
+from polygram.verify import TARGETS, _expect_root_free, run_all, run_target
 from test_quadratic import term_sum
 
 EXPECTED_TARGETS = [
@@ -95,25 +95,34 @@ def test_report_shapes():
 
 @pytest.mark.parametrize("scale", [1, 2])
 @pytest.mark.parametrize("parity", [None, 0, 1])
-def test_specialize_matches_a_term_by_term_sum(scale, parity):
-    # first letter -> s, second -> scale*x, one term at a time; parity None
-    # leaves the first letter's exponents mixed
+def test_root_free_check_matches_a_term_by_term_sum(scale, parity):
+    # first letter -> s, second -> scale*x, one term at a time, after s^power
+    # is divided out; parity None leaves the first letter's exponents mixed
     rng = random.Random(f"{scale}-{parity}")
     x = UniPoly.variable("x")
     for modulus in (x * x - 1, x * x + 1, 4 * x - 1, UniPoly("x", (-1,))):
         ring = QuadraticRing(modulus)
-        for _ in range(150):
+        for n in range(150):
+            power = n % 4
             p = random_poly(rng, ("f", "g"), max_terms=6)
             if parity is not None:
                 p = MultiPoly(p.letters, {(a - a % 2 + parity, b): c
                                           for (a, b), c in p.terms.items()})
-            want = term_sum(modulus, [(a, b, c * scale ** b) for (a, b), c in p.terms.items()])
-            got = _specialize(p, ring, scale)
-            assert got == ring.of(*want)
-            if parity == 0:
-                assert got.b.is_zero
-            elif parity == 1:
-                assert got.a.is_zero
+            want = ring.of(*term_sum(modulus, [(a, b, c * scale ** b)
+                                               for (a, b), c in p.terms.items()]))
+            raised = MultiPoly(p.letters, {(a + power, b): c for (a, b), c in p.terms.items()})
+            report = Report("t")
+            _expect_root_free(report, "p", n, raised, ring, scale, power, want)
+            _expect_root_free(report, "p", n, raised, ring, scale, power,
+                              ring.of(want.a + 1, want.b))
+            assert report.checks[0] == Check("p", n, True)
+            assert not report.checks[1].ok and report.checks[1].detail.startswith("got ")
+            if p.terms:
+                low = min(p.terms)
+                _expect_root_free(report, "p", n, raised, ring, scale, low[0] + power + 1, want)
+                term = MultiPoly(p.letters, {(low[0] + power, low[1]): p.terms[low]})
+                detail = f"term {term} lies below the common power f^{low[0] + power + 1}"
+                assert report.checks[2] == Check("p", n, False, detail)
 
 
 class _BumpedRow:
