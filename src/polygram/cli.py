@@ -9,8 +9,8 @@ Output for a fixed invocation is byte-identical across runs.
 Each handler imports the modules it runs, so a subcommand loads only what
 it needs; building the parser loads none of them.
 
-Text output is written one report or one triangle row at a time, each with
-one ``sys.stdout.write`` (``_write``): with stdout unbuffered, as under
+Output is written one report, one triangle row or one value at a time, each
+with one ``sys.stdout.write`` (``_write``): with stdout unbuffered, as under
 PYTHONUNBUFFERED, every write is a system call, and a ``print`` is two.  No
 whole table is ever joined, so memory stays at one row.  A process that
 runs through ``entry`` freezes the garbage collector before it exits (see
@@ -94,13 +94,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _dump_json(payload) -> None:
     import json
 
-    print(json.dumps(payload, separators=(",", ":")))
+    _write(json.dumps(payload, separators=(",", ":")))
 
 
 def _write(*lines: str) -> None:
     """Write ``lines``, each ended by a newline, with one sys.stdout.write.
 
-    Callers pass one report, one triangle row or one short answer at a time.
+    Callers pass one report, one triangle row or one value at a time.
     """
     sys.stdout.write("\n".join(lines) + "\n")
 
@@ -136,7 +136,7 @@ def _cmd_derive(args) -> int:
     if args.format == "json":
         _dump_json(result.to_json_dict())
     else:
-        print(result)
+        _write(str(result))
     return 0
 
 
@@ -193,7 +193,7 @@ def _cmd_oracle(args) -> int:
         if args.k < 0:
             raise ValueError(f"--k must be >= 0, got {args.k}")
     if which.startswith("alternating"):
-        print(oracles.count_alternating(args.n, which[-1].upper()))
+        _write(str(oracles.count_alternating(args.n, which[-1].upper())))
         return 0
     values = {
         "descents-a": oracles.descent_distribution,
@@ -202,9 +202,9 @@ def _cmd_oracle(args) -> int:
         "left-h": oracles.left_factor_h_histogram,
     }[which](args.n)
     if args.k is not None:
-        print(values[args.k] if args.k < len(values) else 0)
+        _write(str(values[args.k] if args.k < len(values) else 0))
     else:
-        print(" ".join(str(v) for v in values))
+        _write(" ".join(map(str, values)))
     return 0
 
 
@@ -241,7 +241,7 @@ def _cmd_classical(args) -> int:
         "T": classical.chebyshev_t,
         "U": classical.chebyshev_u,
     }[args.which]
-    print(family(args.n))
+    _write(str(family(args.n)))
     return 0
 
 

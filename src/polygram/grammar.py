@@ -20,9 +20,11 @@ the outside, so a failing check names the first stray term in the order of
 the first (term, move) pair that reaches each.  W is derived, never set: no
 exponent of op^n(start), n <= n_max, exceeds B = deg(start) + n_max *
 max(0, (max rule degree) - 1 + [weighted]), so W = bit_length(B) + 1 keeps
-a guard bit under every field.  The reader (``_read_off``) reads a family
-base + k*step only where every field lies in [0, 2^(W-1)), so a carry never
-passes for a match, and names the first differing k or the stray term.
+a guard bit under every field.  Only ``_packed_iterates`` packs, and only
+``operator_iterates`` and ``iterate_operator`` unpack, in the kernel's term
+order.  The reader (``expansion_coefficients``) works on exponent tuples: it
+reads k at the first letter that moves along the family base + k*step and
+names the first term off the family.
 
 The line kernel serves verify_identity.  When every move delta differs from
 the first by a whole number t of pattern steps and the start lies on one
@@ -33,16 +35,15 @@ packing, no width and no carry.  The sweep keeps a divisor d, the true
 iterate being d times the list; a step is linear, so d carries over.  A
 check passes on the list against normalization(n) / d times the row when d
 divides it, and the pass divides that ratio out of the list, exactly, with d
-set to normalization(n): neither side of a compare holds n!.  The reader
-still compares against the scaled row.
+set to normalization(n): neither side of a compare holds n!.  Off the line
+the reader's row is compared with normalization(n) times the expected row.
 """
 
 from __future__ import annotations
 
 from collections import deque, namedtuple
 from itertools import accumulate, islice, repeat, zip_longest
-from operator import add, floordiv, lshift, mul, sub
-from math import inf
+from operator import add, floordiv, mul, sub
 from typing import Callable, Iterator, Mapping
 
 from .poly import AlphabetMismatch, MultiPoly, check_letters
@@ -201,7 +202,7 @@ def iterate_operator(grammar: Grammar, op: DerivOp, start: MultiPoly, n: int) ->
 
 
 # ----------------------------------------------------------------------
-# reading coefficients off packed terms
+# reading coefficients off exponent tuples
 
 class PatternMismatch(ValueError):
     """A term fell outside the monomial family being read off."""
@@ -213,62 +214,37 @@ class PowerPattern(namedtuple("PowerPattern", "letters base step")):
     __slots__ = ()
 
 
-def _family_range(letters: tuple[str, ...], width: int,
-                  pattern: PowerPattern) -> tuple[int, int]:
-    """The k range [lo, hi] in which the family base + k*step is read at this width.
-
-    A pattern of another alphabet is refused (AlphabetMismatch), then one
-    whose base or step has another length (ValueError).  In range, every
-    field of base + k*step lies in [0, 2^(W-1)), so no field carries into its
-    neighbour.  With no moving field only k = 0 is in range; hi < lo if no k is.
-    """
+def _check_pattern(letters: tuple[str, ...], pattern: PowerPattern) -> None:
+    """Refuse a pattern of another alphabet (AlphabetMismatch), then one whose
+    base or step has another length (ValueError)."""
     if letters != pattern.letters:
         raise AlphabetMismatch(
             f"polynomial alphabet {letters} differs from pattern alphabet {pattern.letters}")
     if not len(pattern.base) == len(pattern.step) == len(letters):
         raise ValueError(f"pattern base of length {len(pattern.base)} and step of length "
                          f"{len(pattern.step)} do not fit alphabet {letters}")
-    cap = (1 << (width - 1)) - 1
-    lo, hi = 0, 0 if not any(pattern.step) else inf
-    for b, s in zip(pattern.base, pattern.step):
-        if s > 0:
-            lo, hi = max(lo, -(b // s)), min(hi, (cap - b) // s)
-        elif s < 0:
-            lo, hi = max(lo, -((cap - b) // -s)), min(hi, b // -s)
-        elif not 0 <= b <= cap:
-            hi = -1
-    return lo, hi
-
-
-def _read_off(letters: tuple[str, ...], terms: dict[int, int], width: int,
-              pattern: PowerPattern) -> list[int]:
-    """Coefficients of the packed terms along the family, densely indexed from k = 0."""
-    lo, hi = _family_range(letters, width, pattern)
-    # k is read from the first field that moves with k; with no such field
-    # a zero mask reads every key as k = 0.
-    i = next((i for i, s in enumerate(pattern.step) if s), None)
-    shift, mask, b0, s0 = (0, 0, 0, 1) if i is None else \
-        (i * width, (1 << width) - 1, pattern.base[i], pattern.step[i])
-    base, step = _pack(pattern.base, width), _pack(pattern.step, width)
-    found: dict[int, int] = {}
-    for key, c in terms.items():
-        k, r = divmod((key >> shift & mask) - b0, s0)
-        if r or not lo <= k <= hi or key != base + k * step:
-            stray = _unpacked(letters, {key: c}, width)
-            raise PatternMismatch(f"term {stray} does not fit the expected monomial family")
-        found[k] = c
-    return [found.get(k, 0) for k in range(max(found, default=-1) + 1)]
 
 
 def expansion_coefficients(p: MultiPoly, pattern: PowerPattern) -> list[int]:
     """Coefficients of the pattern family members, densely indexed from k = 0.
 
-    Raises PatternMismatch if any term of p lies outside the family; that is
-    how a falsified structural identity announces itself.
+    k is (e_i - base_i) // step_i at the first letter i with step_i != 0, or
+    0 if no letter moves; a term is member k when k >= 0 and its exponents
+    are base + k*step.  Any other term raises PatternMismatch, naming the
+    first in p.terms order; that is how a falsified structural identity
+    announces itself.
     """
-    width = max(p.degree(), 0).bit_length() + 1
-    terms = {_pack(exps, width): c for exps, c in p.terms.items()}
-    return _read_off(p.letters, terms, width, pattern)
+    _check_pattern(p.letters, pattern)
+    base, step = pattern.base, pattern.step
+    i = next((i for i, s in enumerate(step) if s), None)
+    found: dict[int, int] = {}
+    for exps, c in p.terms.items():
+        k = 0 if i is None else (exps[i] - base[i]) // step[i]
+        if k < 0 or exps != tuple(b + k * s for b, s in zip(base, step)):
+            stray = MultiPoly._raw(p.letters, {exps: c})
+            raise PatternMismatch(f"term {stray} does not fit the expected monomial family")
+        found[k] = c
+    return [found.get(k, 0) for k in range(max(found, default=-1) + 1)]
 
 
 # ----------------------------------------------------------------------
@@ -339,13 +315,6 @@ def _on_line(base, coeffs, pattern: PowerPattern, step, want: list[int]) -> bool
     return not any(want[:off]) and want[off:end] == coeffs and not any(want[end:])
 
 
-def _scaled(row: list[int], norm: int) -> list[int]:
-    """norm * row; a normalization that is a positive power of two is a shift."""
-    if norm > 0 and not norm & (norm - 1):
-        return list(map(lshift, row, repeat(norm.bit_length() - 1)))
-    return list(map(mul, row, repeat(norm)))
-
-
 def verify_identity(grammar: Grammar, op: DerivOp, start: MultiPoly, n_max: int,
                     expected, normalization: Callable[[int], int],
                     pattern_for: Callable[[int], PowerPattern],
@@ -354,7 +323,7 @@ def verify_identity(grammar: Grammar, op: DerivOp, start: MultiPoly, n_max: int,
 
     ``expected`` is any triangle-like object with row(n); ``pattern_for(n)``
     names the monomial family carrying coefficient index k.  Every n is
-    checked, and its pattern refused as ``_family_range`` refuses it, even
+    checked, and its pattern refused as ``_check_pattern`` refuses it, even
     after a failure.  The sweep starts on the line along pattern_for(1).step,
     where ``_on_line`` decides exact polynomial equality as the reader would.
     There the iterate is d * coeffs, d = 1 at first.  Where d divides
@@ -362,19 +331,19 @@ def verify_identity(grammar: Grammar, op: DerivOp, start: MultiPoly, n_max: int,
     divides that ratio out of coeffs and sets d = norm.  Otherwise (norm zero,
     or a chain that does not divide) d * coeffs is compared with norm * row
     and d is kept.  From the first check that does not pass there, or if no
-    line applies, the iterates come from ``_ordered_step`` and the reader
-    decides against norm * row: the first differing k of the zero-padded
-    rows, or the stray term, is reported as ``expansion_coefficients`` would.
+    line applies, the iterates come from ``operator_iterates`` and
+    ``expansion_coefficients`` reads each against norm * row: the first
+    differing k of the zero-padded rows, or the stray term, is reported.
     """
-    width, iterates = _packed_iterates(grammar, op, start, n_max)
-    line = terms = None
+    iterates = operator_iterates(grammar, op, start, n_max)
+    line = p = None
     report, d = Report(label), 1
     for n in range(1, n_max + 1):
         pattern = pattern_for(n)
-        _family_range(grammar.letters, width, pattern)
+        _check_pattern(grammar.letters, pattern)
         norm = normalization(n)
         row = expected.row(n)
-        if terms is None:
+        if p is None:
             if n == 1:
                 step = tuple(pattern.step)
                 line = _line_iterates(grammar, op, start, n_max, step)
@@ -391,15 +360,15 @@ def verify_identity(grammar: Grammar, op: DerivOp, start: MultiPoly, n_max: int,
                         d = norm
                     report.add(Check(label, n, True, ""))
                     continue
-            terms = next(islice(iterates, n, None))
+            p = next(islice(iterates, n, None))
         else:
-            terms = next(iterates)
+            p = next(iterates)
         try:
-            got = _read_off(grammar.letters, terms, width, pattern)
+            got = expansion_coefficients(p, pattern)
         except PatternMismatch as exc:
             report.add(Check(label, n, False, str(exc)))
             continue
-        want = _scaled(row, norm)
+        want = [norm * c for c in row]
         diff = next(((k, a, b) for k, (a, b) in enumerate(zip_longest(got, want, fillvalue=0))
                      if a != b), None)
         report.add(Check(label, n, not diff, "k={}: got {}, want {}".format(*diff) if diff else ""))

@@ -10,8 +10,6 @@ the bound named rather than silently truncating.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 __all__ = [
     "MAX_PLAIN_N",
     "MAX_SIGNED_N",
@@ -93,7 +91,6 @@ def count_alternating(n: int, family: str) -> int:
     raise ValueError(f"family must be 'A' or 'B', got {family!r}")
 
 
-@lru_cache(maxsize=None)
 def motzkin_up_histogram(length: int) -> tuple[int, ...]:
     """Counts of Motzkin paths of a given length, split by number of up steps.
 
@@ -124,7 +121,6 @@ def motzkin_up_histogram(length: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-@lru_cache(maxsize=None)
 def left_factor_h_histogram(length: int) -> tuple[int, ...]:
     """Counts of nonnegative {U, D, H} prefixes of a given length, by H steps."""
     _guard("left_factor_h_histogram", length, 0, 18)

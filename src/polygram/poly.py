@@ -238,6 +238,8 @@ class MultiPoly(_Ring):
         return self.letters == other.letters and self.terms == other.terms
 
     def __hash__(self):
+        if not any(map(any, self.terms)):  # a constant equals its int, so hashes as one
+            return hash(sum(self.terms.values()))
         return hash((self.letters, frozenset(self.terms.items())))
 
     # ------------------------------------------------------------------

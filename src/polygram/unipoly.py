@@ -177,6 +177,8 @@ class UniPoly(_Ring):
         return self.var == other.var and self.coeffs == other.coeffs
 
     def __hash__(self):
+        if len(self.coeffs) < 2:  # a constant equals its int, so hashes as one
+            return hash(sum(self.coeffs))
         return hash((self.var, self.coeffs))
 
     # ------------------------------------------------------------------

@@ -603,6 +603,12 @@ WRITE_COUNTS = {
     "verify --target thm32 --n-max 20": 1,
     # one per report, then the all: line
     "verify --target all": len(verify.TARGETS) + 1,
+    # one value or one JSON document
+    "classical --which T --n 20": 1,
+    "oracle --which motzkin-up --n 8": 1,
+    "derive --grammar u->u*v;v->u+v --start u --n 5": 1,
+    "gamma --family coxeter-b --n 6 --format json": 1,
+    "verify --target thm32 --n-max 3 --format json": 1,
 }
 
 
@@ -621,8 +627,9 @@ def test_text_output_is_one_write_per_row_or_report(monkeypatch, argv):
 
 @pytest.mark.parametrize("argv", sorted(WRITE_COUNTS))
 def test_stdout_bytes_do_not_depend_on_buffering(argv):
-    buffered = _shell(f"{POLYGRAM} {argv}", unbuffered=False)
-    unbuffered = _shell(f"{POLYGRAM} {argv}", unbuffered=True)
+    command = f"{POLYGRAM} {shlex.join(argv.split())}"
+    buffered = _shell(command, unbuffered=False)
+    unbuffered = _shell(command, unbuffered=True)
     assert buffered.returncode == unbuffered.returncode == 0
     assert buffered.stdout == unbuffered.stdout != b""
 

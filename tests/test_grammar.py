@@ -85,6 +85,15 @@ def test_equal_fields_give_equal_values(cls, fields, others):
         assert a != cls(*other)
 
 
+def test_equal_grammars_built_two_ways_hash_equal():
+    u, v = MultiPoly.variables("u v")
+    built = Grammar(("u", "v"), {"v": u + v, "u": u * v})
+    for other in (parse_grammar("u -> u*v; v -> u + v"),
+                  Grammar("u v", {"u": MultiPoly(("v", "u"), {(1, 1): 1}), "v": v + u})):
+        assert built == other and hash(built) == hash(other)
+    assert built != parse_grammar("u -> u*v; v -> u")
+
+
 def test_operator_constructor_refusals():
     with pytest.raises(ValueError, match="unknown operator kind 'X'"):
         DerivOp("X")

@@ -1,10 +1,12 @@
-"""The packed derivation kernel and the packed pattern matcher of
-``polygram.grammar``, against references kept in this file.
+"""The packed derivation kernel and the pattern matcher
+``expansion_coefficients`` of ``polygram.grammar``, against references kept
+in this file.
 
 The derivation reference is the per-letter Leibniz route,
 D(p) = sum over letters x of rule(x) * dp/dx, built from
 ``partial_derivative`` below and MultiPoly ``*`` and ``+``; the matcher
-reference reads k off exponent tuples one letter at a time.  The line
+reference reads k off exponent tuples one letter at a time, checking each
+letter's k against the others.  The line
 kernel is held to the packed kernel's iterates, and whether a line applies
 is decided here with exact fractions.
 """
@@ -314,7 +316,7 @@ def test_a_start_is_read_over_the_grammar_alphabet():
 
 
 # ----------------------------------------------------------------------
-# the packed matcher
+# the pattern matcher
 
 def reference_match(pattern, exps):
     k = None
@@ -413,7 +415,8 @@ def test_a_carry_between_fields_is_reported_not_matched():
                                  lambda n: pattern, "carry")
         assert not report.ok
         assert report.checks[0].detail == "term t*u*v does not fit the expected monomial family"
-    # expansion_coefficients packs t*u*v at the width of its own degree.
+    # Read off directly, t*u*v fits none of the families that carry at the
+    # width its own degree would pack at.
     for pattern in carry_patterns(max(start.degree(), 0).bit_length() + 1):
         with pytest.raises(PatternMismatch, match="term t\\*u\\*v does not fit"):
             expansion_coefficients(start, pattern)
@@ -443,7 +446,7 @@ def test_a_pattern_that_does_not_fit_its_alphabet_is_refused(base, step):
 
 def test_two_letter_carry_without_a_moving_field():
     f, g = MultiPoly.variables("f g")
-    width = (2).bit_length() + 1  # f*g packs at the width of its degree
+    width = (2).bit_length() + 1  # the width f*g's degree would pack at
     with pytest.raises(PatternMismatch):
         expansion_coefficients(f * g, PowerPattern(("f", "g"), (1 + (1 << width), 0), (0, 0)))
     assert expansion_coefficients(f * g, PowerPattern(("f", "g"), (1, 1), (0, 0))) == [1]
@@ -466,14 +469,14 @@ def test_exponents_at_the_top_of_the_width_are_read():
 # verify_identity's line comparison against the reader route
 
 def reference_checks(grammar, op, start, n_max, expected, normalization, pattern_for):
-    """(n, ok, detail) per n, from expansion_coefficients and a zero-padded
+    """(n, ok, detail) per n, from reference_coefficients and a zero-padded
     comparison with normalization(n) * expected.row(n)."""
     checks = []
     for n, p in enumerate(operator_iterates(grammar, op, start, n_max)):
         if not n:
             continue
         try:
-            got = expansion_coefficients(p, pattern_for(n))
+            got = reference_coefficients(p, pattern_for(n))
         except PatternMismatch as exc:
             checks.append((n, False, str(exc)))
             continue
@@ -488,7 +491,7 @@ def reference_checks(grammar, op, start, n_max, expected, normalization, pattern
 
 def read_rows(grammar, op, start, n_max, pattern_for):
     """row(n) read off the iterates themselves, for an identity true by construction."""
-    rows = [expansion_coefficients(p, pattern_for(n))
+    rows = [reference_coefficients(p, pattern_for(n))
             for n, p in enumerate(operator_iterates(grammar, op, start, n_max)) if n]
     return lambda n: rows[n - 1]
 
@@ -626,12 +629,12 @@ NORMALIZATIONS = {
 def assert_same_checks(monkeypatch, grammar, op, start, n_max, row, norm, pattern_for,
                        off_line=None):
     reads = []
-    real = grammar_module._read_off
-    monkeypatch.setattr(grammar_module, "_read_off",
+    real = grammar_module.expansion_coefficients
+    monkeypatch.setattr(grammar_module, "expansion_coefficients",
                         lambda *args: reads.append(1) or real(*args))
     expected = plain_triangle("row", row)
     report = verify_identity(grammar, op, start, n_max, expected, norm, pattern_for, "x")
-    monkeypatch.setattr(grammar_module, "_read_off", real)
+    monkeypatch.setattr(grammar_module, "expansion_coefficients", real)
     got = [(c.n, c.ok, c.detail) for c in report.checks]
     assert got == reference_checks(grammar, op, start, n_max, expected, norm, pattern_for)
     # The line decides every check before the first failing one or off_line;
@@ -710,14 +713,12 @@ def test_a_passing_sweep_holds_the_unscaled_rows(monkeypatch):
 
 def test_every_grammar_target_row_passes_on_the_line(monkeypatch):
     # At default bounds each of the 12 rows of the grammar targets takes the
-    # line, and no check reaches the reader, steps the packed kernel or builds
-    # a row scaled by its normalization.
+    # line, and no check reaches the reader or steps the packed kernel.
     from polygram import verify
 
-    lines, reads, packed_steps, inside, scaled = [], [], [], [], []
-    real_line, real_read = grammar_module._line_iterates, grammar_module._read_off
+    lines, reads, packed_steps, inside = [], [], [], []
+    real_line, real_read = grammar_module._line_iterates, grammar_module.expansion_coefficients
     real_step, real_verify = grammar_module._ordered_step, grammar_module.verify_identity
-    real_scaled = grammar_module._scaled
 
     def verify_identity(*args):
         inside.append(1)
@@ -729,14 +730,12 @@ def test_every_grammar_target_row_passes_on_the_line(monkeypatch):
     monkeypatch.setattr(grammar_module, "verify_identity", verify_identity)
     monkeypatch.setattr(grammar_module, "_line_iterates",
                         lambda *args: lines.append(real_line(*args)) or lines[-1])
-    monkeypatch.setattr(grammar_module, "_read_off",
+    monkeypatch.setattr(grammar_module, "expansion_coefficients",
                         lambda *args: reads.append(1) or real_read(*args))
-    monkeypatch.setattr(grammar_module, "_scaled",
-                        lambda *args: scaled.append(1) or real_scaled(*args))
     # thm42's ring checks step the packed kernel outside verify_identity.
     monkeypatch.setattr(grammar_module, "_ordered_step",
                         lambda *args: packed_steps.append(bool(inside)) or real_step(*args))
     for name in ("thm11", "thm32", "prop41", "thm42", "thm43", "thm44"):
         assert verify.run_target(name).ok, name
     assert len(lines) == 12 and all(line is not None for line in lines)
-    assert reads == [] and not any(packed_steps) and scaled == []
+    assert reads == [] and not any(packed_steps)

@@ -149,6 +149,23 @@ def test_with_letters_cannot_drop_used():
         (f * g).with_letters("f")
 
 
+def test_a_constant_hashes_as_its_int():
+    u, v = MultiPoly.variables("u v")
+    three = MultiPoly.const(("u",), 3)
+    assert three == 3 and hash(three) == hash(3) and three in {3}
+    assert MultiPoly(("u",)) == 0 and MultiPoly(("u",)) in {0}
+    assert (u * v - v * u) in {0} and (u - u + 3) in {3}
+    assert MultiPoly.variable(("u",), "u") not in {1}
+
+
+def test_equal_values_built_two_ways_hash_equal():
+    u, v = MultiPoly.variables("u v")
+    for a, b in [((u + v) * (u - v), u**2 - v**2),
+                 (u * v, MultiPoly(("u", "v"), {(1, 1): 1})),
+                 (MultiPoly.variable(("u",), "u").with_letters(("u", "v")), u)]:
+        assert a == b and hash(a) == hash(b)
+
+
 def test_ring_axioms_random():
     rng = random.Random(20260810)
     letters = tuple("abcde")

@@ -21,6 +21,15 @@ def _assert_normal(p: UniPoly) -> None:
     assert p.coeffs == fresh.coeffs
 
 
+def test_a_constant_hashes_as_its_int():
+    three = UniPoly("x", (3,))
+    assert three == 3 and hash(three) == hash(3) and three in {3}
+    assert UniPoly("x") == 0 and UniPoly("x") in {0}
+    a = UniPoly("x", (1, 5, 2))
+    assert (a - a) in {0} and (a - a + 3) in {3} and a - UniPoly("x", (1, 5, 2)) + 3 == 3
+    assert UniPoly("x", (0, 1)) not in {1}
+
+
 def test_cancellation_drops_trailing_zeros():
     a = UniPoly("x", (1, 5, 2))
     b = UniPoly("x", (1, 4, 2))
