@@ -21,7 +21,7 @@ perfbench's tracer counts their hits.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add, sub
+from itertools import accumulate
 
 from .triangles import _recurrence_row, binomial, binomial_row
 from .unipoly import UniPoly, _mac, _trimmed
@@ -54,22 +54,24 @@ def secant_derivative_poly(n: int, var: str = "u") -> UniPoly:
                            lambda m, rows: grow * rows[-1].derivative() + u * rows[-1])
 
 
+def _taylor_shift(desc: list[int]) -> list[int]:
+    """p(t+1) from p(t) in place, highest degree first: one prefix running sum per degree."""
+    for end in range(len(desc), 1, -1):
+        desc[:end] = accumulate(desc[:end])
+    return desc
+
+
 def _horner_binomial_sum(weights: list[int], var: str) -> UniPoly:
     """sum_k weights[k] (x+1)^k (x-1)^(m-k) with m = len(weights) - 1.
 
-    Homogeneous Horner: total = total*(x+1) + weights[k] (x-1)^(m-k) for k
-    from m down to 0, with one running power of x-1, stepped after each
-    term, so memory holds one row rather than all m of them.  Everything
-    runs on int lists, trimmed once at the end.
+    With y = x - 1 the sum is y^m W(1 + 2/y), W(t) = sum_k weights[k] t^k:
+    a Taylor shift gives W(1+z), whose z^j coefficient times 2^j (a shift)
+    lands on y^(m-j); the same shift on the sign-alternated list, signs
+    alternated back, takes y to x.  Additions and shifts only, on int lists.
     """
-    total: list[int] = []
-    power = [1]
-    for k in reversed(range(len(weights))):
-        total = list(map(add, [0] + total, total + [0]))
-        _mac(total, power, (weights[k],))
-        if k:
-            power = list(map(sub, [0] + power, power + [0]))
-    return _trimmed(var, total)
+    shifted = _taylor_shift(weights[::-1])[::-1]
+    in_x = _taylor_shift([-(c << j) if j % 2 else c << j for j, c in enumerate(shifted)])
+    return _trimmed(var, [-c if j % 2 else c for j, c in enumerate(in_x)][::-1])
 
 
 def legendre_like(n: int, var: str = "x") -> UniPoly:
@@ -87,12 +89,10 @@ def narayana_like(n: int, var: str = "x") -> UniPoly:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     total = _horner_binomial_sum([binomial(n, k) * binomial(n, k + 1) for k in range(n)], var)
-    out = []
     for c in total.coeffs:
         if c % n:
             raise ArithmeticError(f"coefficient {c} of the weighted sum is not divisible by {n}")
-        out.append(c // n)
-    return UniPoly(var, out)
+    return UniPoly(var, [c // n for c in total.coeffs])
 
 
 @lru_cache(maxsize=None, typed=True)

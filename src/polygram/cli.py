@@ -136,7 +136,7 @@ def _cmd_derive(args) -> int:
     if args.format == "json":
         _dump_json(result.to_json_dict())
     else:
-        _write(str(result))
+        sys.stdout.write(result._text("\n"))  # one write, the text built once with its line end
     return 0
 
 

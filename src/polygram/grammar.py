@@ -14,7 +14,7 @@ under preD, whose D(w*m) sees the exponent of w one higher.  A move sends
 c*m to c*(e*rc)*m*x^delta, e the exponent of x in m plus the bump; with no
 moves (every rule zero) a step gives zero.
 
-The packed kernel serves every caller.  A monomial is one int, the exponent
+The packed kernel serves the rest.  A monomial is one int, the exponent
 of letter i in bits [i*W, (i+1)*W).  ``_ordered_step`` takes the terms on
 the outside, so a failing check names the first stray term in the order of
 the first (term, move) pair that reaches each.  W is derived, never set: no
@@ -26,10 +26,10 @@ order.  The reader (``expansion_coefficients``) works on exponent tuples: it
 reads k at the first letter that moves along the family base + k*step and
 names the first term off the family.
 
-The line kernel serves verify_identity.  When every move delta differs from
-the first by a whole number t of pattern steps and the start lies on one
-line, ``_line_iterates`` holds each iterate as (base, dense coefficient
-list).  A step adds, for the moves at each t, the affine range
+The line kernel serves verify_identity and the ring targets.  When every
+move delta differs from the first by a whole number t of pattern steps and
+the start lies on one line, ``_line_iterates`` holds each iterate as (base,
+dense coefficient list).  A step adds, for the moves at each t, the affine range
 (base_i + bump + k*step_i) * rc times the list at offset t - t_min: no
 packing, no width and no carry.  The sweep keeps a divisor d, the true
 iterate being d times the list; a step is linear, so d carries over.  A
@@ -256,8 +256,8 @@ def _steps(d, step) -> int | None:
     return j if all(a == j * s for a, s in zip(d, step)) else None
 
 
-def _line_iterates(grammar: Grammar, op: DerivOp, start: MultiPoly, n_max: int, step):
-    """Iterator over op^n(start), n = 1..n_max, or None when the line does not apply.
+def _line_iterates(grammar: Grammar, op: DerivOp, start: MultiPoly, n_max: int, step, n_min=1):
+    """Iterator over op^n(start), n = n_min..n_max, or None when the line does not apply.
 
     Each iterate is (base, coeffs), the sum of coeffs[k] * x^(base + k*step),
     with coeffs nonzero at both ends ([] for zero).  The next step reads the
@@ -299,7 +299,7 @@ def _line_iterates(grammar: Grammar, op: DerivOp, start: MultiPoly, n_max: int, 
 
     coeffs = [found.get(k, 0) for k in range(lo, max(found, default=-1) + 1)]
     state = tuple(b + lo * s for b, s in zip(origin, step)), coeffs
-    return islice(accumulate(repeat(None, n_max), advance, initial=state), 1, None)
+    return islice(accumulate(repeat(None, n_max), advance, initial=state), n_min, None)
 
 
 def _on_line(base, coeffs, pattern: PowerPattern, step, want: list[int]) -> bool:

@@ -47,11 +47,11 @@ def check_letters(letters: Iterable[str] | str) -> tuple[str, ...]:
     return letters
 
 
-def _render(pairs) -> str:
-    """Canonical text of (monomial, coefficient) pairs, signs folded into the joins.
+def _render(pairs, end: str = "") -> str:
+    """Canonical text of (monomial, coefficient) pairs, then ``end``, in one join.
 
-    An empty monomial is the constant term; unit coefficients are elided.
-    """
+    Signs fold into the joins, an empty monomial is the constant term and unit
+    coefficients are elided."""
     parts: list[str] = []
     for mono, coeff in pairs:
         mag = abs(coeff)
@@ -65,7 +65,8 @@ def _render(pairs) -> str:
             parts.append(f"-{body}" if coeff < 0 else body)
         else:
             parts.append(f" - {body}" if coeff < 0 else f" + {body}")
-    return "".join(parts) or "0"
+    parts.append(end)
+    return "".join(parts) if len(parts) > 1 else "0" + end
 
 
 class _Ring:
@@ -267,10 +268,11 @@ class MultiPoly(_Ring):
     # ------------------------------------------------------------------
     # rendering
 
-    def __str__(self):
-        return _render(("*".join(name if e == 1 else f"{name}^{e}"
-                                 for name, e in zip(self.letters, exps) if e), coeff)
-                       for exps, coeff in self.sorted_terms())
+    def _text(self, end: str = "") -> str:
+        return _render((("*".join(name if e == 1 else f"{name}^{e}"
+                                  for name, e in zip(self.letters, exps) if e), coeff)
+                        for exps, coeff in self.sorted_terms()), end)
+    __str__ = _text
 
     def __repr__(self):
         return f"MultiPoly[{','.join(self.letters)}: {self}]"

@@ -3,8 +3,9 @@
 A constant modulus is allowed, so q = -1 gives the Gaussian integers over
 any base letter.  An ``ExtPoly`` is a reduced value a + b*s: no s^2
 survives, and it has no arithmetic.  A sum of terms c * s^e * x^b enters
-the ring through one reduction, ``QuadraticRing.collect``; ``of`` only
-wraps two components that are already reduced.
+the ring through ``QuadraticRing.collect``, or through ``collect_line``
+when s^2 rises as x^2 falls and q = x^2 +/- 1; ``of`` only wraps two
+components that are already reduced.
 
 The ring caches each power q^j next to its nonzero slots r^j, with
 q^j(x) = r^j(x^step).  An even modulus (no odd-index coefficient, as
@@ -14,6 +15,8 @@ has step 1, and r^j is q^j's own tuple.
 """
 
 from __future__ import annotations
+
+from operator import add, sub
 
 from .unipoly import UniPoly, _mac, _trimmed
 
@@ -98,3 +101,24 @@ class QuadraticRing:
             if c:
                 _mac(parts[e % 2], self._power(e // 2)[1], (c,), shift=b, step=step)
         return self.of(_trimmed(self.var, parts[0]), _trimmed(self.var, parts[1]))
+
+    def collect_line(self, coeffs, e: int, top: int, scale: int = 1) -> ExtPoly:
+        """Sum coeffs[k] * s^(e+2k) * (scale*x)^(top-2k), for q = x^2 +/- 1 = y +/- 1.
+
+        Homogeneous Horner in q over y = x^2: each step is one pass of
+        additions, no power of q is formed, and scale, a power of two, enters
+        as a shift.  A term with a negative power of s or x is refused."""
+        op = {(1, 0, 1): add, (-1, 0, 1): sub}.get(self.modulus.coeffs)
+        bits, low = scale.bit_length() - 1, top - 2 * len(coeffs) + 2
+        if op is None or scale < 1 or scale & scale - 1 or coeffs and (e < 0 or low < 0):
+            raise ValueError(f"collect_line got q = {self.modulus}, scale {scale}, s^{e}, x^{low}")
+        if not coeffs:
+            return self.of(0)
+        d = [0] * (e // 2) + [c << bits * (top - 2 * k) for k, c in enumerate(coeffs)]
+        acc = [d.pop()]
+        for c in reversed(d):
+            # acc * (y +/- 1) + c * y^len(acc): the top slot is acc[-1] + c
+            acc = [*map(op, [0, *acc], acc), acc[-1] + c]
+        out = [0] * (low + 2 * len(acc) - 1)  # x^low acc(x^2)
+        out[low::2] = acc
+        return self.of(*[0] * (e % 2), _trimmed(self.var, out))  # the s part when e is odd

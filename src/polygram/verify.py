@@ -14,13 +14,15 @@ adds each row's checks to one Report in row order.
 
 The square-root targets (prop12, thm31, cor33, thm42) clear every
 denominator up front, so identities involving 1/sqrt(q) or half-integer
-powers of q become equalities in ``QuadraticRing``.  Every polynomial in
-the adjoined root (a two-letter iterate, thm31's shifted sums, cor33's
-values at i*h) enters the ring through one reduction,
-``QuadraticRing.collect``, with no rational function arithmetic anywhere.
-Where every term of the got side carries a known power of the root (thm42,
-cor33, thm31), that common power is divided out of the got side before
-``collect``, not multiplied into the want side.  q is not a square, so the
+powers of q become equalities in ``QuadraticRing``, with no rational
+function arithmetic anywhere.  The two-letter iterates of prop12, thm42 and
+cor33 step on the line kernel and enter the ring by Horner in q,
+``QuadraticRing.collect_line``; an iterate off that line, and thm31's
+shifted sums, enter through ``collect``.  cor33's values at i*h use no
+ring: real and imaginary parts are read off by index parity.  Where every
+term of the got side carries a known power of the root (thm42, cor33,
+thm31), that common power is divided out of the got side before it enters
+the ring, not multiplied into the want side.  q is not a square, so the
 ring has no zero divisors and s^m X = s^m Y exactly when X = Y; a term
 below the common power, or a thm31 P_n / Q_n of degree above it, fails its
 check.
@@ -86,14 +88,25 @@ def _run_rows(target: str, rules: str, n_max: int, rows) -> Report:
 
 
 def _paired_iterates(rules: str, op: str, a: str, b: str, n_max: int):
-    # (n, op^n(a), op^n(b)) for n = 0..n_max, one kernel step per n and side.
-    from .grammar import DerivOp, operator_iterates
+    # (expect, iterates), iterates yielding (n, op^n(a), op^n(b)) for n = 0..n_max: on the
+    # line (2, -2) as the line kernel's (base, coeffs), which expect reads with collect_line,
+    # or, when a move leaves that line, as packed-kernel MultiPolys for _expect_root_free.
+    from .grammar import DerivOp, _line_iterates, operator_iterates
     from .parser import parse_grammar, parse_poly
 
-    g = parse_grammar(rules)
-    d = DerivOp.parse(op)
-    return enumerate(zip(operator_iterates(g, d, parse_poly(a, g.letters), n_max),
-                         operator_iterates(g, d, parse_poly(b, g.letters), n_max)))
+    g, d = parse_grammar(rules), DerivOp.parse(op)
+    starts = [parse_poly(text, g.letters) for text in (a, b)]
+    lines = [_line_iterates(g, d, start, n_max, (2, -2), 0) for start in starts]
+    if None in lines:
+        return _expect_root_free, enumerate(zip(*(operator_iterates(g, d, start, n_max)
+                                                  for start in starts)))
+    def expect(report, name, n, p, ring, scale, power, want):
+        (low, top), coeffs = p
+        if coeffs and low < power:  # the lowest term alone fails the check
+            p = type(starts[0])._raw(g.letters, {(low, top): coeffs[0]})
+            return _expect_root_free(report, name, n, p, ring, scale, power, want)
+        report.expect(name, n, ring.collect_line(coeffs, low - power, top, scale), want)
+    return expect, enumerate(zip(*lines))
 
 
 def _target_thm11(n_max: int) -> Report:
@@ -184,14 +197,15 @@ def _target_thm42(n_max: int) -> Report:
     # n! s^(n+2) U_n(x).  Half-integer powers of x^2 - 1 are exactly the odd
     # powers of s.
     ring = QuadraticRing(UniPoly("x", (-1, 0, 1)))
-    for n, (d_uv, d_u2) in _paired_iterates(_CUBIC_RULES, "D", "u*v", "u^2", n_max):
+    expect, iterates = _paired_iterates(_CUBIC_RULES, "D", "u*v", "u^2", n_max)
+    for n, (d_uv, d_u2) in iterates:
         fact = factorial(n)
         cases = (
             ("uv-specialized", d_uv, classical.chebyshev_t(n + 1), n + 1),
             ("u^2-specialized", d_u2, classical.chebyshev_u(n), n + 2),
         )
         for name, value, cheb, s_power in cases:
-            _expect_root_free(report, name, n, value, ring, 1, s_power, ring.of(cheb * fact))
+            expect(report, name, n, value, ring, 1, s_power, ring.of(cheb * fact))
     return report
 
 
@@ -219,7 +233,7 @@ def _target_prop12(n_max: int) -> Report:
     from .quadratic import QuadraticRing
     from .unipoly import UniPoly
 
-    iterates = _paired_iterates(_DOUBLE_ANGLE_RULES, "D", "f", "g", n_max)
+    expect, iterates = _paired_iterates(_DOUBLE_ANGLE_RULES, "D", "f", "g", n_max)
     next(iterates)  # n = 0 is not checked
     ring = QuadraticRing(UniPoly("h", (1, 0, 1)))
     report = Report("prop12")
@@ -229,7 +243,7 @@ def _target_prop12(n_max: int) -> Report:
             ("D^n(g)", d_g, ring.of(2 ** (n + 1) * classical.tangent_derivative_poly(n, "h"))),
         )
         for name, value, want in cases:
-            _expect_root_free(report, name, n, value, ring, 2, 0, want)
+            expect(report, name, n, value, ring, 2, 0, want)
     return report
 
 
@@ -270,18 +284,17 @@ def _target_thm31(n_max: int) -> Report:
 
 def _target_cor33(n_max: int) -> Report:
     # Under the double-angle rules, (fD)^n(f) equals n! f^(n+1) (-i)^n L_n(i h)
-    # and (fD)^n(g) equals 2 (n+1)! f^(n+2) (-i)^(n-1) N_n(i h), with i
-    # adjoined as the root of -1 over the letter h.  Both right-hand sides
-    # must come out with zero imaginary component; the left-hand sides are
-    # read with g = 2h and f = s, s^2 = 1 + h^2.
+    # and (fD)^n(g) equals 2 (n+1)! f^(n+2) (-i)^(n-1) N_n(i h), i^2 = -1.
+    # Both right-hand sides must come out with zero imaginary component, read
+    # off by index parity with no ring; the left-hand sides are read with
+    # g = 2h and f = s, s^2 = 1 + h^2.
     from . import classical
     from .quadratic import QuadraticRing
-    from .unipoly import UniPoly
+    from .unipoly import UniPoly, _trimmed
 
-    iterates = _paired_iterates(_DOUBLE_ANGLE_RULES, "postD:f", "f", "g", n_max)
+    expect, iterates = _paired_iterates(_DOUBLE_ANGLE_RULES, "postD:f", "f", "g", n_max)
     next(iterates)  # n = 0 is not checked
-    f_ring = QuadraticRing(UniPoly("h", (1, 0, 1)))
-    ring = QuadraticRing(UniPoly("h", (-1,)))
+    ring = QuadraticRing(UniPoly("h", (1, 0, 1)))
     report = Report("cor33")
     for n, (fd_f, fd_g) in iterates:
         cases = (
@@ -289,14 +302,15 @@ def _target_cor33(n_max: int) -> Report:
             ("(fD)^n(g)", fd_g, classical.narayana_like(n, "h"), 2 * factorial(n + 1),
              n - 1, n + 2),
         )
-        for name, value, witness, scale, unit_power, f_power in cases:
-            # scale (-i)^u W(i h) = sum_k (-1)^u scale c_k i^(u+k) h^k
-            rhs = ring.collect((unit_power + k, k, (-1) ** unit_power * scale * c)
-                               for k, c in enumerate(witness.coeffs))
-            if not rhs.is_real:
+        for name, value, witness, scale, u, f_power in cases:
+            # scale (-i)^u c_k (i h)^k is real for k = u mod 2: scale c_k (-1)^((3u+k)/2)
+            c, parity = witness.coeffs, u % 2
+            if any(c[1 - parity::2]):
                 report.add(Check(name, n, False, "imaginary component survived"))
                 continue
-            _expect_root_free(report, name, n, value, f_ring, 2, f_power, f_ring.of(rhs.a))
+            real, top = [0] * len(c), (-1) ** ((3 * u + parity) // 2) * scale
+            real[parity::2] = [(-top if j % 2 else top) * x for j, x in enumerate(c[parity::2])]
+            expect(report, name, n, value, ring, 2, f_power, ring.of(_trimmed("h", real)))
     return report
 
 

@@ -54,20 +54,23 @@ def test_narayana_like_values():
     assert narayana_like(2) == 2 * x
 
 
-def _naive_legendre_like(n, var="x"):
-    # The definition with one power per term, as a reference.
+def _naive_binomial_sum(weights, var="x"):
+    # The definition with one power per term, as a reference:
+    # sum_k weights[k] (x+1)^k (x-1)^(m-k) with m = len(weights) - 1.
     x = UniPoly.variable(var)
+    m = len(weights) - 1
     total = UniPoly(var)
-    for k in range(n + 1):
-        total = total + binomial(n, k) ** 2 * (x + 1) ** k * (x - 1) ** (n - k)
+    for k, w in enumerate(weights):
+        total = total + w * (x + 1) ** k * (x - 1) ** (m - k)
     return total
 
 
+def _naive_legendre_like(n, var="x"):
+    return _naive_binomial_sum([binomial(n, k) ** 2 for k in range(n + 1)], var)
+
+
 def _naive_narayana_like(n, var="x"):
-    x = UniPoly.variable(var)
-    total = UniPoly(var)
-    for k in range(n):
-        total = total + binomial(n, k) * binomial(n, k + 1) * (x + 1) ** k * (x - 1) ** (n - 1 - k)
+    total = _naive_binomial_sum([binomial(n, k) * binomial(n, k + 1) for k in range(n)], var)
     return UniPoly(var, [c // n for c in total.coeffs])
 
 
@@ -75,6 +78,23 @@ def test_legendre_and_narayana_match_the_naive_sums():
     for n in range(1, 31):
         assert legendre_like(n, "h") == _naive_legendre_like(n, "h")
         assert narayana_like(n) == _naive_narayana_like(n)
+
+
+def test_taylor_shift_witness_sum_matches_the_naive_sum():
+    # Two Taylor shifts and a 2^j shift between them, against products of
+    # powers of x+1 and x-1, for random signed weights (zeros included) and
+    # every m = 0..25; no weights at all is the zero sum.
+    rng = random.Random("taylor-shift")
+    assert classical._horner_binomial_sum([], "x") == UniPoly("x")
+    for m in range(26):
+        for _ in range(4):
+            weights = [rng.choice((0, rng.randint(-10 ** 9, 10 ** 9))) for _ in range(m + 1)]
+            assert (classical._horner_binomial_sum(weights, "h")
+                    == _naive_binomial_sum(weights, "h")), weights
+    # p(t + 1), highest degree first
+    assert classical._taylor_shift([1, 0, 0, 0]) == [1, 3, 3, 1]
+    assert classical._taylor_shift([2, -1]) == [2, 1]
+    assert classical._taylor_shift([]) == []
 
 
 def test_chebyshev_values():

@@ -713,7 +713,8 @@ def test_a_passing_sweep_holds_the_unscaled_rows(monkeypatch):
 
 def test_every_grammar_target_row_passes_on_the_line(monkeypatch):
     # At default bounds each of the 12 rows of the grammar targets takes the
-    # line, and no check reaches the reader or steps the packed kernel.
+    # line, and so do thm42's two ring sweeps: 14 line sweeps, and no check
+    # reaches the reader or steps the packed kernel.
     from polygram import verify
 
     lines, reads, packed_steps, inside = [], [], [], []
@@ -732,10 +733,10 @@ def test_every_grammar_target_row_passes_on_the_line(monkeypatch):
                         lambda *args: lines.append(real_line(*args)) or lines[-1])
     monkeypatch.setattr(grammar_module, "expansion_coefficients",
                         lambda *args: reads.append(1) or real_read(*args))
-    # thm42's ring checks step the packed kernel outside verify_identity.
+    # thm42's ring checks step on the line too, outside verify_identity.
     monkeypatch.setattr(grammar_module, "_ordered_step",
                         lambda *args: packed_steps.append(bool(inside)) or real_step(*args))
     for name in ("thm11", "thm32", "prop41", "thm42", "thm43", "thm44"):
         assert verify.run_target(name).ok, name
-    assert len(lines) == 12 and all(line is not None for line in lines)
+    assert len(lines) == 14 and all(line is not None for line in lines)
     assert reads == [] and not any(packed_steps)

@@ -123,6 +123,9 @@ def test_canonical_text_form():
     assert str(-f + 3) == "3 - f"
     assert str(-3 * f**2) == "-3*f^2"
     assert str(MultiPoly.const("f g", -7)) == "-7"
+    # derive's line: the same text with its newline, built in one join
+    for p in (f * g**2 + 4 * f**3, MultiPoly("f g"), -f + 3, MultiPoly.const("f g", -7)):
+        assert p._text("\n") == str(p) + "\n"
 
 
 def test_json_roundtrip():

@@ -141,6 +141,45 @@ def test_collect_refuses_a_negative_power(terms, match):
         ring.collect(terms)
 
 
+@pytest.mark.parametrize("scale", [1, 2])
+@pytest.mark.parametrize("modulus", [(1, 0, 1), (-1, 0, 1)], ids=["x^2+1", "x^2-1"])
+def test_collect_line_matches_collect(modulus, scale):
+    # Horner in q along a line equals collect of the same terms
+    # c_k s^(e+2k) (scale*x)^(top-2k): K = 0..12 coefficients with zero and
+    # negative entries anywhere, e = 0..3 (q^(e//2) times an odd or even part),
+    # and a lowest x power of 0..3.
+    rng = random.Random(f"line-{modulus}-{scale}")
+    ring = QuadraticRing(UniPoly("x", modulus))
+    for size in range(13):
+        for e in range(4):
+            for _ in range(8):
+                coeffs = [rng.choice((0, -1, 1, rng.randint(-10 ** 12, 10 ** 12)))
+                          for _ in range(size)]
+                top = max(2 * size - 2, 0) + rng.randint(0, 3)
+                terms = [(e + 2 * k, top - 2 * k, c * scale ** (top - 2 * k))
+                         for k, c in enumerate(coeffs)]
+                assert ring.collect_line(coeffs, e, top, scale) == ring.collect(terms), (
+                    coeffs, e, top)
+    # no terms, so no power to refuse, as collect([]) refuses none
+    assert ring.collect_line([], -3, -9, scale) == ring.of(0) == ring.collect([])
+
+
+@pytest.mark.parametrize("modulus, args", [
+    ((-1, 4), ([1], 0, 0)),
+    ((-1,), ([1], 0, 0)),
+    ((1, 0, 2), ([1], 0, 0)),
+    ((1, 0, 1), ([1], 0, 0, 3)),
+    ((1, 0, 1), ([1], 0, 0, 0)),
+    ((1, 0, 1), ([1], -1, 0)),
+    ((1, 0, 1), ([1, 2], 0, 1)),
+], ids=["4x-1", "-1", "2x^2+1", "scale-3", "scale-0", "s^-1", "x^-1"])
+def test_collect_line_refuses_what_it_cannot_add_up(modulus, args):
+    # Only x^2 +/- 1 deflates to y +/- 1, only a power of two is a shift, and
+    # a negative power would be read off the wrong slots.
+    with pytest.raises(ValueError, match="collect_line got"):
+        QuadraticRing(UniPoly("x", modulus)).collect_line(*args)
+
+
 def _random_terms(rng):
     return [(rng.randint(0, 4), rng.randint(0, 2), rng.randint(-5, 5))
             for _ in range(rng.randint(0, 4))]

@@ -125,6 +125,52 @@ def test_root_free_check_matches_a_term_by_term_sum(scale, parity):
                 assert report.checks[2] == Check("p", n, False, detail)
 
 
+@pytest.mark.parametrize("modulus", [(-1, 0, 1), (1, 0, 1)], ids=["x^2-1", "x^2+1"])
+def test_line_check_adds_the_root_free_check(modulus):
+    # On the line, _paired_iterates hands its targets an expect that reads the
+    # line kernel's (base, coeffs) through collect_line.  For the same iterate
+    # it must add exactly the Check _expect_root_free adds: a pass, a "got"
+    # failure, and the lowest term named when it lies below the common power.
+    expect, _ = verify._paired_iterates(verify._CUBIC_RULES, "D", "u*v", "u^2", 1)
+    rng = random.Random(f"line-check-{modulus}")
+    ring = QuadraticRing(UniPoly("x", modulus))
+    for trial in range(300):
+        size = trial % 7
+        coeffs = [rng.choice((0, rng.randint(-9, 9))) for _ in range(size)]
+        if coeffs:  # the line kernel trims both ends
+            coeffs[0], coeffs[-1] = coeffs[0] or 1, coeffs[-1] or -1
+        low, top = rng.randint(0, 6), max(2 * size - 2, 0) + rng.randint(0, 3)
+        p = MultiPoly(("u", "v"), {(low + 2 * k, top - 2 * k): c for k, c in enumerate(coeffs)})
+        scale, power = rng.choice((1, 2)), rng.randint(0, 7)
+        right = (ring.collect((a - power, b, c * scale ** b) for (a, b), c in p.terms.items())
+                 if low >= power else ring.of(0))
+        for want in (right, ring.of(right.a + 1, right.b)):
+            on_line, packed = Report("t"), Report("t")
+            expect(on_line, "p", trial, ((low, top), list(coeffs)), ring, scale, power, want)
+            _expect_root_free(packed, "p", trial, p, ring, scale, power, want)
+            assert on_line == packed, (coeffs, low, top, scale, power)
+        if coeffs and low < power:
+            assert not packed.ok and "lies below the common power u^" in packed.checks[0].detail
+
+
+@pytest.mark.parametrize("target, rules, off_line", [
+    ("prop12", "_DOUBLE_ANGLE_RULES", "f -> f*g + g; g -> 4*f^2"),
+    ("cor33", "_DOUBLE_ANGLE_RULES", "f -> f*g + g; g -> 4*f^2"),
+    ("thm42", "_CUBIC_RULES", "u -> u^2*v + v; v -> u^3"),
+])
+def test_ring_targets_step_the_packed_kernel_only_off_the_line(monkeypatch, target, rules,
+                                                               off_line):
+    # A passing ring target steps its iterates on the line; rules with a move
+    # off the line (2, -2) send it back to the packed kernel, and it fails.
+    from polygram import grammar
+
+    steps, real = [], grammar._ordered_step
+    monkeypatch.setattr(grammar, "_ordered_step", lambda *args: steps.append(1) or real(*args))
+    assert run_target(target).ok and steps == []
+    monkeypatch.setattr(verify, rules, off_line)
+    assert not run_target(target, 4).ok and steps
+
+
 class _BumpedRow:
     # A triangle whose row bad_n has 1 added at entry slot; other rows unchanged.
     def __init__(self, real, bad_n, slot):
