@@ -4,8 +4,11 @@ grammar outputs get certified against, so each one is a real enumeration:
 a depth-first walk that extends a prefix one step at a time, prunes only
 prefixes that can no longer be counted, and visits every counted element
 exactly once.  No formula, recurrence or table shortcut stands in for the
-walk.  Each enumerator has a hard size guard; asking beyond it raises with
-the bound named rather than silently truncating.
+walk.  The alternating count has a walk of its own that keeps no
+histogram and fills its last two indices in nested loops, still with one
+increment per counted window.  Each enumerator has a hard size guard;
+asking beyond it raises with the bound named rather than silently
+truncating.
 """
 
 from __future__ import annotations
@@ -30,53 +33,91 @@ def _guard(what: str, n: int, lo: int, hi: int) -> None:
         raise ValueError(f"{what} supports {lo} <= n <= {hi}, got {n}")
 
 
-def _descent_walk(n: int, signed: bool, alternating: bool) -> list[int]:
+def _descent_walk(n: int, signed: bool) -> list[int]:
     """Descent histogram, read with pi(0) = 0, over the windows of [n].
 
     The windows are all n! permutations, or all 2^n n! signed permutations
-    when ``signed``; with ``alternating`` only the down-up ones
-    (w1 > w2 < w3 > ...).  A prefix grows by one unused value (of either
-    sign when signed) at a time and its descents are counted on the way; a
-    step that breaks the down-up pattern is cut before anything below it is
-    visited.  The histogram has n + 1 slots.
+    when ``signed``.  A prefix grows by one unused value (of either sign
+    when signed) at a time and its descents are counted on the way.  The
+    histogram has n + 1 slots.
     """
     hist = [0] * (n + 1)
 
-    def extend(last: int, free: tuple, descents: int, position: int) -> None:
-        # Places each candidate of ``free`` at window index ``position``.  The
-        # last index has one value left; filling it here rather than by
+    def extend(last: int, free: tuple, descents: int) -> None:
+        # The last index has one value left; filling it here rather than by
         # another call halves the calls of a full walk.
-        odd = position % 2 == 1
         for i, candidates in enumerate(free):
             rest = free[:i] + free[i + 1:]
             for x in candidates:
-                down = last > x
-                if alternating and position and down != odd:
-                    continue
-                count = descents + down
+                count = descents + (last > x)
                 if len(rest) > 1:
-                    extend(x, rest, count, position + 1)
+                    extend(x, rest, count)
                 elif not rest:
                     hist[count] += 1
                 else:
                     for y in rest[0]:
-                        if not (alternating and (x > y) == odd):
-                            hist[count + (x > y)] += 1
+                        hist[count + (x > y)] += 1
 
-    extend(0, tuple((v, -v) if signed else (v,) for v in range(1, n + 1)), 0, 0)
+    extend(0, tuple((v, -v) if signed else (v,) for v in range(1, n + 1)), 0)
     return hist
+
+
+def _alternating_walk(n: int, signed: bool) -> int:
+    """Number of down-up windows (w1 > w2 < w3 > ...) of [n], signed or not.
+
+    A prefix grows by one unused value at a time, and a step that breaks
+    the pattern is cut before anything below it is visited.  A sentinel
+    below every value stands in front of the window, so index 0 always
+    steps the right way.  The last two indices are filled by nested loops
+    in the caller, one ``+= 1`` per counted window, so the bottom two
+    levels make no calls.
+    """
+
+    def extend(last: int, free: tuple, odd: bool) -> int:
+        # Places each candidate of ``free`` (three or more values left) at
+        # an index of parity ``odd``, where the step from ``last`` goes down
+        # exactly when the index is odd.
+        count = 0
+        for i, candidates in enumerate(free):
+            rest = None
+            for x in candidates:
+                if (last > x) != odd:
+                    continue
+                if rest is None:  # built once a value of this pair steps right
+                    rest = free[:i] + free[i + 1:]
+                if len(rest) > 2:
+                    count += extend(x, rest, not odd)
+                    continue
+                a, b = rest
+                for first, second in ((a, b), (b, a)):
+                    for y in first:
+                        if (x > y) != odd:
+                            for z in second:
+                                if (y > z) == odd:
+                                    count += 1
+        return count
+
+    free = tuple((v, -v) if signed else (v,) for v in range(1, n + 1))
+    if n > 2:
+        return extend(-n - 1, free, False)
+    # One or two indices: each value is a window, and so is each ordered
+    # pair of distinct values that steps down.
+    if n == 1:
+        return sum(1 for x in free[0])
+    a, b = free
+    return sum(x > y for first, second in ((a, b), (b, a)) for x in first for y in second)
 
 
 def descent_distribution(n: int) -> tuple[int, ...]:
     """Histogram of descent counts over all n! permutations of [n]."""
     _guard("descent_distribution", n, 1, MAX_PLAIN_N)
-    return tuple(_descent_walk(n, False, False)[:n])
+    return tuple(_descent_walk(n, False)[:n])
 
 
 def descent_b_distribution(n: int) -> tuple[int, ...]:
     """Histogram of descents over signed permutations, window read with pi(0) = 0."""
     _guard("descent_b_distribution", n, 1, MAX_SIGNED_N)
-    return tuple(_descent_walk(n, True, False))
+    return tuple(_descent_walk(n, True))
 
 
 def count_alternating(n: int, family: str) -> int:
@@ -84,10 +125,10 @@ def count_alternating(n: int, family: str) -> int:
     family = family.upper()
     if family == "A":
         _guard("count_alternating family A", n, 1, MAX_PLAIN_N)
-        return sum(_descent_walk(n, False, True))
+        return _alternating_walk(n, False)
     if family == "B":
         _guard("count_alternating family B", n, 1, MAX_SIGNED_N)
-        return sum(_descent_walk(n, True, True))
+        return _alternating_walk(n, True)
     raise ValueError(f"family must be 'A' or 'B', got {family!r}")
 
 

@@ -75,22 +75,19 @@ class _Ring:
 
     A subclass supplies ``_coerced(other)``, which returns ``other`` as an
     element of the receiver's ring (lifting scalars) or None when it does
-    not apply.
+    not apply, and ``_add(other, sign)``, which returns self + sign * other
+    for sign 1 or -1.  Each subclass puts ``_add`` behind its own ``+`` and
+    ``-``, so no subtraction builds a negated operand first, and a profile
+    charges the work to the subclass's module.
     """
 
     __slots__ = ()
-
-    def __sub__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
 
     def __rsub__(self, other):
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other._add(self, -1)
 
     def __pow__(self, exponent: int):
         """Square-and-multiply, starting from the ring's one."""
@@ -193,19 +190,25 @@ class MultiPoly(_Ring):
         return None
 
     def __add__(self, other):
+        return self._add(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._add(other, -1)
+
+    def _add(self, other, sign: int):
         other = self._coerced(other)
         if other is None:
             return NotImplemented
         out = dict(self.terms)
         for exps, c in other.terms.items():
-            s = out.get(exps, 0) + c
+            s = out.get(exps, 0) + sign * c
             if s:
                 out[exps] = s
             else:
                 out.pop(exps, None)
         return MultiPoly._raw(self.letters, out)
-
-    __radd__ = __add__
 
     def __neg__(self):
         return MultiPoly._raw(self.letters, {e: -c for e, c in self.terms.items()})

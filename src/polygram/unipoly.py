@@ -18,15 +18,15 @@ one) multiplies their nonzero slots only: ``long[p::2]`` and ``short[q::2]``
 at step 2 from slot p + q.  The parity is read from the data in ``*``, not
 in ``_mac``, whose many small series products would all pay for the test.
 
-Subtraction and ``**`` come from ``poly._Ring``, the operator base shared by
+A sum and a difference are the same signed add, ``_add``.  Reversed
+subtraction and ``**`` come from ``poly._Ring``, the operator base shared by
 ``MultiPoly`` and ``UniPoly``; the text form comes from ``poly._render``,
 the renderer ``MultiPoly`` uses as well.
 """
 
 from __future__ import annotations
 
-from itertools import zip_longest
-from operator import add
+from operator import add, sub
 from typing import Iterable
 
 from .poly import AlphabetMismatch, _render, _Ring, check_letters
@@ -129,13 +129,22 @@ class UniPoly(_Ring):
         return None
 
     def __add__(self, other):
+        return self._add(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._add(other, -1)
+
+    def _add(self, other, sign: int):
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        return _trimmed(self.var, [a + b for a, b in zip_longest(self.coeffs, other.coeffs,
-                                                                 fillvalue=0)])
-
-    __radd__ = __add__
+        out, b = list(self.coeffs), other.coeffs
+        if len(out) < len(b):
+            out += [0] * (len(b) - len(out))
+        out[:len(b)] = map(add if sign > 0 else sub, out, b)
+        return _trimmed(self.var, out)
 
     def __neg__(self):
         return UniPoly._raw(self.var, tuple(-c for c in self.coeffs))

@@ -174,6 +174,34 @@ def test_path_walks_match_the_unfolded_walks():
         assert orc.left_factor_h_histogram(n) == unfolded_left_factor_walk(n), n
 
 
+# Reference alternating walk: every index, the last two included, is its own
+# call, and each complete window is counted when no values remain.
+def unfolded_alternating_walk(n, signed):
+    count = 0
+
+    def extend(last, free, position):
+        nonlocal count
+        if not free:
+            count += 1
+            return
+        for i, candidates in enumerate(free):
+            rest = free[:i] + free[i + 1:]
+            for x in candidates:
+                if position and (last > x) != (position % 2 == 1):
+                    continue
+                extend(x, rest, position + 1)
+
+    extend(0, tuple((v, -v) if signed else (v,) for v in range(1, n + 1)), 0)
+    return count
+
+
+def test_alternating_walk_matches_the_unfolded_walk_up_to_the_guards():
+    for n in range(1, orc.MAX_PLAIN_N + 1):
+        assert orc.count_alternating(n, "A") == unfolded_alternating_walk(n, False), n
+    for n in range(1, orc.MAX_SIGNED_N + 1):
+        assert orc.count_alternating(n, "B") == unfolded_alternating_walk(n, True), n
+
+
 def test_alternating_doubling():
     for n in range(1, 8):
         assert orc.count_alternating(n, "B") == 2 ** n * orc.count_alternating(n, "A")

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import random_poly
 from polygram.poly import MultiPoly
 from polygram.unipoly import UniPoly, _mac
 
@@ -80,6 +81,35 @@ def test_reversed_subtraction_on_every_ring_type():
         assert 1 - p == -(p - 1)
         assert p - p == 0 * p
         assert (1 - p) + p == p ** 0
+
+
+def test_subtraction_is_the_signed_add_on_every_ring_type():
+    # a - b is one signed add: it must equal a + (-b) and -(b - a), with ints
+    # on either side, and come out normalized.
+    rng = random.Random("signed-add")
+    letters = ("u", "v")
+    values = {
+        UniPoly: [UniPoly("x"), UniPoly("x", (7,)), UniPoly("x", (0, 1)),
+                  *(UniPoly("x", [_random_coeff(rng) for _ in range(rng.randint(0, 9))])
+                    for _ in range(30))],
+        MultiPoly: [MultiPoly(letters), MultiPoly.const(letters, -4),
+                    MultiPoly(letters, {(1, 0): 1}),
+                    *(random_poly(rng, letters, max_terms=6) for _ in range(30))],
+    }
+    ints = (0, 1, -1, 7, -(10 ** 30))
+    for cls, polys in values.items():
+        for a in polys:
+            pairs = [(a, b) for b in polys] + [(a, k) for k in ints] + [(k, a) for k in ints]
+            for x, y in pairs:
+                diff = x - y
+                assert type(diff) is cls
+                assert diff == x + (-y) == -(y - x)
+                assert diff + y == x
+                if cls is UniPoly:
+                    _assert_normal(diff)
+                else:
+                    assert all(diff.terms.values()) and diff == MultiPoly(letters, diff.terms)
+            assert (a - a).is_zero
 
 
 def test_power_keeps_each_exponent_check():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import random_poly
-from polygram import gamma, triangles, verify
+from polygram import classical, gamma, triangles, verify
 from polygram.cli import main
 from polygram.poly import MultiPoly
 from polygram.quadratic import QuadraticRing
@@ -286,3 +286,20 @@ def test_a_wrong_assoc_family_h_row_fails_only_its_expansion(monkeypatch, bad):
         f"thm22: assoc-h n=4: FAIL (gamma row 1,12,6 does not expand to {shown})",
         "thm22: FAIL",
     ]
+
+
+def test_thm42_subtracts_without_negating(monkeypatch):
+    # Each Chebyshev step x2 * T_(m-1) - T_(m-2) is one signed add: no
+    # negated operand is built first.  The caches are emptied so that the
+    # recurrences really run.
+    negated, subtracted = [], []
+    for cls in (UniPoly, MultiPoly):
+        neg = cls.__neg__
+        monkeypatch.setattr(cls, "__neg__", lambda p, neg=neg: negated.append(p) or neg(p))
+    sub = UniPoly.__sub__
+    monkeypatch.setattr(UniPoly, "__sub__", lambda a, b: subtracted.append(b) or sub(a, b))
+    monkeypatch.setattr(triangles, "_TIPS", {})
+    classical.chebyshev_t.cache_clear()
+    classical.chebyshev_u.cache_clear()
+    assert run_target("thm42", 20).ok
+    assert subtracted and not negated
