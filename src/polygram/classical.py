@@ -8,6 +8,8 @@ genuinely independent second path.  A series is a plain list: item n is n!
 times its t^n coefficient, itself an int coefficient list in u.  So the
 series are exponential with integer coefficients, products are binomial
 convolutions through ``unipoly._mac``, and no fraction is ever formed.
+One scaled Taylor shift, ``_affine``, builds the Legendre/Narayana sums and
+thm31's got side in ``verify``, in additions and shifts only.
 
 The four recurrence caches key on the argument types too, so a non-int n
 such as 3.0 is refused even after P_3 or T_3 is cached.  Stepping between
@@ -61,17 +63,25 @@ def _taylor_shift(desc: list[int]) -> list[int]:
     return desc
 
 
+def _affine(asc: list[int], sign: int, bits: int) -> list[int]:
+    """Ascending coefficients of p(sign + 2^bits t), sign = +/-1, from those of p.
+
+    A Taylor shift gives p(1 + z), with signs alternated before and after it
+    for sign -1 (p(-1 + z) is p(-t) at t = 1 - z); coefficient j is then
+    shifted left by bits*j (von zur Gathen and Gerhard, ISSAC 1997).
+    """
+    if sign < 0:
+        asc = [-c if j % 2 else c for j, c in enumerate(asc)]
+    shifted = _taylor_shift(asc[::-1])[::-1]
+    return [(-c if sign < 0 and j % 2 else c) << bits * j for j, c in enumerate(shifted)]
+
+
 def _horner_binomial_sum(weights: list[int], var: str) -> UniPoly:
     """sum_k weights[k] (x+1)^k (x-1)^(m-k) with m = len(weights) - 1.
 
     With y = x - 1 the sum is y^m W(1 + 2/y), W(t) = sum_k weights[k] t^k:
-    a Taylor shift gives W(1+z), whose z^j coefficient times 2^j (a shift)
-    lands on y^(m-j); the same shift on the sign-alternated list, signs
-    alternated back, takes y to x.  Additions and shifts only, on int lists.
-    """
-    shifted = _taylor_shift(weights[::-1])[::-1]
-    in_x = _taylor_shift([-(c << j) if j % 2 else c << j for j, c in enumerate(shifted)])
-    return _trimmed(var, [-c if j % 2 else c for j, c in enumerate(in_x)][::-1])
+    W(1 + 2z) read backwards is the sum in y, and y = -1 + x."""
+    return _trimmed(var, _affine(_affine(weights, 1, 1)[::-1], -1, 0))
 
 
 def legendre_like(n: int, var: str = "x") -> UniPoly:

@@ -5,13 +5,8 @@ any base letter.  An ``ExtPoly`` is a reduced value a + b*s: no s^2
 survives, and it has no arithmetic.  A sum of terms c * s^e * x^b enters
 the ring through ``QuadraticRing.collect``, or through ``collect_line``
 when s^2 rises as x^2 falls and q = x^2 +/- 1; ``of`` only wraps two
-components that are already reduced.
-
-The ring caches each power q^j next to its nonzero slots r^j, with
-q^j(x) = r^j(x^step).  An even modulus (no odd-index coefficient, as
-1 + h^2, x^2 - 1 or -1) has step 2, so ``collect`` adds c * r^j at stride 2
-from slot b and touches half the slots; any other modulus (thm31's 4x - 1)
-has step 1, and r^j is q^j's own tuple.
+components that are already reduced.  The ring holds only its modulus and
+letter: both entries are Horner in q, so no power of q is ever formed.
 """
 
 from __future__ import annotations
@@ -31,13 +26,7 @@ class ExtPoly:
     def __init__(self, a: UniPoly, b: UniPoly, modulus: UniPoly):
         if not (a.var == b.var == modulus.var):
             raise ValueError("components and modulus must share one letter")
-        self.a = a
-        self.b = b
-        self.modulus = modulus
-
-    @property
-    def is_real(self) -> bool:
-        return self.b.is_zero
+        self.a, self.b, self.modulus = a, b, modulus
 
     def __eq__(self, other):
         if not isinstance(other, ExtPoly):
@@ -62,9 +51,6 @@ class QuadraticRing:
             raise ValueError("modulus must be nonzero")
         self.modulus = modulus
         self.var = modulus.var
-        # q^j(x) = r^j(x^step): stride 2 for an even modulus, 1 for any other.
-        self._step = 1 if any(modulus.coeffs[1::2]) else 2
-        self._powers = [(UniPoly._raw(self.var, (1,)), (1,))]
 
     def _lift(self, c):
         # Exact ints take the trusted path; a bool still meets the checks.
@@ -75,32 +61,28 @@ class QuadraticRing:
     def of(self, a, b=0) -> ExtPoly:
         return ExtPoly(self._lift(a), self._lift(b), self.modulus)
 
-    def _power(self, j: int) -> tuple[UniPoly, tuple[int, ...]]:
-        """(q^j, r^j), read from a list in which each q^j is one product from the last."""
-        if j < 0:
-            raise ValueError(f"power must be >= 0, got {j}")
-        powers = self._powers
-        while len(powers) <= j:
-            q_j = powers[-1][0] * self.modulus
-            powers.append((q_j, q_j.coeffs[::self._step]))
-        return powers[j]
-
     def collect(self, terms) -> ExtPoly:
         """Sum c * s^e * x^b over (e, b, c) triples, reduced by s^2 = q.
 
-        Each term adds c * r^(e//2) at stride ``step`` from slot b, through
-        ``_mac``, into the int list of its s-parity component; c = 0 is
-        skipped and both components are trimmed once at the end.  A negative
-        power of x is refused, as one of s is by ``_power``.
-        """
-        parts: tuple[list[int], list[int]] = ([], [])
-        step = self._step
+        Each term adds c * x^b into X_(e//2) of its s-parity component, and
+        each component is Horner in q from the top down, acc = acc * q + X_j,
+        one ``_mac`` per j.  A negative power of s or x is refused, whatever c."""
+        parts: tuple[dict, dict] = ({}, {})
         for e, b, c in terms:
-            if b < 0:
-                raise ValueError(f"x power must be >= 0, got term (e={e}, b={b}, c={c})")
-            if c:
-                _mac(parts[e % 2], self._power(e // 2)[1], (c,), shift=b, step=step)
-        return self.of(_trimmed(self.var, parts[0]), _trimmed(self.var, parts[1]))
+            if e < 0 or b < 0:
+                raise ValueError(f"{'s' if e < 0 else 'x'} power must be >= 0, "
+                                 f"got term (e={e}, b={b}, c={c})")
+            row = parts[e % 2].setdefault(e // 2, [])
+            row.extend([0] * (b + 1 - len(row)))
+            row[b] += c
+        out = []
+        for rows in parts:
+            acc: list[int] = []
+            for j in range(max(rows, default=-1), -1, -1):
+                _mac(rows.setdefault(j, []), acc, self.modulus.coeffs)
+                acc = rows[j]
+            out.append(_trimmed(self.var, acc))
+        return self.of(*out)
 
     def collect_line(self, coeffs, e: int, top: int, scale: int = 1) -> ExtPoly:
         """Sum coeffs[k] * s^(e+2k) * (scale*x)^(top-2k), for q = x^2 +/- 1 = y +/- 1.

@@ -14,18 +14,18 @@ adds each row's checks to one Report in row order.
 
 The square-root targets (prop12, thm31, cor33, thm42) clear every
 denominator up front, so identities involving 1/sqrt(q) or half-integer
-powers of q become equalities in ``QuadraticRing``, with no rational
-function arithmetic anywhere.  The two-letter iterates of prop12, thm42 and
-cor33 step on the line kernel and enter the ring by Horner in q,
-``QuadraticRing.collect_line``; an iterate off that line, and thm31's
-shifted sums, enter through ``collect``.  cor33's values at i*h use no
-ring: real and imaginary parts are read off by index parity.  Where every
-term of the got side carries a known power of the root (thm42, cor33,
-thm31), that common power is divided out of the got side before it enters
-the ring, not multiplied into the want side.  q is not a square, so the
-ring has no zero divisors and s^m X = s^m Y exactly when X = Y; a term
-below the common power, or a thm31 P_n / Q_n of degree above it, fails its
-check.
+powers of q become polynomial equalities, with no rational function
+arithmetic anywhere.  The two-letter iterates of prop12, thm42 and cor33
+step on the line kernel and enter ``QuadraticRing`` by Horner in q,
+``collect_line``; an iterate off that line enters through ``collect``.
+thm31 builds no ring: each s-parity part of its shifted sum is a
+polynomial in q = 4x - 1, read in x by one scaled Taylor shift,
+``classical._affine``.  cor33's values at i*h use no ring either: real and
+imaginary parts are read off by index parity.  Where every term of the got
+side carries a known power of the root (thm42, cor33, thm31), that common
+power is divided out of the got side, not multiplied into the want side.
+q is not a square, so s^m X = s^m Y exactly when X = Y; a term below the
+common power, or a thm31 P_n / Q_n of degree above it, fails its check.
 
 Only the triangles and ``Report`` are imported with the module.  Each
 target imports the rest of polygram when it runs, so a single target loads
@@ -247,6 +247,16 @@ def _target_prop12(n_max: int) -> Report:
     return report
 
 
+def _at_root(coeffs, shift: int):
+    # (A, B) with sum_k coeffs[k] s^(shift-k) = A + B s over s^2 = 4x - 1, len(coeffs) <=
+    # shift + 1: rev[e] is the s^e coefficient; a part C(q) is C(-1 + 2^2 x), zero iff C is.
+    from .classical import _affine
+    from .unipoly import _trimmed
+
+    rev = [0] * (shift + 1 - len(coeffs)) + list(coeffs[::-1])
+    return tuple(_trimmed("x", _affine(c, -1, 2) if any(c) else []) for c in (rev[::2], rev[1::2]))
+
+
 def _target_thm31(n_max: int) -> Report:
     # Row generating functions of both gamma triangles against P_n and Q_n at
     # 1/sqrt(4x-1).  With s adjoined as sqrt(4x-1) =: sqrt(q), 1/s is s/q, and
@@ -258,27 +268,24 @@ def _target_thm31(n_max: int) -> Report:
     # surviving power of s to be even; an odd one left over fails the check,
     # and so does a degree above shift.
     from . import classical
-    from .quadratic import QuadraticRing
     from .unipoly import UniPoly
 
-    x = UniPoly.variable("x")
-    ring = QuadraticRing(4 * x - 1)
     report = Report("thm31")
     for n in range(1, n_max + 1):
         cases = (
             ("gamma-a-gf", classical.tangent_derivative_poly(n), n + 1,
-             2 ** (n + 1) * x * UniPoly("x", GAMMA_A.row(n))),
+             2 ** (n + 1) * UniPoly("x", [0, *GAMMA_A.row(n)])),
             ("gamma-b-gf", classical.secant_derivative_poly(n), n, UniPoly("x", GAMMA_B.row(n))),
         )
         for name, dpoly, shift, want in cases:
             if dpoly.degree > shift:
                 report.add(Check(name, n, False, f"degree {dpoly.degree} is above {shift}"))
                 continue
-            got = ring.collect((shift - k, 0, c) for k, c in enumerate(dpoly.coeffs))
-            if not got.is_real:
+            got, odd = _at_root(dpoly.coeffs, shift)
+            if not odd.is_zero:
                 report.add(Check(name, n, False, "odd power of the adjoined root survived"))
                 continue
-            report.expect(name, n, got.a, want)
+            report.expect(name, n, got, want)
     return report
 
 

@@ -102,6 +102,8 @@ SUBCOMMANDS = {
     "verify": (("verify", "--target", "thm43"),
                {"verify", "grammar", "parser", "poly", "report", "triangles"}),
     "verify-thm21": (("verify", "--target", "thm21"), {"verify", "gamma", "report", "triangles"}),
+    "verify-thm31": (("verify", "--target", "thm31"),
+                     {"verify", "classical", "poly", "report", "triangles", "unipoly"}),
     "verify-thm32": (("verify", "--target", "thm32"),
                      {"verify", "grammar", "parser", "poly", "report", "triangles"}),
     "verify-all": (("verify", "--target", "all", "--n-max", "2"), None),

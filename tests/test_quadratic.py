@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from polygram import classical
+from polygram import classical, verify
 from polygram.quadratic import ExtPoly, QuadraticRing
 from polygram.unipoly import UniPoly
 from polygram.verify import run_target
@@ -106,14 +106,13 @@ def test_of_lifts_ints_and_still_refuses_bools():
                                           ("x", (-1, 0, 1)), ("x", (2, 0, -1, 0, 3)),
                                           ("x", (0, 0, -2)), ("x", (1, 0, 0, 1))])
 def test_collect_matches_a_term_by_term_sum(var, modulus, max_e):
-    # max_e = 1 never reduces by s^2 = q; max_e = 9 reaches q^4.  Every
-    # modulus but 4x - 1 and 1 + x^3 is even, so collect adds at stride 2.
+    # max_e = 1 never reduces by s^2 = q; max_e = 9 reaches q^4.  Even and
+    # odd moduli, and ones of two and of three terms, all run Horner in q.
     rng = random.Random(f"collect-{var}-{modulus}-{max_e}")
     ring = QuadraticRing(UniPoly(var, modulus))
     power = [1]  # q^j by a double loop over plain lists
     for j in range(max_e + 1):
-        assert ring._power(j)[0].coeffs == tuple(power)
-        assert ring._power(j) is ring._power(j)  # cached, not rebuilt
+        assert ring.collect([(2 * j, 0, 1)]) == ring.of(UniPoly(var, power))
         following = [0] * (len(power) + len(modulus) - 1)
         for i, a in enumerate(power):
             for k, c in enumerate(modulus):
@@ -132,10 +131,13 @@ def test_collect_matches_a_term_by_term_sum(var, modulus, max_e):
     ([(0, -1, 5)], r"x power must be >= 0, got term \(e=0, b=-1, c=5\)"),
     ([(0, 1, 2), (0, -3, 5)], r"got term \(e=0, b=-3, c=5\)"),
     ([(1, -2, 0)], r"got term \(e=1, b=-2, c=0\)"),
-    ([(-1, 0, 5)], r"power must be >= 0, got -1"),
-], ids=["b", "b-after-a-good-term", "b-with-zero-c", "e"])
+    ([(-3, 0, 1)], r"s power must be >= 0, got term \(e=-3, b=0, c=1\)"),
+    ([(-1, 0, 0)], r"s power must be >= 0, got term \(e=-1, b=0, c=0\)"),
+    ([(-1, -1, 2)], r"s power must be >= 0, got term \(e=-1, b=-1, c=2\)"),
+], ids=["b", "b-after-a-good-term", "b-with-zero-c", "e", "e-with-zero-c", "e-and-b"])
 def test_collect_refuses_a_negative_power(terms, match):
     # A negative x power used to vanish into _mac's shift: 5*x^-1 read as 0.
+    # A negative s power is refused whatever c is, and named by the term.
     ring = QuadraticRing(4 * _X - 1)
     with pytest.raises(ValueError, match=match):
         ring.collect(terms)
@@ -259,9 +261,9 @@ def test_root_power_in_any_order_matches_direct_powers():
         q_pow = q ** (k // 2)
         want = ring.of(UniPoly("x"), q_pow) if k % 2 else ring.of(q_pow, 0)
         assert ring.collect([(k, 0, 1)]) == want == ring.of(*term_sum(q, [(k, 0, 1)]))
-        assert ring._power(k)[0] == q ** k
+        assert ring.collect([(2 * k, 0, 1)]) == ring.of(q ** k)
     with pytest.raises(ValueError):
-        ring._power(-1)
+        ring.collect([(-2, 0, 1)])
 
 
 def test_shift_rewrite_matches_the_ring_product():
@@ -274,6 +276,37 @@ def test_shift_rewrite_matches_the_ring_product():
         for k in range(shift + 1):
             assert (ring.collect((shift + k, b, c) for b, c in enumerate((q ** (shift - k)).coeffs))
                     == ring.collect((shift - k, b, c) for b, c in enumerate((q ** shift).coeffs)))
+
+
+@pytest.mark.parametrize("bits", [0, 1, 2])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_affine_matches_a_naive_expansion(sign, bits):
+    # p(sign + 2^bits t) as sum_k c_k (sign + 2^bits t)^k, one UniPoly power per
+    # term; zeros anywhere, a trailing zero included, and the empty list.
+    rng = random.Random(f"affine-{sign}-{bits}")
+    step = UniPoly("t", (sign, 1 << bits))
+    for size in [0] * 3 + list(range(1, 16)) * 4:
+        asc = [rng.choice((0, 1, -1, rng.randint(-10 ** 9, 10 ** 9))) for _ in range(size)]
+        kept = list(asc)
+        got = classical._affine(asc, sign, bits)
+        want = UniPoly("t")
+        for k, c in enumerate(asc):
+            want = want + c * step ** k
+        assert len(got) == size and asc == kept
+        assert UniPoly("t", got) == want, (asc, sign, bits)
+
+
+def test_thm31_got_side_matches_a_term_by_term_sum():
+    # Both parts of sum_k c_k s^(shift-k) over s^2 = 4x - 1, for P_n and Q_n
+    # with n <= 40 and for each with its parity broken (an odd part appears).
+    q = 4 * _X - 1
+    for n in range(1, 41):
+        for dpoly, shift in ((classical.tangent_derivative_poly(n), n + 1),
+                             (classical.secant_derivative_poly(n), n)):
+            for coeffs in (dpoly.coeffs, dpoly.coeffs[:-2] + (dpoly.coeffs[-2] + 1,) + (1,)):
+                terms = [(shift - k, 0, c) for k, c in enumerate(coeffs)]
+                assert verify._at_root(coeffs, shift) == term_sum(q, terms), (n, shift)
+            assert verify._at_root(dpoly.coeffs, shift)[1].is_zero
 
 
 def _bump_one_coefficient(real, bad_n, slot=-1):
