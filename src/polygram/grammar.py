@@ -15,16 +15,15 @@ c*m to c*(e*rc)*m*x^delta, e the exponent of x in m plus the bump; with no
 moves (every rule zero) a step gives zero.
 
 The packed kernel serves the rest.  A monomial is one int, the exponent
-of letter i in bits [i*W, (i+1)*W).  ``_ordered_step`` takes the terms on
-the outside, so a failing check names the first stray term in the order of
-the first (term, move) pair that reaches each.  W is derived, never set: no
-exponent of op^n(start), n <= n_max, exceeds B = deg(start) + n_max *
-max(0, (max rule degree) - 1 + [weighted]), so W = bit_length(B) + 1 keeps
-a guard bit under every field.  Only ``_packed_iterates`` packs, and only
-``operator_iterates`` and ``iterate_operator`` unpack, in the kernel's term
-order.  The reader (``expansion_coefficients``) works on exponent tuples: it
-reads k at the first letter that moves along the family base + k*step and
-names the first term off the family.
+of letter i in bits [i*W, (i+1)*W).  W is derived, never set: no exponent of
+op^n(start), n <= n_max, exceeds B = deg(start) + n_max * max(0, (max rule
+degree) - 1 + [weighted]), so W = bit_length(B) + 1 keeps a guard bit under
+every field.  Only ``_packed_iterates`` packs, and only ``operator_iterates``
+and ``iterate_operator`` unpack.  The reader (``expansion_coefficients``)
+works on exponent tuples: it reads k at the first letter that moves along
+the family base + k*step and names the least term off the family in
+``MultiPoly.sorted_terms`` order, so no failure text depends on the order
+in which a kernel wrote its terms.
 
 The line kernel serves verify_identity and the ring targets.  When every
 move delta differs from the first by a whole number t of pattern steps and
@@ -35,8 +34,9 @@ packing, no width and no carry.  The sweep keeps a divisor d, the true
 iterate being d times the list; a step is linear, so d carries over.  A
 check passes on the list against normalization(n) / d times the row when d
 divides it, and the pass divides that ratio out of the list, exactly, with d
-set to normalization(n): neither side of a compare holds n!.  Off the line
-the reader's row is compared with normalization(n) times the expected row.
+set to normalization(n): neither side of a compare holds n!.  The reader
+reads a check the line does not pass off d times the list, so only a sweep
+the line cannot hold steps the packed kernel.
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ def _unpacked(letters: tuple[str, ...], terms: dict[int, int], width: int) -> Mu
                                     for key, c in terms.items()})
 
 
-def _ordered_step(terms: dict[int, int], moves, mask: int) -> dict[int, int]:
+def _step(terms: dict[int, int], moves, mask: int) -> dict[int, int]:
     out: dict[int, int] = {}
     get = out.get
     for key, c in terms.items():
@@ -180,7 +180,7 @@ def _packed_iterates(grammar: Grammar, op: DerivOp, start: MultiPoly, n_max: int
     moves = tuple((i * width, _pack(delta, width), rc, bump) for i, delta, rc, bump in moves)
     terms = {_pack(exps, width): c for exps, c in start.terms.items()}
     return width, accumulate(repeat(moves, n_max),
-                             lambda t, ms: _ordered_step(t, ms, mask), initial=terms)
+                             lambda t, ms: _step(t, ms, mask), initial=terms)
 
 
 def operator_iterates(grammar: Grammar, op: DerivOp, start: MultiPoly,
@@ -231,19 +231,20 @@ def expansion_coefficients(p: MultiPoly, pattern: PowerPattern) -> list[int]:
     k is (e_i - base_i) // step_i at the first letter i with step_i != 0, or
     0 if no letter moves; a term is member k when k >= 0 and its exponents
     are base + k*step.  Any other term raises PatternMismatch, naming the
-    first in p.terms order; that is how a falsified structural identity
-    announces itself.
+    least such term in ``MultiPoly.sorted_terms`` order; that is how a
+    falsified structural identity announces itself.
     """
     _check_pattern(p.letters, pattern)
     base, step = pattern.base, pattern.step
     i = next((i for i, s in enumerate(step) if s), None)
-    found: dict[int, int] = {}
-    for exps, c in p.terms.items():
+    def member(exps):
         k = 0 if i is None else (exps[i] - base[i]) // step[i]
-        if k < 0 or exps != tuple(b + k * s for b, s in zip(base, step)):
-            stray = MultiPoly._raw(p.letters, {exps: c})
-            raise PatternMismatch(f"term {stray} does not fit the expected monomial family")
-        found[k] = c
+        return k if k >= 0 and exps == tuple(b + k * s for b, s in zip(base, step)) else None
+    found = {member(exps): c for exps, c in p.terms.items()}
+    if None in found:  # only a failing read orders the terms
+        exps = min((e for e in p.terms if member(e) is None), key=lambda e: (sum(e), e))
+        stray = MultiPoly._raw(p.letters, {exps: p.terms[exps]})
+        raise PatternMismatch(f"term {stray} does not fit the expected monomial family")
     return [found.get(k, 0) for k in range(max(found, default=-1) + 1)]
 
 
@@ -324,43 +325,42 @@ def verify_identity(grammar: Grammar, op: DerivOp, start: MultiPoly, n_max: int,
     ``expected`` is any triangle-like object with row(n); ``pattern_for(n)``
     names the monomial family carrying coefficient index k.  Every n is
     checked, and its pattern refused as ``_check_pattern`` refuses it, even
-    after a failure.  The sweep starts on the line along pattern_for(1).step,
-    where ``_on_line`` decides exact polynomial equality as the reader would.
-    There the iterate is d * coeffs, d = 1 at first.  Where d divides
-    norm = normalization(n), coeffs is compared with (norm // d) * row; a pass
-    divides that ratio out of coeffs and sets d = norm.  Otherwise (norm zero,
-    or a chain that does not divide) d * coeffs is compared with norm * row
-    and d is kept.  From the first check that does not pass there, or if no
-    line applies, the iterates come from ``operator_iterates`` and
-    ``expansion_coefficients`` reads each against norm * row: the first
-    differing k of the zero-padded rows, or the stray term, is reported.
+    after a failure.  The sweep steps on the line along pattern_for(1).step
+    when one applies, where ``_on_line`` decides exact polynomial equality as
+    the reader would.  There the iterate is d * coeffs, d = 1 at first.  Where
+    d divides norm = normalization(n), coeffs is compared with (norm // d) *
+    row; a pass divides that ratio out of coeffs and sets d = norm.  Otherwise
+    (norm zero, or a chain that does not divide) d * coeffs is compared with
+    norm * row and d is kept.  A check the line does not pass, or every check
+    when no line applies, is read by ``expansion_coefficients`` against norm *
+    row, from d * coeffs on the line or from ``operator_iterates`` off it: the
+    first differing k of the zero-padded rows, or the stray term, is reported.
     """
-    iterates = operator_iterates(grammar, op, start, n_max)
-    line = p = None
+    iterates = islice(operator_iterates(grammar, op, start, n_max), 1, None)
     report, d = Report(label), 1
     for n in range(1, n_max + 1):
         pattern = pattern_for(n)
         _check_pattern(grammar.letters, pattern)
         norm = normalization(n)
         row = expected.row(n)
-        if p is None:
-            if n == 1:
-                step = tuple(pattern.step)
-                line = _line_iterates(grammar, op, start, n_max, step)
-            if line:
-                base, coeffs = next(line)
-                r, rem = divmod(norm, d)
-                a = 1  # d * coeffs == norm * row iff a * coeffs == r * row
-                if rem:
-                    a, r = d, norm
-                if _on_line(base, coeffs if a == 1 else list(map(mul, coeffs, repeat(a))),
-                            pattern, step, row if r == 1 else list(map(mul, row, repeat(r)))):
-                    if a == 1 and abs(r) > 1:  # divide r out of the list
-                        coeffs[:] = map(floordiv, coeffs, repeat(r))
-                        d = norm
-                    report.add(Check(label, n, True, ""))
-                    continue
-            p = next(islice(iterates, n, None))
+        if n == 1:
+            step = tuple(pattern.step)
+            line = _line_iterates(grammar, op, start, n_max, step)
+        if line:
+            base, coeffs = next(line)
+            r, rem = divmod(norm, d)
+            a = 1  # d * coeffs == norm * row iff a * coeffs == r * row
+            if rem:
+                a, r = d, norm
+            if _on_line(base, coeffs if a == 1 else list(map(mul, coeffs, repeat(a))),
+                        pattern, step, row if r == 1 else list(map(mul, row, repeat(r)))):
+                if a == 1 and abs(r) > 1:  # divide r out of the list
+                    coeffs[:] = map(floordiv, coeffs, repeat(r))
+                    d = norm
+                report.add(Check(label, n, True, ""))
+                continue
+            p = MultiPoly._raw(grammar.letters, {tuple(b + k * s for b, s in zip(base, step)): d * c
+                                                 for k, c in enumerate(coeffs) if c})
         else:
             p = next(iterates)
         try:

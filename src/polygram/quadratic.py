@@ -1,11 +1,11 @@
 """Arithmetic in Z[x][s] / (s^2 - q(x)): one adjoined formal square root.
 
-A constant modulus is allowed, so q = -1 gives the Gaussian integers over
-any base letter.  An ``ExtPoly`` is a reduced value a + b*s: no s^2
-survives, and it has no arithmetic.  A sum of terms c * s^e * x^b enters
-the ring through ``QuadraticRing.collect``, or through ``collect_line``
-when s^2 rises as x^2 falls and q = x^2 +/- 1; ``of`` only wraps two
-components that are already reduced.  The ring holds only its modulus and
+A constant modulus is allowed, so q = -1 gives the Gaussian integers.  An
+``ExtPoly`` is a reduced value a + b*s with no arithmetic.  In polygram
+only ``verify._specialize`` builds a ring: a got side, c * s^e * x^b
+summed, enters through ``collect_line`` when s^2 rises as x^2 falls and
+q = x^2 +/- 1, else through ``collect``; ``of`` only wraps a want side's
+two components, already reduced.  The ring holds only its modulus and
 letter: both entries are Horner in q, so no power of q is ever formed.
 """
 

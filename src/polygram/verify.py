@@ -15,17 +15,18 @@ adds each row's checks to one Report in row order.
 The square-root targets (prop12, thm31, cor33, thm42) clear every
 denominator up front, so identities involving 1/sqrt(q) or half-integer
 powers of q become polynomial equalities, with no rational function
-arithmetic anywhere.  The two-letter iterates of prop12, thm42 and cor33
-step on the line kernel and enter ``QuadraticRing`` by Horner in q,
-``collect_line``; an iterate off that line enters through ``collect``.
-thm31 builds no ring: each s-parity part of its shifted sum is a
-polynomial in q = 4x - 1, read in x by one scaled Taylor shift,
-``classical._affine``.  cor33's values at i*h use no ring either: real and
-imaginary parts are read off by index parity.  Where every term of the got
-side carries a known power of the root (thm42, cor33, thm31), that common
-power is divided out of the got side, not multiplied into the want side.
-q is not a square, so s^m X = s^m Y exactly when X = Y; a term below the
-common power, or a thm31 P_n / Q_n of degree above it, fails its check.
+arithmetic anywhere.  prop12, thm42 and cor33 are case tables that give the
+want components, and one sweep, ``_specialize``, reads their two-letter
+iterates: on the line kernel, entering ``QuadraticRing`` by Horner in q
+(``collect_line``), or off it, entering through ``collect``; no want side
+passes through either.  thm31 builds no ring: each s-parity part of its
+shifted sum is a polynomial in q = 4x - 1, read in x by one scaled Taylor
+shift, ``classical._affine``.  cor33's values at i*h use no ring either:
+real and imaginary parts are read off by index parity.  Where every term of
+the got side carries a known power of the root (thm42, cor33, thm31), that
+common power is divided out of the got side, not multiplied into the want
+side.  q is not a square, so s^m X = s^m Y exactly when X = Y; a term below
+the common power, or a thm31 P_n / Q_n of degree above it, fails its check.
 
 Only the triangles and ``Report`` are imported with the module.  Each
 target imports the rest of polygram when it runs, so a single target loads
@@ -39,6 +40,7 @@ for them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import TYPE_CHECKING, Callable
 
 from .report import Check, Report
@@ -47,29 +49,13 @@ from .triangles import (ASSOC_GAMMA_A_REC, ASSOC_GAMMA_B_REC, EULERIAN_A, EULERI
                         plain_triangle)
 
 if TYPE_CHECKING:
-    from .poly import MultiPoly
-    from .quadratic import ExtPoly, QuadraticRing
+    from .unipoly import UniPoly
 
 __all__ = ["TARGETS", "Target", "check_alternating_counts", "run_all", "run_target"]
 
 # f ~ sec(2x), g ~ 2 tan(2x): D f = f g and D g = 4 f^2.
 _DOUBLE_ANGLE_RULES = "f -> f*g; g -> 4*f^2"
 _CUBIC_RULES = "u -> u^2*v; v -> u^3"
-
-
-def _expect_root_free(report: Report, name: str, n: int, p: MultiPoly, ring: QuadraticRing,
-                      scale: int, power: int, want: ExtPoly) -> None:
-    # Checks p = s^power * want, with two-letter p's first letter -> s and its
-    # second -> scale*x over s^2 = q(x): a term c u^a v^b reads
-    # c scale^b s^(a-power) x^b.  A term below s^power fails the check.
-    low = min(p.terms, default=(power,))
-    if low[0] < power:
-        term = type(p)._raw(p.letters, {low: p.terms[low]})
-        report.add(Check(name, n, False,
-                         f"term {term} lies below the common power {p.letters[0]}^{power}"))
-        return
-    report.expect(name, n, ring.collect((a - power, b, c * scale ** b)
-                                        for (a, b), c in p.terms.items()), want)
 
 
 def _run_rows(target: str, rules: str, n_max: int, rows) -> Report:
@@ -87,26 +73,46 @@ def _run_rows(target: str, rules: str, n_max: int, rows) -> Report:
     return report
 
 
-def _paired_iterates(rules: str, op: str, a: str, b: str, n_max: int):
-    # (expect, iterates), iterates yielding (n, op^n(a), op^n(b)) for n = 0..n_max: on the
-    # line (2, -2) as the line kernel's (base, coeffs), which expect reads with collect_line,
-    # or, when a move leaves that line, as packed-kernel MultiPolys for _expect_root_free.
+def _specialize(report: Report, rules: str, op: str, starts, modulus: UniPoly, scale: int,
+                n_min: int, n_max: int, cases) -> Report:
+    # For n = n_min..n_max, op^n of each start must read s^power * (a + b*s)
+    # for that start's case (name, power, (a, b)) in cases(n), under the
+    # first letter -> s and the second -> scale*x over s^2 = modulus(x): a
+    # term c u^e v^f reads c scale^f s^(e-power) x^f.  The iterates step on
+    # the line (2, -2), read by collect_line, or, when a move leaves it, in
+    # the packed kernel, read by collect; both reads name the least term, the
+    # lowest in u, when it lies below s^power.  A case whose want is a str is
+    # that failed check.
     from .grammar import DerivOp, _line_iterates, operator_iterates
     from .parser import parse_grammar, parse_poly
+    from .quadratic import QuadraticRing
 
-    g, d = parse_grammar(rules), DerivOp.parse(op)
-    starts = [parse_poly(text, g.letters) for text in (a, b)]
-    lines = [_line_iterates(g, d, start, n_max, (2, -2), 0) for start in starts]
-    if None in lines:
-        return _expect_root_free, enumerate(zip(*(operator_iterates(g, d, start, n_max)
-                                                  for start in starts)))
-    def expect(report, name, n, p, ring, scale, power, want):
-        (low, top), coeffs = p
-        if coeffs and low < power:  # the lowest term alone fails the check
-            p = type(starts[0])._raw(g.letters, {(low, top): coeffs[0]})
-            return _expect_root_free(report, name, n, p, ring, scale, power, want)
-        report.expect(name, n, ring.collect_line(coeffs, low - power, top, scale), want)
-    return expect, enumerate(zip(*lines))
+    g, d, ring = parse_grammar(rules), DerivOp.parse(op), QuadraticRing(modulus)
+    starts = [parse_poly(text, g.letters) for text in starts]
+    sweeps = [_line_iterates(g, d, start, n_max, (2, -2), n_min) for start in starts]
+    line = None not in sweeps
+    if not line:
+        sweeps = [islice(operator_iterates(g, d, start, n_max), n_min, None) for start in starts]
+    for n, iterates in enumerate(zip(*sweeps), n_min):
+        for p, (name, power, want) in zip(iterates, cases(n)):
+            if isinstance(want, str):
+                report.add(Check(name, n, False, want))
+                continue
+            if line:
+                (e, f), coeffs = p
+                low = coeffs and ((e, f), coeffs[0])
+            else:
+                low = min(p.terms.items(), default=None)
+            if not low or low[0][0] >= power:
+                got = (ring.collect_line(coeffs, e - power, f, scale) if line else
+                       ring.collect((a - power, b, c * scale ** b)
+                                    for (a, b), c in p.terms.items()))
+                report.expect(name, n, got, ring.of(*want))
+                continue
+            term = type(starts[0])._raw(g.letters, dict([low]))
+            report.add(Check(name, n, False,
+                             f"term {term} lies below the common power {g.letters[0]}^{power}"))
+    return report
 
 
 def _target_thm11(n_max: int) -> Report:
@@ -183,7 +189,6 @@ def _target_prop41(n_max: int) -> Report:
 
 def _target_thm42(n_max: int) -> Report:
     from . import classical
-    from .quadratic import QuadraticRing
     from .unipoly import UniPoly
 
     even_slots = plain_triangle("binomial-even-slots", lambda n: binomial_row(n + 1)[::2])
@@ -196,17 +201,12 @@ def _target_thm42(n_max: int) -> Report:
     # s^2 = x^2 - 1, D^n(uv) must read n! s^(n+1) T_(n+1)(x) and D^n(u^2)
     # n! s^(n+2) U_n(x).  Half-integer powers of x^2 - 1 are exactly the odd
     # powers of s.
-    ring = QuadraticRing(UniPoly("x", (-1, 0, 1)))
-    expect, iterates = _paired_iterates(_CUBIC_RULES, "D", "u*v", "u^2", n_max)
-    for n, (d_uv, d_u2) in iterates:
+    def cases(n):
         fact = factorial(n)
-        cases = (
-            ("uv-specialized", d_uv, classical.chebyshev_t(n + 1), n + 1),
-            ("u^2-specialized", d_u2, classical.chebyshev_u(n), n + 2),
-        )
-        for name, value, cheb, s_power in cases:
-            expect(report, name, n, value, ring, 1, s_power, ring.of(cheb * fact))
-    return report
+        return (("uv-specialized", n + 1, (classical.chebyshev_t(n + 1) * fact, 0)),
+                ("u^2-specialized", n + 2, (classical.chebyshev_u(n) * fact, 0)))
+    return _specialize(report, _CUBIC_RULES, "D", ("u*v", "u^2"), UniPoly("x", (-1, 0, 1)), 1,
+                       0, n_max, cases)
 
 
 def _target_thm43(n_max: int) -> Report:
@@ -230,21 +230,13 @@ def _target_prop12(n_max: int) -> Report:
     # and D^n(g) must read 2^(n+1) P_n(h); a term of the wrong parity in f
     # leaves a component that should be zero.
     from . import classical
-    from .quadratic import QuadraticRing
     from .unipoly import UniPoly
 
-    expect, iterates = _paired_iterates(_DOUBLE_ANGLE_RULES, "D", "f", "g", n_max)
-    next(iterates)  # n = 0 is not checked
-    ring = QuadraticRing(UniPoly("h", (1, 0, 1)))
-    report = Report("prop12")
-    for n, (d_f, d_g) in iterates:
-        cases = (
-            ("D^n(f)", d_f, ring.of(0, 2 ** n * classical.secant_derivative_poly(n, "h"))),
-            ("D^n(g)", d_g, ring.of(2 ** (n + 1) * classical.tangent_derivative_poly(n, "h"))),
-        )
-        for name, value, want in cases:
-            expect(report, name, n, value, ring, 2, 0, want)
-    return report
+    def cases(n):
+        return (("D^n(f)", 0, (0, 2 ** n * classical.secant_derivative_poly(n, "h"))),
+                ("D^n(g)", 0, (2 ** (n + 1) * classical.tangent_derivative_poly(n, "h"), 0)))
+    return _specialize(Report("prop12"), _DOUBLE_ANGLE_RULES, "D", ("f", "g"),
+                       UniPoly("h", (1, 0, 1)), 2, 1, n_max, cases)
 
 
 def _at_root(coeffs, shift: int):
@@ -296,29 +288,23 @@ def _target_cor33(n_max: int) -> Report:
     # off by index parity with no ring; the left-hand sides are read with
     # g = 2h and f = s, s^2 = 1 + h^2.
     from . import classical
-    from .quadratic import QuadraticRing
     from .unipoly import UniPoly, _trimmed
 
-    expect, iterates = _paired_iterates(_DOUBLE_ANGLE_RULES, "postD:f", "f", "g", n_max)
-    next(iterates)  # n = 0 is not checked
-    ring = QuadraticRing(UniPoly("h", (1, 0, 1)))
-    report = Report("cor33")
-    for n, (fd_f, fd_g) in iterates:
-        cases = (
-            ("(fD)^n(f)", fd_f, classical.legendre_like(n, "h"), factorial(n), n, n + 1),
-            ("(fD)^n(g)", fd_g, classical.narayana_like(n, "h"), 2 * factorial(n + 1),
-             n - 1, n + 2),
-        )
-        for name, value, witness, scale, u, f_power in cases:
-            # scale (-i)^u c_k (i h)^k is real for k = u mod 2: scale c_k (-1)^((3u+k)/2)
-            c, parity = witness.coeffs, u % 2
-            if any(c[1 - parity::2]):
-                report.add(Check(name, n, False, "imaginary component survived"))
-                continue
-            real, top = [0] * len(c), (-1) ** ((3 * u + parity) // 2) * scale
-            real[parity::2] = [(-top if j % 2 else top) * x for j, x in enumerate(c[parity::2])]
-            expect(report, name, n, value, ring, 2, f_power, ring.of(_trimmed("h", real)))
-    return report
+    def real_part(witness, scale, u):
+        # scale (-i)^u c_k (i h)^k is real for k = u mod 2: scale c_k (-1)^((3u+k)/2)
+        c, parity = witness.coeffs, u % 2
+        if any(c[1 - parity::2]):
+            return "imaginary component survived"
+        real, top = [0] * len(c), (-1) ** ((3 * u + parity) // 2) * scale
+        real[parity::2] = [(-top if j % 2 else top) * x for j, x in enumerate(c[parity::2])]
+        return _trimmed("h", real), 0
+
+    def cases(n):
+        return (("(fD)^n(f)", n + 1, real_part(classical.legendre_like(n, "h"), factorial(n), n)),
+                ("(fD)^n(g)", n + 2,
+                 real_part(classical.narayana_like(n, "h"), 2 * factorial(n + 1), n - 1)))
+    return _specialize(Report("cor33"), _DOUBLE_ANGLE_RULES, "postD:f", ("f", "g"),
+                       UniPoly("h", (1, 0, 1)), 2, 1, n_max, cases)
 
 
 def _target_egf(n_max: int) -> Report:

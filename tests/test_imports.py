@@ -81,6 +81,11 @@ def test_cli_name_tuples_match_the_registries():
     assert parser_choices("gamma", "family") == sorted(gamma.FAMILIES)
 
 
+# What a ring target (prop12, cor33, thm42) loads besides verify: the grammar
+# code for its iterates and the ring code for its checks.
+RING_MODULES = ("classical", "grammar", "parser", "poly", "quadratic", "report", "triangles",
+                "unipoly")
+
 # Subcommand case -> (argv, the polygram submodules it may load besides cli).
 # None leaves the set open: verify --target all runs every module.  A single
 # verify target loads only the modules that target runs.
@@ -106,6 +111,14 @@ SUBCOMMANDS = {
                      {"verify", "classical", "poly", "report", "triangles", "unipoly"}),
     "verify-thm32": (("verify", "--target", "thm32"),
                      {"verify", "grammar", "parser", "poly", "report", "triangles"}),
+    "verify-prop12": (("verify", "--target", "prop12"), {"verify", *RING_MODULES}),
+    "verify-cor33": (("verify", "--target", "cor33"), {"verify", *RING_MODULES}),
+    "verify-thm42": (("verify", "--target", "thm42"), {"verify", *RING_MODULES}),
+    "verify-egf": (("verify", "--target", "egf"),
+                   {"verify", "classical", "poly", "report", "triangles", "unipoly"}),
+    "verify-alternating": (("verify", "--target", "alternating"),
+                           {"verify", "classical", "oracles", "poly", "report", "triangles",
+                            "unipoly"}),
     "verify-all": (("verify", "--target", "all", "--n-max", "2"), None),
 }
 

@@ -336,8 +336,10 @@ def reference_match(pattern, exps):
 
 
 def reference_coefficients(p, pattern):
+    """The family row of p, or PatternMismatch naming the first stray term of
+    p.sorted_terms()."""
     found = {}
-    for exps, coeff in p.terms.items():
+    for exps, coeff in p.sorted_terms():
         k = reference_match(pattern, exps)
         if k is None:
             stray = MultiPoly(p.letters, {exps: coeff})
@@ -382,6 +384,17 @@ def test_stray_term_text(coeff, text):
         expansion_coefficients(f * g**2 + coeff * f * g + f**3,
                                PowerPattern(("f", "g"), (1, 2), (2, -2)))
     assert str(info.value) == f"term {text} does not fit the expected monomial family"
+
+
+def test_the_least_stray_term_is_named_in_graded_order():
+    # Strays f^2, g^3 and 7*f*g: f*g is least in sorted_terms order (total
+    # degree, then exponents), g^3 least by exponents alone, f^2 first written.
+    pattern = PowerPattern(("f", "g"), (1, 2), (2, -2))
+    terms = {(2, 0): 5, (0, 3): -1, (1, 2): 1, (1, 1): 7, (3, 0): 2}
+    for order in (terms, dict(reversed(terms.items()))):
+        with pytest.raises(PatternMismatch) as info:
+            expansion_coefficients(MultiPoly(("f", "g"), order), pattern)
+        assert str(info.value) == "term 7*f*g does not fit the expected monomial family"
 
 
 def test_pattern_alphabet_must_match():
@@ -575,12 +588,10 @@ def line_cases():
     ]
 
 
-# The n from which the line kernel does not apply to a sweep, whatever the
-# row, so that the reader decides every check from there on; every other
-# sweep leaves the line at its first failing check.  Some cases have one
-# verdict whatever the row.
-OFF_LINE = {"twice-the-step": 1, "start-off-the-line": 1, "base-between-steps": 1,
-            "stray-rule": 1, "step-flips": 2}
+# The sweeps the line kernel cannot hold, so that the packed kernel steps
+# them and the reader decides every check; every other sweep stays on the
+# line.  Some cases have one verdict whatever the row.
+OFF_LINE = {"twice-the-step", "start-off-the-line", "stray-rule"}
 VERDICTS = {"stray-rule": {False}, "base-between-steps": {False}, "n-max-zero": set()}
 
 
@@ -627,20 +638,25 @@ NORMALIZATIONS = {
 
 
 def assert_same_checks(monkeypatch, grammar, op, start, n_max, row, norm, pattern_for,
-                       off_line=None):
-    reads = []
-    real = grammar_module.expansion_coefficients
+                       off_line=False):
+    reads, steps = [], []
+    real, real_step = grammar_module.expansion_coefficients, grammar_module._step
     monkeypatch.setattr(grammar_module, "expansion_coefficients",
                         lambda *args: reads.append(1) or real(*args))
+    monkeypatch.setattr(grammar_module, "_step", lambda *args: steps.append(1) or real_step(*args))
     expected = plain_triangle("row", row)
     report = verify_identity(grammar, op, start, n_max, expected, norm, pattern_for, "x")
     monkeypatch.setattr(grammar_module, "expansion_coefficients", real)
+    monkeypatch.setattr(grammar_module, "_step", real_step)
     got = [(c.n, c.ok, c.detail) for c in report.checks]
     assert got == reference_checks(grammar, op, start, n_max, expected, norm, pattern_for)
-    # The line decides every check before the first failing one or off_line;
-    # from there on the reader reads each check once.
-    first = min([n for n, ok, _ in got if not ok] + [off_line or n_max + 1])
-    assert len(reads) == n_max + 1 - first
+    # On the line, a true check whose pattern steps along pattern_for(1).step
+    # passes without the reader, and the reader reads each other check once,
+    # from the line's own iterate: the packed kernel steps only off the line.
+    line_step = n_max and tuple(pattern_for(1).step)
+    assert len(reads) == sum(off_line or not ok or tuple(pattern_for(n).step) != line_step
+                             for n, ok, _ in got)
+    assert len(steps) == (n_max if off_line else 0)
     return got
 
 
@@ -654,7 +670,7 @@ def test_the_packed_comparison_gives_the_reader_verdict_on_every_mutation(monkey
         for key, scale in NORMALIZATIONS.items():
             scaled_norm, scaled_row = scale(norm, mutated)
             checks[key] = assert_same_checks(monkeypatch, grammar, op, start, n_max, scaled_row,
-                                             scaled_norm, pattern_for, OFF_LINE.get(name))
+                                             scaled_norm, pattern_for, name in OFF_LINE)
             verdicts.update(ok for _, ok, _ in checks[key])
         # A true check whose row has an odd entry is false once halved.
         for (n, ok, _), (_, halved_ok, _) in zip(checks["as-is"], checks["halved"]):
@@ -662,23 +678,62 @@ def test_the_packed_comparison_gives_the_reader_verdict_on_every_mutation(monkey
     assert verdicts == VERDICTS.get(name, {True, False})
 
 
-def test_a_stray_term_is_named_in_term_order():
-    # The texts are pinned: a failing check names the first stray term in
-    # the order of the term-order step, whichever step decided the sweep.
-    # From g + f^2 every check fails, and the moves-outer step would name
-    # 2*f^2*g first at n = 1; from f the first check passes.
+def test_a_failing_check_names_the_least_stray_term():
+    # The texts are pinned: a failing check names the least stray term in
+    # MultiPoly.sorted_terms order, whichever kernel holds the iterate.  The
+    # stray rule puts the sweeps from g + f^2 and from f off the line, onto
+    # the packed kernel: from g + f^2 every check fails, and from f the first
+    # check passes.  Under the double-angle rules a family one exponent off
+    # the line keeps the sweep from g on it, and the reader reads the line's
+    # own iterate.
     f, g = MultiPoly.variables("f g")
     stray = Grammar(("f", "g"), {"f": f * g, "g": 4 * f * f + f * g})
+    double_angle = Grammar(("f", "g"), {"f": f * g, "g": 4 * f * f})
     from_g = verify_identity(stray, DerivOp("D"), g + f * f, 5, GAMMA_A, lambda n: 2 ** (n + 1),
                              lambda n: PowerPattern(("f", "g"), (2, n - 1), (2, -2)), "g")
     from_f = verify_identity(stray, DerivOp("D"), f, 5, GAMMA_B, lambda n: 1,
                              lambda n: PowerPattern(("f", "g"), (1, n), (2, -2)), "f")
+    on_line = verify_identity(double_angle, DerivOp("D"), g, 5, GAMMA_A, lambda n: 2 ** (n + 1),
+                              lambda n: PowerPattern(("f", "g"), (3, n - 2), (2, -2)), "line")
     named = [[c.detail.removesuffix(" does not fit the expected monomial family")
-              for c in report.checks] for report in (from_g, from_f)]
-    assert named == [["term f*g", "term f*g^2", "term 29*f^3*g", "term 139*f^3*g^2",
-                      "term 562*f^3*g^3"],
+              for c in report.checks] for report in (from_g, from_f, on_line)]
+    assert named == [["term f*g", "term f*g^2", "term f*g^3", "term f*g^4", "term f*g^5"],
                      ["", "term f^2*g", "term 4*f^2*g^2", "term 11*f^2*g^3",
-                      "term 26*f^2*g^4"]]
+                      "term 26*f^2*g^4"],
+                     ["term 4*f^2", "term 8*f^2*g", "term 16*f^2*g^2", "term 32*f^2*g^3",
+                      "term 64*f^2*g^4"]]
+
+
+def test_the_packed_step_order_is_not_observable(monkeypatch, capsys):
+    # With the packed step's output dicts reversed, every identity sweep under
+    # every row mutation and normalization, every failing ring sweep and every
+    # derive fuzz case gives the same report or output, text and JSON.
+    from test_derive_fuzz import workloads
+    from test_verify import FAILING_RING_SWEEPS, failing_ring_report
+
+    def outcomes():
+        out = []
+        for _, grammar, op, start, n_max, row, norm, pattern_for in identity_cases():
+            for mutate in ROW_MUTATIONS.values():
+                for scale in NORMALIZATIONS.values():
+                    scaled_norm, scaled_row = scale(norm, lambda n: mutate(row(n)))
+                    out.append(verify_identity(grammar, op, start, n_max,
+                                               plain_triangle("row", scaled_row), scaled_norm,
+                                               pattern_for, "x"))
+        out += [failing_ring_report(monkeypatch, *case[:-1]) for case in FAILING_RING_SWEEPS]
+        rng = random.Random(2024)
+        for _ in range(60):
+            argv = list(workloads.random_derive_job(rng).argv)
+            for fmt in ("text", "json"):
+                assert main(argv[:-1] + [fmt]) == 0
+                out.append(capsys.readouterr().out)
+        return out
+
+    want = outcomes()
+    real = grammar_module._step
+    monkeypatch.setattr(grammar_module, "_step",
+                        lambda *args: dict(reversed(real(*args).items())))
+    assert outcomes() == want
 
 
 def test_the_packed_comparison_refuses_carries_and_extra_k_on_a_fixed_family(monkeypatch):
@@ -719,7 +774,7 @@ def test_every_grammar_target_row_passes_on_the_line(monkeypatch):
 
     lines, reads, packed_steps, inside = [], [], [], []
     real_line, real_read = grammar_module._line_iterates, grammar_module.expansion_coefficients
-    real_step, real_verify = grammar_module._ordered_step, grammar_module.verify_identity
+    real_step, real_verify = grammar_module._step, grammar_module.verify_identity
 
     def verify_identity(*args):
         inside.append(1)
@@ -734,7 +789,7 @@ def test_every_grammar_target_row_passes_on_the_line(monkeypatch):
     monkeypatch.setattr(grammar_module, "expansion_coefficients",
                         lambda *args: reads.append(1) or real_read(*args))
     # thm42's ring checks step on the line too, outside verify_identity.
-    monkeypatch.setattr(grammar_module, "_ordered_step",
+    monkeypatch.setattr(grammar_module, "_step",
                         lambda *args: packed_steps.append(bool(inside)) or real_step(*args))
     for name in ("thm11", "thm32", "prop41", "thm42", "thm43", "thm44"):
         assert verify.run_target(name).ok, name

@@ -1,4 +1,5 @@
 import random
+from hashlib import sha256
 
 import pytest
 
@@ -9,7 +10,7 @@ from polygram.poly import MultiPoly
 from polygram.quadratic import QuadraticRing
 from polygram.report import Check, Report
 from polygram.unipoly import UniPoly
-from polygram.verify import TARGETS, _expect_root_free, run_all, run_target
+from polygram.verify import TARGETS, run_all, run_target
 from test_quadratic import term_sum
 
 EXPECTED_TARGETS = [
@@ -93,64 +94,85 @@ def test_report_shapes():
     assert report.lines()[-1] == "thm32: PASS"
 
 
+def specialize(monkeypatch, iterates, modulus, scale, cases, line=False):
+    # _specialize's report over the given iterates, one copy per start: the
+    # line kernel's ((e, f), coeffs) along (2, -2) when line is set, else
+    # packed-kernel MultiPolys over (f, g).  cases(n) gives one case per start.
+    from polygram import grammar
+
+    monkeypatch.setattr(grammar, "_line_iterates", lambda *args: iter(iterates) if line else None)
+    monkeypatch.setattr(grammar, "operator_iterates", lambda *args: (
+        pytest.fail("the packed kernel stepped on the line") if line else iter(iterates)))
+    return verify._specialize(Report("t"), "f -> f; g -> g", "D", ("f",) * len(cases(0)),
+                              modulus, scale, 0, len(iterates) - 1, cases)
+
+
 @pytest.mark.parametrize("scale", [1, 2])
 @pytest.mark.parametrize("parity", [None, 0, 1])
-def test_root_free_check_matches_a_term_by_term_sum(scale, parity):
-    # first letter -> s, second -> scale*x, one term at a time, after s^power
-    # is divided out; parity None leaves the first letter's exponents mixed
+def test_root_free_check_matches_a_term_by_term_sum(monkeypatch, scale, parity):
+    # Off the line, first letter -> s and second -> scale*x, one term at a
+    # time, after s^power is divided out; parity None leaves the first
+    # letter's exponents mixed
     rng = random.Random(f"{scale}-{parity}")
     x = UniPoly.variable("x")
     for modulus in (x * x - 1, x * x + 1, 4 * x - 1, UniPoly("x", (-1,))):
-        ring = QuadraticRing(modulus)
+        polys, cases = [], []
         for n in range(150):
             power = n % 4
             p = random_poly(rng, ("f", "g"), max_terms=6)
             if parity is not None:
                 p = MultiPoly(p.letters, {(a - a % 2 + parity, b): c
                                           for (a, b), c in p.terms.items()})
-            want = ring.of(*term_sum(modulus, [(a, b, c * scale ** b)
-                                               for (a, b), c in p.terms.items()]))
+            want = term_sum(modulus, [(a, b, c * scale ** b) for (a, b), c in p.terms.items()])
             raised = MultiPoly(p.letters, {(a + power, b): c for (a, b), c in p.terms.items()})
-            report = Report("t")
-            _expect_root_free(report, "p", n, raised, ring, scale, power, want)
-            _expect_root_free(report, "p", n, raised, ring, scale, power,
-                              ring.of(want.a + 1, want.b))
-            assert report.checks[0] == Check("p", n, True)
-            assert not report.checks[1].ok and report.checks[1].detail.startswith("got ")
-            if p.terms:
-                low = min(p.terms)
-                _expect_root_free(report, "p", n, raised, ring, scale, low[0] + power + 1, want)
-                term = MultiPoly(p.letters, {(low[0] + power, low[1]): p.terms[low]})
-                detail = f"term {term} lies below the common power f^{low[0] + power + 1}"
-                assert report.checks[2] == Check("p", n, False, detail)
+            low = min(raised.terms, default=(power,))
+            polys.append(raised)
+            cases.append((("p", power, want), ("p", power, (want[0] + 1, want[1])),
+                          ("p", low[0] + 1, want)))
+        report = specialize(monkeypatch, polys, modulus, scale, cases.__getitem__)
+        assert len(report.checks) == 3 * len(polys)
+        for n, raised in enumerate(polys):
+            good, bumped, below = report.checks[3 * n:3 * n + 3]
+            assert good == Check("p", n, True)
+            assert not bumped.ok and bumped.detail.startswith("got ")
+            if raised.terms:
+                low = min(raised.terms)
+                term = MultiPoly(raised.letters, {low: raised.terms[low]})
+                detail = f"term {term} lies below the common power f^{low[0] + 1}"
+                assert below == Check("p", n, False, detail)
+            else:
+                assert below == Check("p", n, True)
 
 
 @pytest.mark.parametrize("modulus", [(-1, 0, 1), (1, 0, 1)], ids=["x^2-1", "x^2+1"])
-def test_line_check_adds_the_root_free_check(modulus):
-    # On the line, _paired_iterates hands its targets an expect that reads the
-    # line kernel's (base, coeffs) through collect_line.  For the same iterate
-    # it must add exactly the Check _expect_root_free adds: a pass, a "got"
-    # failure, and the lowest term named when it lies below the common power.
-    expect, _ = verify._paired_iterates(verify._CUBIC_RULES, "D", "u*v", "u^2", 1)
+def test_line_check_adds_the_root_free_check(monkeypatch, modulus):
+    # On the line, _specialize reads the line kernel's ((e, f), coeffs)
+    # through collect_line.  For the same iterate it must add exactly the
+    # Check it adds off the line: a pass, a "got" failure, and the lowest term
+    # named when it lies below the common power.
     rng = random.Random(f"line-check-{modulus}")
     ring = QuadraticRing(UniPoly("x", modulus))
-    for trial in range(300):
-        size = trial % 7
-        coeffs = [rng.choice((0, rng.randint(-9, 9))) for _ in range(size)]
-        if coeffs:  # the line kernel trims both ends
-            coeffs[0], coeffs[-1] = coeffs[0] or 1, coeffs[-1] or -1
-        low, top = rng.randint(0, 6), max(2 * size - 2, 0) + rng.randint(0, 3)
-        p = MultiPoly(("u", "v"), {(low + 2 * k, top - 2 * k): c for k, c in enumerate(coeffs)})
-        scale, power = rng.choice((1, 2)), rng.randint(0, 7)
-        right = (ring.collect((a - power, b, c * scale ** b) for (a, b), c in p.terms.items())
-                 if low >= power else ring.of(0))
-        for want in (right, ring.of(right.a + 1, right.b)):
-            on_line, packed = Report("t"), Report("t")
-            expect(on_line, "p", trial, ((low, top), list(coeffs)), ring, scale, power, want)
-            _expect_root_free(packed, "p", trial, p, ring, scale, power, want)
-            assert on_line == packed, (coeffs, low, top, scale, power)
-        if coeffs and low < power:
-            assert not packed.ok and "lies below the common power u^" in packed.checks[0].detail
+    for scale in (1, 2):
+        lines, polys, cases = [], [], []
+        for trial in range(150):
+            size = trial % 7
+            coeffs = [rng.choice((0, rng.randint(-9, 9))) for _ in range(size)]
+            if coeffs:  # the line kernel trims both ends
+                coeffs[0], coeffs[-1] = coeffs[0] or 1, coeffs[-1] or -1
+            low, top = rng.randint(0, 6), max(2 * size - 2, 0) + rng.randint(0, 3)
+            p = MultiPoly(("f", "g"), {(low + 2 * k, top - 2 * k): c
+                                       for k, c in enumerate(coeffs)})
+            power = rng.randint(0, 7)
+            right = (ring.collect((a - power, b, c * scale ** b) for (a, b), c in p.terms.items())
+                     if low >= power else ring.of(0))
+            lines.append(((low, top), coeffs))
+            polys.append(p)
+            cases.append((("p", power, (right.a, right.b)), ("p", power, (right.a + 1, right.b))))
+        on_line = specialize(monkeypatch, lines, ring.modulus, scale, cases.__getitem__, True)
+        packed = specialize(monkeypatch, polys, ring.modulus, scale, cases.__getitem__)
+        assert on_line == packed, scale
+        details = [c.detail for c in packed.checks]
+        assert "" in details and any("lies below the common power f^" in d for d in details)
 
 
 @pytest.mark.parametrize("target, rules, off_line", [
@@ -164,11 +186,55 @@ def test_ring_targets_step_the_packed_kernel_only_off_the_line(monkeypatch, targ
     # off the line (2, -2) send it back to the packed kernel, and it fails.
     from polygram import grammar
 
-    steps, real = [], grammar._ordered_step
-    monkeypatch.setattr(grammar, "_ordered_step", lambda *args: steps.append(1) or real(*args))
+    steps, real = [], grammar._step
+    monkeypatch.setattr(grammar, "_step", lambda *args: steps.append(1) or real(*args))
     assert run_target(target).ok and steps == []
     monkeypatch.setattr(verify, rules, off_line)
     assert not run_target(target, 4).ok and steps
+
+
+def _t51_bumped(n, var="x", real=classical.chebyshev_t):
+    return real(n, var) + int(n == 51)
+
+
+# Failing ring sweeps: (target, n_max, module, name, value, sha256 of the
+# lines of its ring checks joined by newlines).  thm42's grammar rows are left
+# out: their stray terms are the reader's texts, pinned in test_kernel.py.
+FAILING_RING_SWEEPS = [
+    ("thm42", 100, classical, "chebyshev_t", _t51_bumped,
+     "5e0453eb7ad969b1a33069de6acf6487864d05c967e5d93ffd9097c25c111084"),
+    ("cor33", 40, verify, "_DOUBLE_ANGLE_RULES", "f -> f*g + g; g -> 4*f^2",
+     "82bca61825c6d8346ca1390938bde626fad30d9675267afec7595092af68fa0f"),
+    ("prop12", 40, verify, "_DOUBLE_ANGLE_RULES", "f -> f*g + g; g -> 4*f^2",
+     "5189485ec07aeff352763c88afe06762becaf0e303edd916b63207ff88864585"),
+    ("cor33", 40, verify, "_DOUBLE_ANGLE_RULES", "f -> f*g + f; g -> 4*f^2",
+     "4679d4782c5a2444e761f85c81b0a4e67db7aba9ddafde7582055902c6e49ab6"),
+    ("prop12", 40, verify, "_DOUBLE_ANGLE_RULES", "f -> f*g + f; g -> 4*f^2",
+     "2414f0d258ff65822cc7b07a1dcbea3c23d2f298a2f26d121a4d8b9e20efa682"),
+    ("cor33", 40, verify, "_DOUBLE_ANGLE_RULES", "f -> f*g; g -> 4*f^2 + g",
+     "63d9fc2a7833662788100f31ac66abbc3536677107cc0345623ede3cbea0440e"),
+    ("prop12", 40, verify, "_DOUBLE_ANGLE_RULES", "f -> f*g; g -> 4*f^2 + g",
+     "fd377679ff5f5ba5cb515e87b0069f9d701ce28081a5b35b48d94b37e6415321"),
+    ("thm42", 40, verify, "_CUBIC_RULES", "u -> u^2*v + v; v -> u^3",
+     "bbf0da73bec8a4fd78707cd890ad7905104444a972c112d35a429cc83d1dd079"),
+]
+
+
+def failing_ring_report(monkeypatch, target, n_max, module, name, value):
+    with monkeypatch.context() as patched:
+        patched.setattr(module, name, value)
+        return run_target(target, n_max)
+
+
+@pytest.mark.parametrize("target, n_max, module, name, value, digest", FAILING_RING_SWEEPS,
+                         ids=[f"{t}@{n}-{v if isinstance(v, str) else 'T51-bumped'}"
+                              for t, n, _, _, v, _ in FAILING_RING_SWEEPS])
+def test_failing_ring_sweep_texts_are_pinned(monkeypatch, target, n_max, module, name, value,
+                                             digest):
+    report = failing_ring_report(monkeypatch, target, n_max, module, name, value)
+    lines = [line for c, line in zip(report.checks, report.lines())
+             if c.name not in ("D^n(uv)", "D^n(u^2)")]
+    assert not report.ok and sha256("\n".join(lines).encode()).hexdigest() == digest
 
 
 class _BumpedRow:
