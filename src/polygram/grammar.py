@@ -14,35 +14,38 @@ under preD, whose D(w*m) sees the exponent of w one higher.  A move sends
 c*m to c*(e*rc)*m*x^delta, e the exponent of x in m plus the bump; with no
 moves (every rule zero) a step gives zero.
 
-The packed kernel serves the rest.  A monomial is one int, the exponent
-of letter i in bits [i*W, (i+1)*W).  W is derived, never set: no exponent of
-op^n(start), n <= n_max, exceeds B = deg(start) + n_max * max(0, (max rule
-degree) - 1 + [weighted]), so W = bit_length(B) + 1 keeps a guard bit under
-every field.  Only ``_packed_iterates`` packs, and only ``operator_iterates``
-and ``iterate_operator`` unpack.  The reader (``expansion_coefficients``)
-works on exponent tuples: it reads k at the first letter that moves along
-the family base + k*step and names the least term off the family in
-``MultiPoly.sorted_terms`` order, so no failure text depends on the order
-in which a kernel wrote its terms.
+One kernel steps every iterate.  ``_line_iterates`` holds an iterate as
+a dict of dense lines along one step s: a term x^e sits on the line keyed
+e - p*s at position p = e[i0] // s[i0], i0 the first letter s moves, and a
+line is (lo, coeffs), trimmed at both ends.  The moves are grouped by
+delta.  A group of delta d sends line K to the key K + d - t*s, t =
+(K[i0] + d[i0]) // s[i0], and adds the affine range (K_i + bump + p*s_i) *
+rc times the list at position p + t: no packing, no width and no carry.
+Lists that land on one key are added where they meet; lists that do not
+meet go to ``_place``, which keys runs by their first terms and cuts a run
+that would be more than three quarters zeros, so terms far apart on a
+line cost what the terms do.  The step is never a setting:
+``verify_identity`` lays its lines along pattern_for(1).step, the ring
+targets along (2, -2), and ``operator_iterates`` and ``iterate_operator``
+along ``_axis``: the largest vector dividing every move-delta difference
+when those are collinear (so such a grammar keeps a start on one line on
+one line); else, when every delta has one degree, the first difference,
+in the plane of constant degree that holds each iterate; else the first
+letter's unit vector.  A zero step makes every term a line of its own.
 
-The line kernel serves verify_identity and the ring targets.  When every
-move delta differs from the first by a whole number t of pattern steps and
-the start lies on one line, ``_line_iterates`` holds each iterate as (base,
-dense coefficient list).  A step adds, for the moves at each t, the affine range
-(base_i + bump + k*step_i) * rc times the list at offset t - t_min: no
-packing, no width and no carry.  The sweep keeps a divisor d, the true
-iterate being d times the list; a step is linear, so d carries over.  A
-check passes on the list against normalization(n) / d times the row when d
-divides it, and the pass divides that ratio out of the list, exactly, with d
-set to normalization(n): neither side of a compare holds n!.  The reader
-reads a check the line does not pass off d times the list, so only a sweep
-the line cannot hold steps the packed kernel.
+The reader (``expansion_coefficients``) works on exponent tuples: it reads
+k at the first letter that moves along the family base + k*step and names
+the least term off the family in ``MultiPoly.sorted_terms`` order, so no
+failure text depends on the order in which the kernel wrote its terms.
+``verify_identity`` reads a check off the lines themselves only when the
+iterate is one line.
 """
 
 from __future__ import annotations
 
 from collections import deque, namedtuple
 from itertools import accumulate, islice, repeat, zip_longest
+from math import gcd
 from operator import add, floordiv, mul, sub
 from typing import Callable, Iterator, Mapping
 
@@ -131,7 +134,7 @@ class DerivOp:
 
 
 # ----------------------------------------------------------------------
-# the packed kernel
+# the kernel
 
 def _moves(grammar: Grammar, op: DerivOp) -> list:
     """The moves of op, in rule order; an unknown weight letter is refused here."""
@@ -144,43 +147,135 @@ def _moves(grammar: Grammar, op: DerivOp) -> list:
             for i, name in enumerate(letters) for exps, rc in grammar.rules[name].terms.items()]
 
 
-def _pack(exps, width: int) -> int:
-    return sum(e << (i * width) for i, e in enumerate(exps))
+def _steps(d, step) -> int | None:
+    """The integer j with d == j*step, or None."""
+    j = next((a // s for a, s in zip(d, step) if s), 0)
+    return j if all(a == j * s for a, s in zip(d, step)) else None
 
 
-def _unpacked(letters: tuple[str, ...], terms: dict[int, int], width: int) -> MultiPoly:
-    mask = (1 << width) - 1
-    shifts = range(0, len(letters) * width, width)
-    return MultiPoly._raw(letters, {tuple(key >> shift & mask for shift in shifts): c
-                                    for key, c in terms.items()})
+def _axis(grammar: Grammar, op: DerivOp) -> tuple[int, ...]:
+    """The step of op's lines: the largest vector dividing every move delta
+    less the first when those differences are collinear; else, when they
+    all have degree 0, the first nonzero one made primitive; else the first
+    letter's unit vector."""
+    moves = _moves(grammar, op)
+    diffs = [tuple(map(sub, delta, moves[0][1])) for _, delta, _, _ in moves]
+    v = next((d for d in diffs if any(d)), None)
+    if v is not None:
+        v = tuple(a // gcd(*v) for a in v)
+        js = [_steps(d, v) for d in diffs]
+        if None not in js:
+            return tuple(gcd(*js) * a for a in v)
+        if not any(map(sum, diffs)):
+            return v
+    return tuple(int(not i) for i in range(len(grammar.letters)))
 
 
-def _step(terms: dict[int, int], moves, mask: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    get = out.get
-    for key, c in terms.items():
-        for shift, delta, rc, bump in moves:
-            e = (key >> shift & mask) + bump
-            if e:
-                k = key + delta
-                out[k] = get(k, 0) + c * (e * rc)
-    return {key: c for key, c in out.items() if c}
+def _place(lines: dict, key, at: dict, step) -> None:
+    """Put the terms at (position -> coefficient) of the line key into lines,
+    in runs keyed by their first terms (lo = 0), cut where a run would be
+    more than three quarters zeros."""
+    ps = sorted(p for p, c in at.items() if c)
+    cuts = []
+    for j, p in enumerate(ps):
+        if not cuts or p - ps[cuts[-1]] >= 4 * (j - cuts[-1] + 1):
+            cuts.append(j)
+    for r, end in zip(cuts, cuts[1:] + [len(ps)]):
+        lines[tuple(k + ps[r] * s for k, s in zip(key, step))] = 0, [
+            at.get(p, 0) for p in range(ps[r], ps[end - 1] + 1)]
 
 
-def _packed_iterates(grammar: Grammar, op: DerivOp, start: MultiPoly, n_max: int):
-    """(W, iterator over packed op^n(start) for n = 0..n_max), W set by the degree bound."""
+def _advance(lines: dict, kernel) -> dict:
+    """One step of a dict of lines; kernel is what ``_line_iterates`` builds."""
+    i0, step, groups, met = kernel  # met: K[i0] -> the targets of a line K, for each K[i0] met
+    out: dict = {}  # target key -> [lo, buf]
+    apart: dict = {}  # target key -> lists that did not meet out[key] when added
+    for key, (lo, coeffs) in lines.items():
+        scaled, size, k0 = (*key, 1), len(coeffs), key[i0]
+        targets = met.get(k0)
+        if targets is None:  # [(shift, [(t, rcs, b)] sorted by t)], one per target key
+            by_shift: dict = {}
+            for delta, rcs, b in groups:
+                t = (k0 + delta[i0]) // step[i0] if step[i0] else 0
+                by_shift.setdefault(tuple(d - t * s for d, s in zip(delta, step)), []).append(
+                    (t, rcs, b))
+            targets = met[k0] = [(shift, sorted(ts)) for shift, ts in by_shift.items()]
+        for shift, ts in targets:
+            to = tuple(map(add, key, shift))
+            acc = out.get(to)
+            for t, rcs, b in ts:
+                a = sum(map(mul, rcs, scaled)) + b * lo
+                if not (a or b):  # zero everywhere: the line lacks the letters it derives
+                    continue
+                terms = map(mul, range(a, a + b * size, b) if b else repeat(a), coeffs)
+                p = lo + t
+                if acc is None:
+                    acc = out[to] = [p, list(terms)]
+                    continue
+                q, buf = acc
+                if p > q + len(buf) or q > p + size:  # _place joins them, not zeros
+                    apart.setdefault(to, []).append((p, list(terms)))
+                    continue
+                if p < q:
+                    buf[:0] = repeat(0, q - p)
+                    acc[0] = q = p
+                p -= q
+                if p + size > len(buf):
+                    buf.extend(repeat(0, p + size - len(buf)))
+                buf[p:p + size] = map(add, buf[p:p + size], terms)
+    new: dict = {}
+    for key, (lo, buf) in out.items():
+        if apart and key in apart:
+            at: dict = {}
+            for q, more in [(lo, buf), *apart[key]]:
+                for p, c in enumerate(more, q):
+                    at[p] = at.get(p, 0) + c
+            _place(new, key, at, step)
+            continue
+        while buf and not buf[-1]:
+            buf.pop()
+        if buf:
+            first = 0 if buf[0] else next(k for k, c in enumerate(buf) if c)
+            new[key] = lo + first, buf[first:] if first else buf
+    return new
+
+
+def _line_iterates(grammar: Grammar, op: DerivOp, start: MultiPoly, n_max: int, step):
+    """Iterator over op^n(start), n = 0..n_max, each a dict of lines along step.
+
+    A line keyed K is (lo, coeffs), the sum of coeffs[j] * x^(K + (lo + j)*step),
+    nonzero at both ends; the zero iterate is {}.  ``_advance`` keys a line
+    by its member at position 0, the position of x^e being e[i0] // step[i0]
+    (i0 the first letter step moves; 0 for a zero step), and ``_place`` by
+    its first term.  The next step reads the lists it yielded, so a caller
+    may divide them in place in between.  A negative n_max or an unknown
+    weight letter is refused at the call.
+    """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    start = start.with_letters(grammar.letters)
     moves = _moves(grammar, op)
-    top = max((rule.degree() for rule in grammar.rules.values()), default=0)
-    width = (max(start.degree(), 0) + n_max * max(0, top - 1 + (op.weight is not None))
-             ).bit_length() + 1
-    mask = (1 << width) - 1
-    moves = tuple((i * width, _pack(delta, width), rc, bump) for i, delta, rc, bump in moves)
-    terms = {_pack(exps, width): c for exps, c in start.terms.items()}
-    return width, accumulate(repeat(moves, n_max),
-                             lambda t, ms: _step(t, ms, mask), initial=terms)
+    i0 = next((i for i, s in enumerate(step) if s), 0)
+    by_delta: dict = {}  # delta -> rc summed per letter, then bump * rc
+    for i, delta, rc, bump in moves:
+        row = by_delta.setdefault(delta, [0] * (len(step) + 1))
+        row[i] += rc
+        row[-1] += bump * rc
+    groups = [(delta, rcs, sum(map(mul, rcs, step))) for delta, rcs in by_delta.items()]
+    found: dict = {}
+    for exps, c in start.with_letters(grammar.letters).terms.items():
+        p = exps[i0] // step[i0] if step[i0] else 0
+        found.setdefault(tuple(e - p * s for e, s in zip(exps, step)), {})[p] = c
+    lines: dict = {}
+    for key, at in found.items():
+        _place(lines, key, at, step)
+    return accumulate(repeat((i0, step, groups, {}), n_max), _advance, initial=lines)
+
+
+def _terms(lines: dict, step) -> dict:
+    """The exponent dict of a dict of lines along step."""
+    return {exps: c for key, (lo, coeffs) in lines.items()
+            for exps, c in zip(zip(*(range(k + lo * s, k + (lo + len(coeffs)) * s, s) if s
+                                     else repeat(k) for k, s in zip(key, step))), coeffs) if c}
 
 
 def operator_iterates(grammar: Grammar, op: DerivOp, start: MultiPoly,
@@ -191,14 +286,16 @@ def operator_iterates(grammar: Grammar, op: DerivOp, start: MultiPoly,
     a caller keeps stay in memory.  A negative n_max or an unknown weight
     letter is refused at the call.
     """
-    width, iterates = _packed_iterates(grammar, op, start, n_max)
-    return (_unpacked(grammar.letters, terms, width) for terms in iterates)
+    step = _axis(grammar, op)
+    return (MultiPoly._raw(grammar.letters, _terms(lines, step))
+            for lines in _line_iterates(grammar, op, start, n_max, step))
 
 
 def iterate_operator(grammar: Grammar, op: DerivOp, start: MultiPoly, n: int) -> MultiPoly:
     """op applied n times to start; n = 0 returns start."""
-    width, iterates = _packed_iterates(grammar, op, start, n)
-    return _unpacked(grammar.letters, deque(iterates, maxlen=1).pop(), width)
+    step = _axis(grammar, op)
+    lines = deque(_line_iterates(grammar, op, start, n, step), maxlen=1).pop()
+    return MultiPoly._raw(grammar.letters, _terms(lines, step))
 
 
 # ----------------------------------------------------------------------
@@ -249,59 +346,7 @@ def expansion_coefficients(p: MultiPoly, pattern: PowerPattern) -> list[int]:
 
 
 # ----------------------------------------------------------------------
-# the line kernel
-
-def _steps(d, step) -> int | None:
-    """The integer j with d == j*step, or None."""
-    j = next((a // s for a, s in zip(d, step) if s), 0)
-    return j if all(a == j * s for a, s in zip(d, step)) else None
-
-
-def _line_iterates(grammar: Grammar, op: DerivOp, start: MultiPoly, n_max: int, step, n_min=1):
-    """Iterator over op^n(start), n = n_min..n_max, or None when the line does not apply.
-
-    Each iterate is (base, coeffs), the sum of coeffs[k] * x^(base + k*step),
-    with coeffs nonzero at both ends ([] for zero).  The next step reads the
-    list it yielded, so a caller may divide it in place in between.
-    """
-    moves = _moves(grammar, op)
-    first = moves[0][1] if moves else step  # any delta will do with no moves
-    by_t: dict[int, list[int]] = {}  # t -> rc summed per letter, then bump * rc
-    for i, delta, rc, bump in moves:
-        t = _steps(tuple(map(sub, delta, first)), step)
-        if t is None:
-            return None
-        row = by_t.setdefault(t, [0] * (len(step) + 1))
-        row[i] += rc
-        row[-1] += bump * rc
-    t_min, t_max = min(by_t, default=0), max(by_t, default=0)
-    groups = [(t - t_min, rcs, sum(map(mul, rcs, step))) for t, rcs in by_t.items()]
-    shift = tuple(d + t_min * s for d, s in zip(first, step))
-    terms = start.with_letters(grammar.letters).terms
-    origin = next(iter(terms), step)  # any base will do for a zero start
-    found = {_steps(tuple(map(sub, exps, origin)), step): c for exps, c in terms.items()}
-    if None in found:
-        return None
-    lo = min(found, default=0)
-
-    def advance(state, _):
-        base, coeffs = state
-        size = len(coeffs)
-        out = [0] * (size + t_max - t_min)
-        for j, (t, rcs, b) in enumerate(groups):
-            a = sum(map(mul, rcs, (*base, 1)))
-            terms = map(mul, range(a, a + b * size, b) if b else repeat(a), coeffs)
-            # The first move writes onto zeros; the others add.
-            out[t:t + size] = map(add, out[t:t + size], terms) if j else terms
-        while out and not out[-1]:
-            out.pop()
-        lo = next((k for k, c in enumerate(out) if c), 0)
-        return tuple(b + d + lo * s for b, d, s in zip(base, shift, step)), out[lo:]
-
-    coeffs = [found.get(k, 0) for k in range(lo, max(found, default=-1) + 1)]
-    state = tuple(b + lo * s for b, s in zip(origin, step)), coeffs
-    return islice(accumulate(repeat(None, n_max), advance, initial=state), n_min, None)
-
+# identity sweeps
 
 def _on_line(base, coeffs, pattern: PowerPattern, step, want: list[int]) -> bool:
     """Whether sum coeffs[k]*x^(base + k*step) equals sum want[k]*x^(member k of pattern):
@@ -325,44 +370,44 @@ def verify_identity(grammar: Grammar, op: DerivOp, start: MultiPoly, n_max: int,
     ``expected`` is any triangle-like object with row(n); ``pattern_for(n)``
     names the monomial family carrying coefficient index k.  Every n is
     checked, and its pattern refused as ``_check_pattern`` refuses it, even
-    after a failure.  The sweep steps on the line along pattern_for(1).step
-    when one applies, where ``_on_line`` decides exact polynomial equality as
-    the reader would.  There the iterate is d * coeffs, d = 1 at first.  Where
-    d divides norm = normalization(n), coeffs is compared with (norm // d) *
-    row; a pass divides that ratio out of coeffs and sets d = norm.  Otherwise
-    (norm zero, or a chain that does not divide) d * coeffs is compared with
-    norm * row and d is kept.  A check the line does not pass, or every check
-    when no line applies, is read by ``expansion_coefficients`` against norm *
-    row, from d * coeffs on the line or from ``operator_iterates`` off it: the
-    first differing k of the zero-padded rows, or the stray term, is reported.
+    after a failure.  The sweep steps lines along pattern_for(1).step, and
+    the iterate is d times the lines, d = 1 at first; a step is linear, so d
+    carries over.  When the iterate is one line, ``_on_line`` decides exact
+    polynomial equality as the reader would.  Where d divides norm =
+    normalization(n), coeffs is compared with (norm // d) * row; a pass
+    divides that ratio out of coeffs, exactly, and sets d = norm, so neither
+    side of a compare holds n!.  Otherwise (norm zero, or a chain that does
+    not divide) d * coeffs is compared with norm * row and d is kept.  Every
+    other check is read by ``expansion_coefficients`` off d times every line
+    against norm * row: the first differing k of the zero-padded rows, or
+    the stray term, is reported.
     """
-    iterates = islice(operator_iterates(grammar, op, start, n_max), 1, None)
+    step = (0,) * len(grammar.letters)
+    if n_max > 0:  # pattern 1 is refused before the kernel reads its step
+        _check_pattern(grammar.letters, first := pattern_for(1))
+        step = tuple(first.step)
+    iterates = islice(_line_iterates(grammar, op, start, n_max, step), 1, None)
     report, d = Report(label), 1
-    for n in range(1, n_max + 1):
+    for n, lines in zip(range(1, n_max + 1), iterates):
         pattern = pattern_for(n)
         _check_pattern(grammar.letters, pattern)
         norm = normalization(n)
         row = expected.row(n)
-        if n == 1:
-            step = tuple(pattern.step)
-            line = _line_iterates(grammar, op, start, n_max, step)
-        if line:
-            base, coeffs = next(line)
+        if len(lines) == 1:
+            [(key, (lo, coeffs))] = lines.items()
             r, rem = divmod(norm, d)
             a = 1  # d * coeffs == norm * row iff a * coeffs == r * row
             if rem:
                 a, r = d, norm
-            if _on_line(base, coeffs if a == 1 else list(map(mul, coeffs, repeat(a))),
+            if _on_line(tuple(k + lo * s for k, s in zip(key, step)),
+                        coeffs if a == 1 else list(map(mul, coeffs, repeat(a))),
                         pattern, step, row if r == 1 else list(map(mul, row, repeat(r)))):
                 if a == 1 and abs(r) > 1:  # divide r out of the list
                     coeffs[:] = map(floordiv, coeffs, repeat(r))
                     d = norm
                 report.add(Check(label, n, True, ""))
                 continue
-            p = MultiPoly._raw(grammar.letters, {tuple(b + k * s for b, s in zip(base, step)): d * c
-                                                 for k, c in enumerate(coeffs) if c})
-        else:
-            p = next(iterates)
+        p = MultiPoly._raw(grammar.letters, {e: d * c for e, c in _terms(lines, step).items()})
         try:
             got = expansion_coefficients(p, pattern)
         except PatternMismatch as exc:

@@ -1,19 +1,18 @@
 """Arithmetic in Z[x][s] / (s^2 - q(x)): one adjoined formal square root.
 
-A constant modulus is allowed, so q = -1 gives the Gaussian integers.  An
-``ExtPoly`` is a reduced value a + b*s with no arithmetic.  In polygram
-only ``verify._specialize`` builds a ring: a got side, c * s^e * x^b
-summed, enters through ``collect_line`` when s^2 rises as x^2 falls and
-q = x^2 +/- 1, else through ``collect``; ``of`` only wraps a want side's
-two components, already reduced.  The ring holds only its modulus and
-letter: both entries are Horner in q, so no power of q is ever formed.
+An ``ExtPoly`` is a reduced value a + b*s with no arithmetic.  In polygram
+only ``verify._specialize`` builds a ring, over q = x^2 +/- 1: a got side,
+each line of c * s^e * x^b with s^2 rising as x^2 falls, enters through
+``collect_line``; ``of`` only wraps a want side's two components, already
+reduced.  The ring holds only its modulus and letter: ``collect_line`` is
+Horner in q, so no power of q is ever formed.
 """
 
 from __future__ import annotations
 
 from operator import add, sub
 
-from .unipoly import UniPoly, _mac, _trimmed
+from .unipoly import UniPoly, _trimmed
 
 __all__ = ["ExtPoly", "QuadraticRing"]
 
@@ -60,29 +59,6 @@ class QuadraticRing:
 
     def of(self, a, b=0) -> ExtPoly:
         return ExtPoly(self._lift(a), self._lift(b), self.modulus)
-
-    def collect(self, terms) -> ExtPoly:
-        """Sum c * s^e * x^b over (e, b, c) triples, reduced by s^2 = q.
-
-        Each term adds c * x^b into X_(e//2) of its s-parity component, and
-        each component is Horner in q from the top down, acc = acc * q + X_j,
-        one ``_mac`` per j.  A negative power of s or x is refused, whatever c."""
-        parts: tuple[dict, dict] = ({}, {})
-        for e, b, c in terms:
-            if e < 0 or b < 0:
-                raise ValueError(f"{'s' if e < 0 else 'x'} power must be >= 0, "
-                                 f"got term (e={e}, b={b}, c={c})")
-            row = parts[e % 2].setdefault(e // 2, [])
-            row.extend([0] * (b + 1 - len(row)))
-            row[b] += c
-        out = []
-        for rows in parts:
-            acc: list[int] = []
-            for j in range(max(rows, default=-1), -1, -1):
-                _mac(rows.setdefault(j, []), acc, self.modulus.coeffs)
-                acc = rows[j]
-            out.append(_trimmed(self.var, acc))
-        return self.of(*out)
 
     def collect_line(self, coeffs, e: int, top: int, scale: int = 1) -> ExtPoly:
         """Sum coeffs[k] * s^(e+2k) * (scale*x)^(top-2k), for q = x^2 +/- 1 = y +/- 1.

@@ -17,16 +17,16 @@ denominator up front, so identities involving 1/sqrt(q) or half-integer
 powers of q become polynomial equalities, with no rational function
 arithmetic anywhere.  prop12, thm42 and cor33 are case tables that give the
 want components, and one sweep, ``_specialize``, reads their two-letter
-iterates: on the line kernel, entering ``QuadraticRing`` by Horner in q
-(``collect_line``), or off it, entering through ``collect``; no want side
-passes through either.  thm31 builds no ring: each s-parity part of its
-shifted sum is a polynomial in q = 4x - 1, read in x by one scaled Taylor
-shift, ``classical._affine``.  cor33's values at i*h use no ring either:
-real and imaginary parts are read off by index parity.  Where every term of
-the got side carries a known power of the root (thm42, cor33, thm31), that
-common power is divided out of the got side, not multiplied into the want
-side.  q is not a square, so s^m X = s^m Y exactly when X = Y; a term below
-the common power, or a thm31 P_n / Q_n of degree above it, fails its check.
+iterates as lines along (2, -2), each entering ``QuadraticRing`` by Horner
+in q (``collect_line``); no want side passes through it.  thm31 builds no
+ring: each s-parity part of its shifted sum is a polynomial in q = 4x - 1,
+read in x by one scaled Taylor shift, ``classical._affine``.  cor33's
+values at i*h use no ring either: real and imaginary parts are read off by
+index parity.  Where every term of the got side carries a known power of
+the root (thm42, cor33, thm31), that common power is divided out of the got
+side, not multiplied into the want side.  q is not a square, so s^m X =
+s^m Y exactly when X = Y; a term below the common power, or a thm31 P_n /
+Q_n of degree above it, fails its check.
 
 Only the triangles and ``Report`` are imported with the module.  Each
 target imports the rest of polygram when it runs, so a single target loads
@@ -40,6 +40,7 @@ for them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import islice
 from typing import TYPE_CHECKING, Callable
 
@@ -78,38 +79,31 @@ def _specialize(report: Report, rules: str, op: str, starts, modulus: UniPoly, s
     # For n = n_min..n_max, op^n of each start must read s^power * (a + b*s)
     # for that start's case (name, power, (a, b)) in cases(n), under the
     # first letter -> s and the second -> scale*x over s^2 = modulus(x): a
-    # term c u^e v^f reads c scale^f s^(e-power) x^f.  The iterates step on
-    # the line (2, -2), read by collect_line, or, when a move leaves it, in
-    # the packed kernel, read by collect; both reads name the least term, the
-    # lowest in u, when it lies below s^power.  A case whose want is a str is
-    # that failed check.
-    from .grammar import DerivOp, _line_iterates, operator_iterates
+    # term c u^e v^f reads c scale^f s^(e-power) x^f.  The iterates step as
+    # lines along (2, -2), each read by collect_line and summed; the least
+    # term, the lowest in u, is a line's first term, and it fails the check
+    # when it lies below s^power.  A case whose want is a str is that failed
+    # check.
+    from .grammar import DerivOp, _line_iterates
     from .parser import parse_grammar, parse_poly
     from .quadratic import QuadraticRing
 
     g, d, ring = parse_grammar(rules), DerivOp.parse(op), QuadraticRing(modulus)
     starts = [parse_poly(text, g.letters) for text in starts]
-    sweeps = [_line_iterates(g, d, start, n_max, (2, -2), n_min) for start in starts]
-    line = None not in sweeps
-    if not line:
-        sweeps = [islice(operator_iterates(g, d, start, n_max), n_min, None) for start in starts]
+    sweeps = [islice(_line_iterates(g, d, start, n_max, (2, -2)), n_min, None) for start in starts]
     for n, iterates in enumerate(zip(*sweeps), n_min):
-        for p, (name, power, want) in zip(iterates, cases(n)):
+        for lines, (name, power, want) in zip(iterates, cases(n)):
             if isinstance(want, str):
                 report.add(Check(name, n, False, want))
                 continue
-            if line:
-                (e, f), coeffs = p
-                low = coeffs and ((e, f), coeffs[0])
-            else:
-                low = min(p.terms.items(), default=None)
+            firsts = [((e + 2 * lo, f - 2 * lo), coeffs) for (e, f), (lo, coeffs) in lines.items()]
+            low = min(firsts, default=None)  # no two lines share a first term
             if not low or low[0][0] >= power:
-                got = (ring.collect_line(coeffs, e - power, f, scale) if line else
-                       ring.collect((a - power, b, c * scale ** b)
-                                    for (a, b), c in p.terms.items()))
+                got = [ring.collect_line(coeffs, e - power, f, scale) for (e, f), coeffs in firsts]
+                got = reduce(lambda x, y: ring.of(x.a + y.a, x.b + y.b), got) if got else ring.of(0)
                 report.expect(name, n, got, ring.of(*want))
                 continue
-            term = type(starts[0])._raw(g.letters, dict([low]))
+            term = type(starts[0])._raw(g.letters, {low[0]: low[1][0]})
             report.add(Check(name, n, False,
                              f"term {term} lies below the common power {g.letters[0]}^{power}"))
     return report

@@ -283,7 +283,7 @@ def test_mixed_parity_rules_fail_the_check(capsys, monkeypatch, target):
 
 def test_a_term_below_the_common_root_power_fails_the_check(capsys, monkeypatch):
     # u -> u^2*v + v puts terms below s^(n+1) into D^n(uv): a failed check
-    # (exit 1), not an exit 2 from a negative power of s in collect
+    # (exit 1), not an exit 2 from a negative power of s in collect_line
     monkeypatch.setattr(verify, "_CUBIC_RULES", "u -> u^2*v + v; v -> u^3")
     code, out, err = run_cli(capsys, "verify", "--target", "thm42", "--n-max", "2")
     assert code == 1 and err == ""
@@ -295,7 +295,7 @@ def test_a_term_below_the_common_root_power_fails_the_check(capsys, monkeypatch)
 
 def test_a_tangent_polynomial_of_too_high_degree_fails_thm31(capsys, monkeypatch):
     # One extra top coefficient puts P_5 at degree 7, above s^6: a failed
-    # check (exit 1), not an exit 2 from a negative power of s in collect
+    # check (exit 1), not an exit 2 from a negative power of s in the ring read
     real = classical.tangent_derivative_poly
 
     def padded(n, *args):

@@ -1,14 +1,13 @@
-"""The packed derivation kernel and the pattern matcher
-``expansion_coefficients`` of ``polygram.grammar``, against references kept
-in this file.
+"""The derivation kernel and the pattern matcher ``expansion_coefficients``
+of ``polygram.grammar``, against references kept in this file.
 
 The derivation reference is the per-letter Leibniz route,
 D(p) = sum over letters x of rule(x) * dp/dx, built from
 ``partial_derivative`` below and MultiPoly ``*`` and ``+``; the matcher
 reference reads k off exponent tuples one letter at a time, checking each
-letter's k against the others.  The line
-kernel is held to the packed kernel's iterates, and whether a line applies
-is decided here with exact fractions.
+letter's k against the others.  The kernel's lines are read back here
+along every step tried, and whether a sweep stays on one line is decided
+here with exact fractions.
 """
 
 import random
@@ -21,9 +20,10 @@ import pytest
 
 from polygram import grammar as grammar_module
 from polygram.cli import main
+from polygram.parser import parse_grammar, parse_poly
 from polygram.grammar import (DerivOp, Grammar, PatternMismatch, PowerPattern,
-                              _packed_iterates, expansion_coefficients, iterate_operator,
-                              operator_iterates, verify_identity)
+                              expansion_coefficients, iterate_operator, operator_iterates,
+                              verify_identity)
 from polygram.poly import AlphabetMismatch, MultiPoly
 from polygram.triangles import (ASSOC_GAMMA_A, EULERIAN_A, GAMMA_A, GAMMA_B, MOTZKIN_T,
                                 binomial_row, plain_triangle)
@@ -108,16 +108,35 @@ def is_multiple(v, step):
 
 
 def line_dicts(grammar, op, start, n_max, step):
-    """op^n(start), n = 1..n_max, from the line kernel as exponent dicts, or None."""
-    line = grammar_module._line_iterates(grammar, op, start, n_max, step)
-    if line is None:
-        return None
-    out = []
-    for base, coeffs in line:
-        assert not coeffs or coeffs[0] and coeffs[-1]  # trimmed at both ends
-        out.append({tuple(b + k * s for b, s in zip(base, step)): c
-                    for k, c in enumerate(coeffs) if c})
-    return out
+    """op^n(start), n = 1..n_max, read back from the kernel's lines along step
+    as exponent dicts, and the number of lines of every iterate, n = 0 too."""
+    i0 = next((i for i, s in enumerate(step) if s), None)
+    dicts, counts = [], []
+    for n, lines in enumerate(grammar_module._line_iterates(grammar, op, start, n_max, step)):
+        counts.append(len(lines))
+        terms = {}
+        for key, (lo, coeffs) in lines.items():
+            assert coeffs[0] and coeffs[-1]  # trimmed at both ends, and never empty
+            if i0 is None:
+                assert (lo, len(coeffs)) == (0, 1)
+            elif key[i0] // step[i0]:  # laid out by _place: keyed by its first term
+                assert lo == 0 and len(coeffs) <= 4 * sum(map(bool, coeffs))
+            for k, c in enumerate(coeffs, lo):
+                exps = tuple(b + k * s for b, s in zip(key, step))
+                assert exps not in terms and (min(exps) >= 0 or not c)
+                if c:
+                    terms[exps] = c
+        if n:
+            dicts.append(terms)
+    return dicts, counts
+
+
+def near(terms, step):
+    """Whether the positions of terms along step lie at most 4 apart, so that
+    the kernel never cuts a line of them into runs."""
+    i0 = next((i for i, s in enumerate(step) if s), None)
+    ps = sorted({e[i0] // step[i0] for e in terms}) if i0 is not None else []
+    return all(b - a <= 4 for a, b in zip(ps, ps[1:]))
 
 
 def assert_kernel_matches(grammar, start, n_max):
@@ -126,16 +145,21 @@ def assert_kernel_matches(grammar, start, n_max):
         got = list(operator_iterates(grammar, op, start, n_max))
         assert got == want, (str(grammar), str(op), str(start))
         assert all(0 not in p.terms.values() for p in got)
-        # The line kernel, which verify_identity decides on, builds the same
-        # iterates along the line through every move delta and start term,
-        # reversed too, and refuses a line twice as coarse unless all fit it.
+        # The kernel builds the same iterates along the line through every
+        # move delta and start term, reversed too, twice as coarse, along the
+        # first letter and along no step at all; it holds at most one line
+        # per iterate along every step that all of them fit, unless the
+        # iterate's terms lie far apart on it.
         diffs = line_differences(grammar, start)
         v = next((v for v in diffs if any(v)), (1,) + (0,) * (len(grammar.letters) - 1))
         s = tuple(x // gcd(*v) for x in v)
-        for step in (s, tuple(-x for x in s), tuple(2 * x for x in s)):
-            on_line = all(is_multiple(d, step) for d in diffs)
-            assert line_dicts(grammar, op, start, n_max, step) == \
-                ([p.terms for p in want[1:]] if on_line else None), (str(grammar), str(op), step)
+        unit = tuple(int(not i) for i in range(len(s)))
+        for step in (s, tuple(-x for x in s), tuple(2 * x for x in s), unit, (0,) * len(s)):
+            dicts, counts = line_dicts(grammar, op, start, n_max, step)
+            assert dicts == [p.terms for p in want[1:]], (str(grammar), str(op), step)
+            if all(is_multiple(d, step) for d in diffs):
+                assert all(c <= 1 for c, p in zip(counts, want) if near(p.terms, step)), (
+                    str(grammar), str(op), step)
         assert iterate_operator(grammar, op, start, n_max) == want[-1]
         assert iterate_operator(grammar, op, want[0], 1) == want[1]
 
@@ -191,7 +215,77 @@ def test_collinear_grammars_step_on_the_line(seed):
     for op in every_op(letters):
         want = [p.terms for p in islice(operator_iterates(grammar, op, start, 12), 1, None)]
         for direction in (step, tuple(-s for s in step)):
-            assert line_dicts(grammar, op, start, 12, direction) == want, (str(grammar), str(op))
+            dicts, counts = line_dicts(grammar, op, start, 12, direction)
+            assert dicts == want and max(counts) <= 1, (str(grammar), str(op))
+
+
+@pytest.mark.parametrize("rules, op, axis", [
+    ("f -> f*g; g -> 4*f^2", "D", (2, -2)),
+    ("f -> f*g; g -> 4*f^2", "postD:f", (2, -2)),
+    ("y -> z^2; z -> y*z", "preD:y", (2, -2)),
+    ("t -> t*u^2; u -> u^2*v; v -> 4*u^3", "D", (0, -1, 1)),
+    ("u -> u^3 + u", "D", (-2,)),
+    ("u -> u^5 + u", "D", (-4,)),
+    ("u -> u*v; v -> u + v", "D", (1, 0)),
+    ("x -> x*y + z; y -> x*z; z -> y^2 + 1", "D", (1, 0, 0)),
+    ("w -> 4*y*z^2 + 3*w*y*z; y -> 2*y*z^2 + 3*w^2*z; z -> 2*w*y^2", "D", (1, 0, -1)),
+    ("x -> y*z; y -> x*z; z -> x*y", "preD:x", (1, -1, 0)),
+    ("u -> u^3000000000 + u", "D", (-2999999999,)),
+    ("u -> u*v; v -> v^2", "D", (1, 0)),
+    ("u -> 0; v -> 0", "D", (1, 0)),
+])
+def test_the_axis_is_derived_from_the_move_deltas(rules, op, axis):
+    # The largest vector dividing every move delta less the first, when those
+    # are collinear; else, when every delta has one degree, the first
+    # nonzero difference made primitive; else (one delta, no moves, degrees
+    # that differ) the first letter's unit vector.  A single-letter start
+    # stays on one line when every move delta fits the axis.
+    grammar = parse_grammar(rules)
+    op = DerivOp.parse(op)
+    assert grammar_module._axis(grammar, op) == axis
+    start = MultiPoly.variable(grammar.letters, grammar.letters[0])
+    dicts, counts = line_dicts(grammar, op, start, 6, axis)
+    assert dicts == [p.terms for p in reference_iterates(grammar, op, start, 6)[1:]]
+    if all(is_multiple(d, axis) for d in line_differences(grammar, start)):
+        assert max(counts) <= 1
+
+
+def kernel_cases():
+    """(id, grammar, op, start, n_max, step, lines): lines is "one" when every
+    iterate holds at most one line, "many" when some holds more, "none" when
+    every iterate is zero."""
+    D = DerivOp("D")
+    f, g = MultiPoly.variables("f g")
+    double = Grammar(("f", "g"), {"f": f * g, "g": 4 * f * f})
+    y, z = MultiPoly.variables("y z")
+    euler = Grammar(("y", "z"), {"y": z * z, "z": y * z})
+    t, u, v = MultiPoly.variables("t u v")
+    cubic = Grammar(("t", "u", "v"), {"t": t * u * u, "u": u * u * v, "v": 4 * u**3})
+    a, b = MultiPoly.variables("a b")
+    bumped = Grammar(("a", "b"), {"a": a * b - 2, "b": a + 3 * b * b})
+    one = MultiPoly.variable(("u",), "u")
+    return [
+        ("thm44-negative-step", cubic, D, t * t * u * u, 8, (0, -1, 1), "one"),
+        ("thm11-negative-step", euler, DerivOp("preD", "y"), y, 8, (-2, 2), "one"),
+        ("start-over-several-lines", double, D, f + g + f * g - 3 * f**3, 8, (2, -2), "many"),
+        ("preD-bump-on-the-axis-letter", bumped, DerivOp("preD", "a"), b, 6, (1, 0), "many"),
+        ("zero-start", double, D, MultiPoly(("f", "g")), 4, (2, -2), "none"),
+        ("no-moves", Grammar(("u",), {"u": MultiPoly(("u",))}), D, 3 * one * one, 3, (1,), "one"),
+        ("n-zero", double, D, f, 0, (2, -2), "one"),
+        ("zero-step", double, D, f + g, 5, (0, 0), "many"),
+        ("postD-along-the-reversed-step", double, DerivOp("postD", "f"), g, 8, (-2, 2), "one"),
+        ("three-letters-along-the-first", Grammar(("t", "u", "v"), {
+            "t": t * u + v, "u": t * v, "v": u * u + 1}), D, t, 6, (1, 0, 0), "many"),
+    ]
+
+
+@pytest.mark.parametrize("case", kernel_cases(), ids=lambda case: case[0])
+def test_lines_along_a_given_step_match_the_leibniz_route(case):
+    _, grammar, op, start, n_max, step, lines = case
+    dicts, counts = line_dicts(grammar, op, start, n_max, step)
+    assert dicts == [p.terms for p in reference_iterates(grammar, op, start, n_max)[1:]]
+    assert len(counts) == n_max + 1
+    assert {"one": max(counts) <= 1, "many": max(counts) > 1, "none": not any(counts)}[lines]
 
 
 @pytest.mark.parametrize("letters", ALPHABETS)
@@ -276,22 +370,40 @@ def test_three_billionth_power_rule():
     assert_kernel_matches(grammar, u, 3)
 
 
-def test_width_is_derived_from_the_degree_bound():
-    u, v = MultiPoly.variables("u v")
-    cubic = Grammar(("u", "v"), {"u": u * u * v, "v": u**3})
-    constant = Grammar(("u", "v"), {"u": MultiPoly.const(("u", "v"), 1), "v": v})
-    cases = [
-        # (grammar, op, start, n_max, bound on every exponent)
-        (cubic, DerivOp("D"), u * v, 10, 2 + 10 * 2),
-        (cubic, DerivOp("preD", "u"), u * v, 10, 2 + 10 * 3),
-        (cubic, DerivOp("postD", "v"), u, 7, 1 + 7 * 3),
-        (cubic, DerivOp("D"), MultiPoly(("u", "v")), 5, 0 + 5 * 2),
-        (constant, DerivOp("D"), u**8, 20, 8),
-        (constant, DerivOp("preD", "v"), u**8, 20, 8 + 20 * 1),
-    ]
-    for grammar, op, start, n_max, bound in cases:
-        width, _ = _packed_iterates(grammar, op, start, n_max)
-        assert width == bound.bit_length() + 1, (str(op), n_max)
+@pytest.mark.parametrize("rules, start", [
+    ("u -> u^3000000000 + u", "u"),
+    ("u -> u^2", "u^3000000000 + u"),
+    ("u -> u^3000000000*v + v; v -> u", "u"),
+])
+def test_terms_far_apart_on_a_line_are_not_filled_in(rules, start, capsys):
+    # The first steps along (-2999999999,); under u -> u^2 the start's terms
+    # lie 2999999999 apart on the unit axis; in the third, two groups of t =
+    # 2999999999 and t = -1 land on one key.  The kernel builds nothing per
+    # residue of the step and fills no gap: a line cut into runs is at least
+    # a quarter full, and so is every line here.
+    grammar = parse_grammar(rules)
+    op, start = DerivOp("D"), parse_poly(start, grammar.letters)
+    assert_kernel_matches(grammar, start, 4)
+    want = reference_iterates(grammar, op, start, 4)
+    step = grammar_module._axis(grammar, op)
+    for lines in grammar_module._line_iterates(grammar, op, start, 4, step):
+        assert all(len(coeffs) <= 4 * sum(map(bool, coeffs)) for _, coeffs in lines.values())
+    for n in (0, 4):
+        assert main(["derive", "--grammar", rules, "--start", str(start), "--n", str(n)]) == 0
+        assert capsys.readouterr().out == f"{want[n]}\n"
+
+
+def test_a_grammar_of_one_degree_steps_in_its_plane():
+    # Every rule has degree 3, so every move raises the degree by 2 and the
+    # move deltas differ inside the plane of constant degree, where no unit
+    # vector lies.  Along their first difference the n-th iterate, its terms
+    # spread over a triangle, is held in at most 2n + 1 lines.
+    grammar = parse_grammar("w -> 4*y*z^2 + 3*w*y*z; y -> 2*y*z^2 + 3*w^2*z; z -> 2*w*y^2")
+    op, w = DerivOp("D"), MultiPoly.variable(grammar.letters, "w")
+    step = grammar_module._axis(grammar, op)
+    dicts, counts = line_dicts(grammar, op, w, 8, step)
+    assert dicts == [p.terms for p in reference_iterates(grammar, op, w, 8)[1:]]
+    assert all(c <= 2 * n + 1 for n, c in enumerate(counts)) and len(dicts[-1]) > 100
 
 
 def test_unknown_weight_letter_is_refused_at_the_call():
@@ -302,6 +414,13 @@ def test_unknown_weight_letter_is_refused_at_the_call():
             operator_iterates(grammar, op, u, 0)
         with pytest.raises(ValueError, match="unknown weight letter 'q'"):
             iterate_operator(grammar, op, u, 0)
+        with pytest.raises(ValueError, match="unknown weight letter 'q'"):
+            grammar_module._line_iterates(grammar, op, u, 0, (1, 0))
+    for n in (-1, -5):
+        with pytest.raises(ValueError, match=f"n_max must be >= 0, got {n}"):
+            iterate_operator(grammar, DerivOp("D"), u, n)
+        with pytest.raises(ValueError, match=f"n_max must be >= 0, got {n}"):
+            grammar_module._line_iterates(grammar, DerivOp("D"), u, n, (2, -2))
 
 
 def test_a_start_is_read_over_the_grammar_alphabet():
@@ -355,7 +474,7 @@ def outcome(read, p, pattern):
         return "mismatch: " + str(exc)
 
 
-def test_packed_matcher_agrees_with_the_tuple_matcher():
+def test_the_reader_agrees_with_the_tuple_matcher():
     rng = random.Random(4242)
     mismatches = 0
     for case in range(600):
@@ -404,9 +523,10 @@ def test_pattern_alphabet_must_match():
 
 
 def carry_patterns(width):
-    """Families whose packed base + k*step equals the packed (1, 1, 1) only
-    by carrying out of the middle field, with k read from the first field
-    (k = 0 and k = 1), and a 2-letter one with no moving field at all."""
+    """Families whose base + k*step, packed at width bits a letter, would
+    equal the packed (1, 1, 1) only by carrying out of the middle field, with
+    k read from the first field (k = 0 and k = 1), and one with no moving
+    field at all: each is a stray-term case for t*u*v."""
     top = 1 << width
     return [
         PowerPattern(("t", "u", "v"), (1, 1 + top, 0), (1, 0, 0)),
@@ -421,9 +541,8 @@ def test_a_carry_between_fields_is_reported_not_matched():
     zero = MultiPoly(("t", "u", "v"))
     grammar = Grammar(("t", "u", "v"), {"t": zero, "u": zero, "v": v})
     start = t * u * v
-    width, _ = _packed_iterates(grammar, DerivOp("D"), start, 1)
     row = plain_triangle("one", lambda n: [1])
-    for pattern in carry_patterns(width):
+    for pattern in carry_patterns(3):  # 3 bits a letter would hold every exponent
         report = verify_identity(grammar, DerivOp("D"), start, 1, row, lambda n: 1,
                                  lambda n: pattern, "carry")
         assert not report.ok
@@ -467,7 +586,7 @@ def test_two_letter_carry_without_a_moving_field():
 
 def test_exponents_at_the_top_of_the_width_are_read():
     # u -> u^2 from u: D^n(u) = n! u^(n+1) reaches the degree bound exactly,
-    # so the family meets the top of the fields the width allows.
+    # deg(start) + n * (rule degree - 1).
     u = MultiPoly.variable(("u",), "u")
     grammar = Grammar(("u",), {"u": u * u})
     factorials = plain_triangle("fact", lambda n: [1])
@@ -560,6 +679,12 @@ def line_cases():
     dies = Grammar(("u", "v"), {"u": u * v, "v": -v * v})  # D(u^a v^b) = (a - b) u^a v^(b+1)
     by_row = lambda n: PowerPattern(("u", "v"), (2, n), (1, -1))
     one = MultiPoly.variable(("u",), "u")
+    # From 6*f under f -> f*g, g -> 4*f^2 + f*g, read as the fixed family
+    # f*g (a zero step, so every term is a line of its own), the iterate is
+    # one line, 6*f*g, at n = 1 and three at n = 2: the pass at n = 1 sets
+    # d = 6, and every later read multiplies it into every line.
+    stray_f = Grammar(("f", "g"), {"f": f * g, "g": 4 * f * f + f * g})
+    fixed_f = lambda n: PowerPattern(("f", "g"), (1, 1), (0, 0))
     return [
         ("reversed-step", grammar, D, g, 10, lambda n: GAMMA_A.row(n)[::-1], norm,
          family(lambda n: (2 + 2 * top(n), n - 1 - 2 * top(n)), (-2, 2))),
@@ -585,13 +710,13 @@ def line_cases():
         ("dies-mid-sweep", dies, D, -3 * u * u, 5, read_rows(dies, D, -3 * u * u, 5, by_row),
          lambda n: 1, by_row),
         ("n-max-zero", grammar, D, g, 0, GAMMA_A.row, norm, never_called),
+        ("spreads-after-a-pass", stray_f, D, 6 * f, 4, lambda n: [1], lambda n: 6, fixed_f),
     ]
 
 
-# The sweeps the line kernel cannot hold, so that the packed kernel steps
-# them and the reader decides every check; every other sweep stays on the
-# line.  Some cases have one verdict whatever the row.
-OFF_LINE = {"twice-the-step", "start-off-the-line", "stray-rule"}
+# The sweeps that hold more than one line at some n, start included; every
+# other sweep holds at most one.  Some cases have one verdict whatever the row.
+MULTI_LINE = {"twice-the-step", "start-off-the-line", "stray-rule", "spreads-after-a-pass"}
 VERDICTS = {"stray-rule": {False}, "base-between-steps": {False}, "n-max-zero": set()}
 
 
@@ -637,31 +762,33 @@ NORMALIZATIONS = {
 }
 
 
-def assert_same_checks(monkeypatch, grammar, op, start, n_max, row, norm, pattern_for,
-                       off_line=False):
-    reads, steps = [], []
-    real, real_step = grammar_module.expansion_coefficients, grammar_module._step
+def assert_same_checks(monkeypatch, grammar, op, start, n_max, row, norm, pattern_for):
+    """verify_identity's checks, held to reference_checks, and the number of
+    lines of every iterate, n = 0 too."""
+    reads, counts = [], []
+    real, real_lines = grammar_module.expansion_coefficients, grammar_module._line_iterates
     monkeypatch.setattr(grammar_module, "expansion_coefficients",
                         lambda *args: reads.append(1) or real(*args))
-    monkeypatch.setattr(grammar_module, "_step", lambda *args: steps.append(1) or real_step(*args))
+    monkeypatch.setattr(grammar_module, "_line_iterates", lambda *args: (
+        counts.append(len(lines)) or lines for lines in real_lines(*args)))
     expected = plain_triangle("row", row)
     report = verify_identity(grammar, op, start, n_max, expected, norm, pattern_for, "x")
     monkeypatch.setattr(grammar_module, "expansion_coefficients", real)
-    monkeypatch.setattr(grammar_module, "_step", real_step)
+    monkeypatch.setattr(grammar_module, "_line_iterates", real_lines)
     got = [(c.n, c.ok, c.detail) for c in report.checks]
     assert got == reference_checks(grammar, op, start, n_max, expected, norm, pattern_for)
-    # On the line, a true check whose pattern steps along pattern_for(1).step
-    # passes without the reader, and the reader reads each other check once,
-    # from the line's own iterate: the packed kernel steps only off the line.
+    # A true check whose iterate is one line and whose pattern steps along
+    # pattern_for(1).step passes without the reader, and the reader reads
+    # each other check once, off d times every line.
     line_step = n_max and tuple(pattern_for(1).step)
-    assert len(reads) == sum(off_line or not ok or tuple(pattern_for(n).step) != line_step
-                             for n, ok, _ in got)
-    assert len(steps) == (n_max if off_line else 0)
-    return got
+    assert len(counts) == (n_max and n_max + 1)  # no step past n_max
+    assert len(reads) == sum(count != 1 or not ok or tuple(pattern_for(n).step) != line_step
+                             for (n, ok, _), count in zip(got, counts[1:]))
+    return got, counts
 
 
 @pytest.mark.parametrize("case", identity_cases(), ids=lambda case: case[0])
-def test_the_packed_comparison_gives_the_reader_verdict_on_every_mutation(monkeypatch, case):
+def test_the_line_comparison_gives_the_reader_verdict_on_every_mutation(monkeypatch, case):
     name, grammar, op, start, n_max, row, norm, pattern_for = case
     verdicts = set()
     for mutate in ROW_MUTATIONS.values():
@@ -669,8 +796,9 @@ def test_the_packed_comparison_gives_the_reader_verdict_on_every_mutation(monkey
         checks = {}
         for key, scale in NORMALIZATIONS.items():
             scaled_norm, scaled_row = scale(norm, mutated)
-            checks[key] = assert_same_checks(monkeypatch, grammar, op, start, n_max, scaled_row,
-                                             scaled_norm, pattern_for, name in OFF_LINE)
+            checks[key], counts = assert_same_checks(monkeypatch, grammar, op, start, n_max,
+                                                     scaled_row, scaled_norm, pattern_for)
+            assert (max(counts, default=0) > 1) == (name in MULTI_LINE), counts
             verdicts.update(ok for _, ok, _ in checks[key])
         # A true check whose row has an odd entry is false once halved.
         for (n, ok, _), (_, halved_ok, _) in zip(checks["as-is"], checks["halved"]):
@@ -680,12 +808,11 @@ def test_the_packed_comparison_gives_the_reader_verdict_on_every_mutation(monkey
 
 def test_a_failing_check_names_the_least_stray_term():
     # The texts are pinned: a failing check names the least stray term in
-    # MultiPoly.sorted_terms order, whichever kernel holds the iterate.  The
-    # stray rule puts the sweeps from g + f^2 and from f off the line, onto
-    # the packed kernel: from g + f^2 every check fails, and from f the first
-    # check passes.  Under the double-angle rules a family one exponent off
-    # the line keeps the sweep from g on it, and the reader reads the line's
-    # own iterate.
+    # MultiPoly.sorted_terms order, however many lines hold the iterate.  The
+    # stray rule spreads the sweeps from g + f^2 and from f over several
+    # lines: from g + f^2 every check fails, and from f the first check
+    # passes.  Under the double-angle rules a family one exponent off the
+    # line keeps the sweep from g on one line, and the reader reads it.
     f, g = MultiPoly.variables("f g")
     stray = Grammar(("f", "g"), {"f": f * g, "g": 4 * f * f + f * g})
     double_angle = Grammar(("f", "g"), {"f": f * g, "g": 4 * f * f})
@@ -704,10 +831,11 @@ def test_a_failing_check_names_the_least_stray_term():
                       "term 64*f^2*g^4"]]
 
 
-def test_the_packed_step_order_is_not_observable(monkeypatch, capsys):
-    # With the packed step's output dicts reversed, every identity sweep under
-    # every row mutation and normalization, every failing ring sweep and every
-    # derive fuzz case gives the same report or output, text and JSON.
+def test_the_order_of_the_lines_is_not_observable(monkeypatch, capsys):
+    # With the lines dict reversed after every step, every identity sweep
+    # under every row mutation and normalization, every failing ring sweep
+    # and every derive fuzz case gives the same report or output, text and
+    # JSON.
     from test_derive_fuzz import workloads
     from test_verify import FAILING_RING_SWEEPS, failing_ring_report
 
@@ -730,20 +858,19 @@ def test_the_packed_step_order_is_not_observable(monkeypatch, capsys):
         return out
 
     want = outcomes()
-    real = grammar_module._step
-    monkeypatch.setattr(grammar_module, "_step",
-                        lambda *args: dict(reversed(real(*args).items())))
-    assert outcomes() == want
+    real, reversals = grammar_module._advance, []
+    monkeypatch.setattr(grammar_module, "_advance", lambda *args: reversals.append(1) or dict(
+        reversed(real(*args).items())))
+    assert outcomes() == want and reversals
 
 
-def test_the_packed_comparison_refuses_carries_and_extra_k_on_a_fixed_family(monkeypatch):
+def test_the_line_comparison_refuses_carries_and_extra_k_on_a_fixed_family(monkeypatch):
     t, u, v = MultiPoly.variables("t u v")
     zero = MultiPoly(("t", "u", "v"))
     grammar = Grammar(("t", "u", "v"), {"t": zero, "u": zero, "v": v})
     start = t * u * v
-    width, _ = _packed_iterates(grammar, DerivOp("D"), start, 2)
     fixed = PowerPattern(("t", "u", "v"), (1, 1, 1), (0, 0, 0))
-    for pattern in (*carry_patterns(width), fixed):
+    for pattern in (*carry_patterns(3), fixed):
         for row in ([1], [1, 1], [0, 1], [1, 0, 2], [2]):
             for norm in (1, 2, -1, 0):
                 assert_same_checks(monkeypatch, grammar, DerivOp("D"), start, 2,
@@ -758,40 +885,32 @@ def test_a_passing_sweep_holds_the_unscaled_rows(monkeypatch):
     row = lambda n: [4 ** k * c for k, c in enumerate(binomial_row(n + 1)[::2])]
     held, real = [], grammar_module._line_iterates
     monkeypatch.setattr(grammar_module, "_line_iterates", lambda *args: (
-        held.append(coeffs) or (base, coeffs) for base, coeffs in real(*args)))
+        held.extend(coeffs for _, coeffs in lines.values()) or lines for lines in real(*args)))
     pattern = lambda n: PowerPattern(("u", "v"), (n + 1, n + 1), (2, -2))
     report = verify_identity(grammar, DerivOp("D"), u * v, 60, plain_triangle("prop41", row),
                              factorial, pattern, "prop41")
     assert report.ok and len(report.checks) == 60
-    assert held == [row(n) for n in range(1, 61)]
+    assert held == [[1]] + [row(n) for n in range(1, 61)]
 
 
 def test_every_grammar_target_row_passes_on_the_line(monkeypatch):
-    # At default bounds each of the 12 rows of the grammar targets takes the
-    # line, and so do thm42's two ring sweeps: 14 line sweeps, and no check
-    # reaches the reader or steps the packed kernel.
+    # At default bounds each of the 12 rows of the grammar targets, and each
+    # of thm42's two ring sweeps, holds exactly one line per iterate: 14
+    # sweeps, and no check reaches the reader.
     from polygram import verify
 
-    lines, reads, packed_steps, inside = [], [], [], []
-    real_line, real_read = grammar_module._line_iterates, grammar_module.expansion_coefficients
-    real_step, real_verify = grammar_module._step, grammar_module.verify_identity
+    sweeps, reads = [], []
+    real_lines, real_read = grammar_module._line_iterates, grammar_module.expansion_coefficients
 
-    def verify_identity(*args):
-        inside.append(1)
-        try:
-            return real_verify(*args)
-        finally:
-            inside.pop()
+    def line_iterates(*args):
+        counts = []
+        sweeps.append(counts)
+        return (counts.append(len(lines)) or lines for lines in real_lines(*args))
 
-    monkeypatch.setattr(grammar_module, "verify_identity", verify_identity)
-    monkeypatch.setattr(grammar_module, "_line_iterates",
-                        lambda *args: lines.append(real_line(*args)) or lines[-1])
+    monkeypatch.setattr(grammar_module, "_line_iterates", line_iterates)
     monkeypatch.setattr(grammar_module, "expansion_coefficients",
                         lambda *args: reads.append(1) or real_read(*args))
-    # thm42's ring checks step on the line too, outside verify_identity.
-    monkeypatch.setattr(grammar_module, "_step",
-                        lambda *args: packed_steps.append(bool(inside)) or real_step(*args))
     for name in ("thm11", "thm32", "prop41", "thm42", "thm43", "thm44"):
         assert verify.run_target(name).ok, name
-    assert len(lines) == 14 and all(line is not None for line in lines)
-    assert reads == [] and not any(packed_steps)
+    assert len(sweeps) == 14 and all(set(counts) == {1} for counts in sweeps)
+    assert reads == []

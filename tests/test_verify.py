@@ -94,28 +94,35 @@ def test_report_shapes():
     assert report.lines()[-1] == "thm32: PASS"
 
 
-def specialize(monkeypatch, iterates, modulus, scale, cases, line=False):
-    # _specialize's report over the given iterates, one copy per start: the
-    # line kernel's ((e, f), coeffs) along (2, -2) when line is set, else
-    # packed-kernel MultiPolys over (f, g).  cases(n) gives one case per start.
+def lines_of(p):
+    """The lines of p along (2, -2): key (a % 2, b + 2*(a // 2)) -> (lo, coeffs)
+    with position a // 2, as the kernel holds them."""
+    at = {}
+    for (a, b), c in p.terms.items():
+        at.setdefault((a % 2, b + 2 * (a // 2)), {})[a // 2] = c
+    return {key: (min(ks), [ks.get(k, 0) for k in range(min(ks), max(ks) + 1)])
+            for key, ks in at.items()}
+
+
+def specialize(monkeypatch, polys, modulus, scale, cases):
+    # _specialize's report over the given iterates, held as the kernel holds
+    # them, one copy per start; cases(n) gives one case per start.
     from polygram import grammar
 
-    monkeypatch.setattr(grammar, "_line_iterates", lambda *args: iter(iterates) if line else None)
-    monkeypatch.setattr(grammar, "operator_iterates", lambda *args: (
-        pytest.fail("the packed kernel stepped on the line") if line else iter(iterates)))
+    monkeypatch.setattr(grammar, "_line_iterates", lambda *args: iter(map(lines_of, polys)))
     return verify._specialize(Report("t"), "f -> f; g -> g", "D", ("f",) * len(cases(0)),
-                              modulus, scale, 0, len(iterates) - 1, cases)
+                              modulus, scale, 0, len(polys) - 1, cases)
 
 
 @pytest.mark.parametrize("scale", [1, 2])
 @pytest.mark.parametrize("parity", [None, 0, 1])
 def test_root_free_check_matches_a_term_by_term_sum(monkeypatch, scale, parity):
-    # Off the line, first letter -> s and second -> scale*x, one term at a
-    # time, after s^power is divided out; parity None leaves the first
-    # letter's exponents mixed
+    # First letter -> s and second -> scale*x, one term at a time, after
+    # s^power is divided out, the terms spread over several lines; parity
+    # None leaves the first letter's exponents mixed
     rng = random.Random(f"{scale}-{parity}")
     x = UniPoly.variable("x")
-    for modulus in (x * x - 1, x * x + 1, 4 * x - 1, UniPoly("x", (-1,))):
+    for modulus in (x * x - 1, x * x + 1):
         polys, cases = [], []
         for n in range(150):
             power = n % 4
@@ -131,6 +138,7 @@ def test_root_free_check_matches_a_term_by_term_sum(monkeypatch, scale, parity):
                           ("p", low[0] + 1, want)))
         report = specialize(monkeypatch, polys, modulus, scale, cases.__getitem__)
         assert len(report.checks) == 3 * len(polys)
+        assert max(len(lines_of(p)) for p in polys) > 2
         for n, raised in enumerate(polys):
             good, bumped, below = report.checks[3 * n:3 * n + 3]
             assert good == Check("p", n, True)
@@ -146,32 +154,38 @@ def test_root_free_check_matches_a_term_by_term_sum(monkeypatch, scale, parity):
 
 @pytest.mark.parametrize("modulus", [(-1, 0, 1), (1, 0, 1)], ids=["x^2-1", "x^2+1"])
 def test_line_check_adds_the_root_free_check(monkeypatch, modulus):
-    # On the line, _specialize reads the line kernel's ((e, f), coeffs)
-    # through collect_line.  For the same iterate it must add exactly the
-    # Check it adds off the line: a pass, a "got" failure, and the lowest term
-    # named when it lies below the common power.
+    # An iterate on one line, trimmed at both ends as the kernel trims it, is
+    # read through collect_line.  It must add exactly the Check the term sum
+    # gives: a pass, a "got" failure, and the lowest term named when it lies
+    # below the common power.
     rng = random.Random(f"line-check-{modulus}")
     ring = QuadraticRing(UniPoly("x", modulus))
     for scale in (1, 2):
-        lines, polys, cases = [], [], []
+        polys, cases, want = [], [], Report("t")
         for trial in range(150):
             size = trial % 7
             coeffs = [rng.choice((0, rng.randint(-9, 9))) for _ in range(size)]
-            if coeffs:  # the line kernel trims both ends
+            if coeffs:  # the kernel trims both ends
                 coeffs[0], coeffs[-1] = coeffs[0] or 1, coeffs[-1] or -1
             low, top = rng.randint(0, 6), max(2 * size - 2, 0) + rng.randint(0, 3)
             p = MultiPoly(("f", "g"), {(low + 2 * k, top - 2 * k): c
                                        for k, c in enumerate(coeffs)})
             power = rng.randint(0, 7)
-            right = (ring.collect((a - power, b, c * scale ** b) for (a, b), c in p.terms.items())
-                     if low >= power else ring.of(0))
-            lines.append(((low, top), coeffs))
+            terms = [(a - power, b, c * scale ** b) for (a, b), c in p.terms.items()]
+            right = term_sum(ring.modulus, terms if low >= power else [])
             polys.append(p)
-            cases.append((("p", power, (right.a, right.b)), ("p", power, (right.a + 1, right.b))))
-        on_line = specialize(monkeypatch, lines, ring.modulus, scale, cases.__getitem__, True)
-        packed = specialize(monkeypatch, polys, ring.modulus, scale, cases.__getitem__)
-        assert on_line == packed, scale
-        details = [c.detail for c in packed.checks]
+            cases.append((("p", power, right), ("p", power, (right[0] + 1, right[1]))))
+            for case in cases[-1]:
+                if low < power and coeffs:
+                    term = MultiPoly(("f", "g"), {(low, top): coeffs[0]})
+                    want.add(Check("p", trial, False,
+                                   f"term {term} lies below the common power f^{power}"))
+                else:
+                    want.expect("p", trial, ring.of(*right), ring.of(*case[2]))
+        assert all(len(lines_of(p)) <= 1 for p in polys)
+        got = specialize(monkeypatch, polys, ring.modulus, scale, cases.__getitem__)
+        assert got == want, scale
+        details = [c.detail for c in got.checks]
         assert "" in details and any("lies below the common power f^" in d for d in details)
 
 
@@ -180,17 +194,20 @@ def test_line_check_adds_the_root_free_check(monkeypatch, modulus):
     ("cor33", "_DOUBLE_ANGLE_RULES", "f -> f*g + g; g -> 4*f^2"),
     ("thm42", "_CUBIC_RULES", "u -> u^2*v + v; v -> u^3"),
 ])
-def test_ring_targets_step_the_packed_kernel_only_off_the_line(monkeypatch, target, rules,
-                                                               off_line):
-    # A passing ring target steps its iterates on the line; rules with a move
-    # off the line (2, -2) send it back to the packed kernel, and it fails.
+def test_ring_targets_hold_one_line_per_iterate_only_on_the_line(monkeypatch, target, rules,
+                                                                  off_line):
+    # A passing ring target holds exactly one line per iterate; rules with a
+    # move off the line (2, -2) spread its iterates over several lines, and
+    # it fails.
     from polygram import grammar
 
-    steps, real = [], grammar._step
-    monkeypatch.setattr(grammar, "_step", lambda *args: steps.append(1) or real(*args))
-    assert run_target(target).ok and steps == []
+    counts, real = [], grammar._line_iterates
+    monkeypatch.setattr(grammar, "_line_iterates", lambda *args: (
+        counts.append(len(lines)) or lines for lines in real(*args)))
+    assert run_target(target).ok and set(counts) == {1}
+    counts.clear()
     monkeypatch.setattr(verify, rules, off_line)
-    assert not run_target(target, 4).ok and steps
+    assert not run_target(target, 4).ok and max(counts) > 1
 
 
 def _t51_bumped(n, var="x", real=classical.chebyshev_t):
