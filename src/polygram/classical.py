@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate
 
-from .triangles import _recurrence_row, binomial, binomial_row
+from .triangles import _recurrence_row, binomial_row
 from .unipoly import UniPoly, _mac, _trimmed
 
 __all__ = [
@@ -91,14 +91,15 @@ def legendre_like(n: int, var: str = "x") -> UniPoly:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return _horner_binomial_sum([binomial(n, k) ** 2 for k in range(n + 1)], var)
+    return _horner_binomial_sum([c * c for c in binomial_row(n)], var)
 
 
 def narayana_like(n: int, var: str = "x") -> UniPoly:
     """Narayana-weighted analog of legendre_like; the 1/n factor must divide exactly."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    total = _horner_binomial_sum([binomial(n, k) * binomial(n, k + 1) for k in range(n)], var)
+    row = binomial_row(n)
+    total = _horner_binomial_sum([a * b for a, b in zip(row, row[1:])], var)
     for c in total.coeffs:
         if c % n:
             raise ArithmeticError(f"coefficient {c} of the weighted sum is not divisible by {n}")

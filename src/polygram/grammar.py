@@ -46,7 +46,7 @@ from __future__ import annotations
 from collections import deque, namedtuple
 from itertools import accumulate, islice, repeat, zip_longest
 from math import gcd
-from operator import add, floordiv, mul, sub
+from operator import add, mul, sub
 from typing import Callable, Iterator, Mapping
 
 from .poly import AlphabetMismatch, MultiPoly, check_letters
@@ -248,8 +248,9 @@ def _line_iterates(grammar: Grammar, op: DerivOp, start: MultiPoly, n_max: int, 
     by its member at position 0, the position of x^e being e[i0] // step[i0]
     (i0 the first letter step moves; 0 for a zero step), and ``_place`` by
     its first term.  The next step reads the lists it yielded, so a caller
-    may divide them in place in between.  A negative n_max or an unknown
-    weight letter is refused at the call.
+    may replace their entries in place in between, with the line's own
+    values times a common factor.  A negative n_max or an unknown weight
+    letter is refused at the call.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
@@ -348,17 +349,18 @@ def expansion_coefficients(p: MultiPoly, pattern: PowerPattern) -> list[int]:
 # ----------------------------------------------------------------------
 # identity sweeps
 
-def _on_line(base, coeffs, pattern: PowerPattern, step, want: list[int]) -> bool:
-    """Whether sum coeffs[k]*x^(base + k*step) equals sum want[k]*x^(member k of pattern):
-    both are zero, or pattern.step is step, pattern.base lies off >= 0 steps before
-    base, and want is off zeros, then coeffs, then zeros."""
-    if not coeffs or tuple(pattern.step) != step:
-        return not coeffs and not any(want)
+def _on_line(base, coeffs, pattern: PowerPattern, step, want: list[int]) -> int | None:
+    """The offset off at which sum coeffs[k]*x^(base + k*step), coeffs a
+    line's nonempty list, equals sum want[k]*x^(member k of pattern), else
+    None: pattern.step is step, pattern.base lies off >= 0 steps before base,
+    and want is off zeros, then coeffs, then zeros."""
+    if tuple(pattern.step) != step:
+        return None
     off = _steps(tuple(map(sub, base, pattern.base)), step)
     if off is None or off < 0:
-        return False
+        return None
     end = off + len(coeffs)
-    return not any(want[:off]) and want[off:end] == coeffs and not any(want[end:])
+    return off if not any(want[:off]) and want[off:end] == coeffs and not any(want[end:]) else None
 
 
 def verify_identity(grammar: Grammar, op: DerivOp, start: MultiPoly, n_max: int,
@@ -374,13 +376,15 @@ def verify_identity(grammar: Grammar, op: DerivOp, start: MultiPoly, n_max: int,
     the iterate is d times the lines, d = 1 at first; a step is linear, so d
     carries over.  When the iterate is one line, ``_on_line`` decides exact
     polynomial equality as the reader would.  Where d divides norm =
-    normalization(n), coeffs is compared with (norm // d) * row; a pass
-    divides that ratio out of coeffs, exactly, and sets d = norm, so neither
-    side of a compare holds n!.  Otherwise (norm zero, or a chain that does
-    not divide) d * coeffs is compared with norm * row and d is kept.  Every
-    other check is read by ``expansion_coefficients`` off d times every line
-    against norm * row: the first differing k of the zero-padded rows, or
-    the stray term, is reported.
+    normalization(n), coeffs is compared with r * row, r = norm // d.  A pass
+    has shown coeffs to be r times a slice of the int row, so, where |r| > 1,
+    that slice is copied into coeffs and d set to norm: no division, and
+    neither side of a compare holds n!.  A failing check hands nothing
+    forward.  Otherwise (norm zero, or a chain that does not divide)
+    d * coeffs is compared with norm * row and d is kept.  Every other check
+    is read by ``expansion_coefficients`` off d times every line against
+    norm * row: the first differing k of the zero-padded rows, or the stray
+    term, is reported.
     """
     step = (0,) * len(grammar.letters)
     if n_max > 0:  # pattern 1 is refused before the kernel reads its step
@@ -399,11 +403,12 @@ def verify_identity(grammar: Grammar, op: DerivOp, start: MultiPoly, n_max: int,
             a = 1  # d * coeffs == norm * row iff a * coeffs == r * row
             if rem:
                 a, r = d, norm
-            if _on_line(tuple(k + lo * s for k, s in zip(key, step)),
-                        coeffs if a == 1 else list(map(mul, coeffs, repeat(a))),
-                        pattern, step, row if r == 1 else list(map(mul, row, repeat(r)))):
-                if a == 1 and abs(r) > 1:  # divide r out of the list
-                    coeffs[:] = map(floordiv, coeffs, repeat(r))
+            off = _on_line(tuple(k + lo * s for k, s in zip(key, step)),
+                           coeffs if a == 1 else list(map(mul, coeffs, repeat(a))),
+                           pattern, step, row if r == 1 else list(map(mul, row, repeat(r))))
+            if off is not None:
+                if a == 1 and abs(r) > 1:  # the list is r times this slice of the row
+                    coeffs[:] = row[off:off + len(coeffs)]
                     d = norm
                 report.add(Check(label, n, True, ""))
                 continue

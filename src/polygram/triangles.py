@@ -5,23 +5,28 @@ cube face counts.
 Every triangle is a Triangle record holding the function that builds row n
 as a whole; an entry is read off its row, and entries off the row are zero.
 Most closed forms build a row from one binomial row, each binomial stepped
-from the last; the Motzkin rows step the central binomials the same way, and
-the cube rows shift the binomials.  Recurrence-backed rows step forward in a
-loop from the last row asked for and keep only that row, so sweeping over n
-is linear.  Where a closed form and a recurrence both exist (the
-associahedron gamma rows) they are implemented separately and cross-checked
-in the tests.
+from the last: a binomial row is one Pascal step from the row before it
+when that is held, and the central binomials C(2k, k), the Catalan numbers
+and the Motzkin rows' C(m, m // 2) step by their ratios; the cube rows
+shift the binomials.  Recurrence-backed rows, and the factorials, step
+forward in a loop from the last row asked for and keep only that row, so
+sweeping over n is linear.  Where a closed form and a recurrence both exist
+(the associahedron gamma rows) they are implemented separately and
+cross-checked in the tests.
 
 Memory grows with one row, not with the number of rows asked for.
 ``_TIPS`` holds, per recurrence, only the last rows its step reads (one or
-two), and ``table`` writes every format row by row as it builds it.
+two), the factorial among them; ``_BINOMIAL_ROWS`` holds the last two
+binomial rows built, and ``_CENTRAL`` the C(m, m // 2) up to the largest m
+asked for.  A caller gets a copy of a held row.  ``table`` writes every
+format row by row as it builds it.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import repeat
-from operator import add, floordiv, lshift, mod, mul
+from operator import add, floordiv, index, lshift, mod, mul
 from typing import Callable, Iterator, Sequence
 
 __all__ = [
@@ -42,10 +47,6 @@ def binomial(n: int, k: int) -> int:
     if n < 0 or k < 0 or k > n:
         return 0
     return math.comb(n, k)
-
-
-def factorial(n: int) -> int:
-    return math.factorial(n)
 
 
 # Per recurrence, the index and rows of the furthest point reached, so that
@@ -77,6 +78,11 @@ def _recurrence_row(key, n: int, first: list, step, first_n: int = 0):
         rows = [*rows[1:], step(top, rows)]
     _TIPS[key] = (top, rows)
     return rows[-1]
+
+
+def factorial(n: int) -> int:
+    """n!, one product from the last factorial asked for when n lies above it."""
+    return _recurrence_row("factorial", n, [1], lambda m, rows: rows[-1] * m)
 
 
 def _triangle_rows(name: str, first_row: tuple[int, ...], row_len: Callable[[int], int],
@@ -138,21 +144,43 @@ _assoc_gamma_b_rows = _triangle_rows(
     lead=lambda n: n)
 
 
+# The last two binomial rows built, older first, as (m, row).
+_BINOMIAL_ROWS: list[tuple[int, list[int]]] = []
+
+
 def binomial_row(m: int) -> list[int]:
-    """C(m, 0), ..., C(m, m), each entry stepped from the one before."""
-    row = [1]
-    for j in range(m):
-        row.append(row[-1] * (m - j) // (j + 1))
-    return row
+    """C(m, 0), ..., C(m, m), as a list of the caller's own.
+
+    A row held is copied, and the row after the newer one held is one
+    Pascal step from it, additions only; any other row is built with each
+    entry stepped from the one before.  So a sweep asking for m, or for
+    m - 1 and m, at each m costs one step per row.
+    """
+    m = index(m)
+    held = next((row for k, row in _BINOMIAL_ROWS if k == m), None)
+    if held is None:
+        if m > 0 and _BINOMIAL_ROWS and _BINOMIAL_ROWS[-1][0] == m - 1:
+            last = _BINOMIAL_ROWS[-1][1]
+            held = [1, *map(add, last, last[1:]), 1]
+        else:
+            held = [1]
+            for j in range(m):
+                held.append(held[-1] * (m - j) // (j + 1))
+        _BINOMIAL_ROWS[:] = [*_BINOMIAL_ROWS[-1:], (m, held)]
+    return held[:]
+
+
+# C(m, m // 2) for m = 0, 1, ..., as far as any row has asked.
+_CENTRAL = [1]
 
 
 def _central_binomials(n: int) -> list[int]:
     """C(m, m // 2) for m = 0..n, each stepped from the one before: times
-    (m + 1) / (m // 2 + 1) from an even m, times 2 from an odd one."""
-    row = [1]
-    for m in range(n):
-        row.append(row[-1] * (m + 1) // (m // 2 + 1) if m % 2 == 0 else row[-1] * 2)
-    return row
+    (m + 1) / (m // 2 + 1) from an even m, times 2 from an odd one.  The
+    entries are kept across calls, so each is stepped once."""
+    for m in range(len(_CENTRAL) - 1, n):
+        _CENTRAL.append(_CENTRAL[-1] * (m + 1) // (m // 2 + 1) if m % 2 == 0 else _CENTRAL[-1] * 2)
+    return _CENTRAL[:n + 1]
 
 
 def _narayana_h_a_row(n: int) -> list[int]:
@@ -165,14 +193,15 @@ def _narayana_h_a_row(n: int) -> list[int]:
     return [val // n for val in row]
 
 
-def _assoc_gamma_a_row(n: int) -> list[int]:
-    # gamma row of the type A associahedron: Catalan(k) binom(n-1, 2k), with
-    # Catalan(k) = Catalan(k-1) 2(2k-1) / (k+1) stepped along the row.
-    row, cat = [], 1
-    for k, c in enumerate(binomial_row(n - 1)[::2]):
+def _assoc_gamma_row(m: int, lift: int) -> list[int]:
+    # w(k) binom(m, 2k), with w(k) = w(k-1) 2(2k-1) / (k + lift) stepped along
+    # the row from w(0) = 1: the Catalan numbers for lift 1 (type A, m = n - 1)
+    # and binom(2k, k) for lift 0 (type B, m = n).
+    row, w = [], 1
+    for k, c in enumerate(binomial_row(m)[::2]):
         if k:
-            cat = cat * 2 * (2 * k - 1) // (k + 1)
-        row.append(cat * c)
+            w = w * 2 * (2 * k - 1) // (k + lift)
+        row.append(w * c)
     return row
 
 
@@ -217,12 +246,9 @@ EULERIAN_A = Triangle("eulerian-a", _eulerian_a_rows, oeis="A008292")
 EULERIAN_B = Triangle("eulerian-b", _eulerian_b_rows, oeis="A060187")
 ASSOC_H_A = Triangle("assoc-h-a", _narayana_h_a_row)
 ASSOC_H_B = Triangle("assoc-h-b", lambda n: [c * c for c in binomial_row(n)])
-ASSOC_GAMMA_A = Triangle("assoc-gamma-a", _assoc_gamma_a_row, oeis="A055151")
+ASSOC_GAMMA_A = Triangle("assoc-gamma-a", lambda n: _assoc_gamma_row(n - 1, 1), oeis="A055151")
 ASSOC_GAMMA_A_REC = Triangle("assoc-gamma-a", _assoc_gamma_a_rows)
-ASSOC_GAMMA_B = Triangle(
-    "assoc-gamma-b",
-    lambda n: [binomial(2 * k, k) * c for k, c in enumerate(binomial_row(n)[::2])],
-    oeis="A089627")
+ASSOC_GAMMA_B = Triangle("assoc-gamma-b", lambda n: _assoc_gamma_row(n, 0), oeis="A089627")
 ASSOC_GAMMA_B_REC = Triangle("assoc-gamma-b", _assoc_gamma_b_rows)
 MOTZKIN_T = Triangle(
     "motzkin-T", lambda n: map(mul, binomial_row(n), reversed(_central_binomials(n))),

@@ -175,7 +175,7 @@ def _target_thm32(n_max: int) -> Report:
 def _target_prop41(n_max: int) -> Report:
     expected = plain_triangle(
         "four-power-binomial",
-        lambda n: [4 ** k * c for k, c in enumerate(binomial_row(n + 1)[::2])])
+        lambda n: [c << 2 * k for k, c in enumerate(binomial_row(n + 1)[::2])])
     return _run_rows("prop41", "u -> u^2*v; v -> 4*u^3", n_max, (
         ("D^n(uv)", "D", "u*v", expected, factorial, lambda n: (n + 1, n + 1), (2, -2)),
     ))

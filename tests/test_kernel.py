@@ -877,20 +877,80 @@ def test_the_line_comparison_refuses_carries_and_extra_k_on_a_fixed_family(monke
                                    lambda n: row, lambda n: norm, lambda n: pattern)
 
 
+def held_lines(monkeypatch):
+    """One list per sweep started from here on, of the lists each iterate's
+    lines hold, read when the sweep ends (a pass writes them in place)."""
+    sweeps, real = [], grammar_module._line_iterates
+
+    def line_iterates(*args):
+        held = []
+        sweeps.append(held)
+        return (held.extend(coeffs for _, coeffs in lines.values()) or lines
+                for lines in real(*args))
+
+    monkeypatch.setattr(grammar_module, "_line_iterates", line_iterates)
+    return sweeps
+
+
 def test_a_passing_sweep_holds_the_unscaled_rows(monkeypatch):
     # prop41's D^n(uv) = n! * sum_k 4^k C(n+1, 2k) u^(n+1+2k) v^(n+1-2k).  After
-    # each passing check the line holds the row itself, n! divided out of it.
+    # each passing check the line holds the row itself, not n! times it: the
+    # ratio r of two normalizations is n here, 2 for thm32's D^n(g) and
+    # thm11's 2^n row, n and n + 1 for thm32's factorial rows, and 1 for
+    # thm32's D^n(f) and thm11's (Dy)^n(z).
+    from polygram import verify
+    from polygram.triangles import ASSOC_GAMMA_A_REC, ASSOC_GAMMA_B_REC, EULERIAN_B
+
     u, v = MultiPoly.variables("u v")
     grammar = Grammar(("u", "v"), {"u": u * u * v, "v": 4 * u**3})
     row = lambda n: [4 ** k * c for k, c in enumerate(binomial_row(n + 1)[::2])]
-    held, real = [], grammar_module._line_iterates
-    monkeypatch.setattr(grammar_module, "_line_iterates", lambda *args: (
-        held.extend(coeffs for _, coeffs in lines.values()) or lines for lines in real(*args)))
+    sweeps = held_lines(monkeypatch)
     pattern = lambda n: PowerPattern(("u", "v"), (n + 1, n + 1), (2, -2))
     report = verify_identity(grammar, DerivOp("D"), u * v, 60, plain_triangle("prop41", row),
                              factorial, pattern, "prop41")
     assert report.ok and len(report.checks) == 60
-    assert held == [[1]] + [row(n) for n in range(1, 61)]
+    for name, n_max in (("thm32", 60), ("thm11", 40)):
+        report = verify.run_target(name, n_max)
+        assert report.ok and len(report.checks) == 2 * (1 + (name == "thm32")) * n_max
+    rows = [row, GAMMA_B.row, GAMMA_A.row, ASSOC_GAMMA_B_REC.row, ASSOC_GAMMA_A_REC.row,
+            EULERIAN_A.row, EULERIAN_B.row]
+    assert len(sweeps) == len(rows)
+    for held, row, n_max in zip(sweeps, rows, (60, 60, 60, 60, 60, 40, 40)):
+        assert held == [[1]] + [row(n) for n in range(1, n_max + 1)]
+
+
+def test_a_held_row_is_the_lines_own(monkeypatch):
+    # Three times the double-angle rules carry 3^n GAMMA_B from f: each pass
+    # hands a slice of GAMMA_B's row forward.  Changing the list the line
+    # holds changes neither that row nor the recurrence tip it was read from.
+    from polygram import triangles
+
+    f, g = MultiPoly.variables("f g")
+    grammar = Grammar(("f", "g"), {"f": 3 * f * g, "g": 12 * f * f})
+    sweeps = held_lines(monkeypatch)
+    report = verify_identity(grammar, DerivOp("D"), f, 30, GAMMA_B, lambda n: 3 ** n,
+                             lambda n: PowerPattern(("f", "g"), (1, n), (2, -2)), "f")
+    assert report.ok and sweeps[0][-1] == GAMMA_B.row(30)
+    tips, row = dict(triangles._TIPS), GAMMA_B.row(30)
+    sweeps[0][-1][0] += 1
+    sweeps[0][-1].append(7)
+    assert GAMMA_B.row(30) == row and triangles._TIPS == tips
+
+
+def test_a_pass_that_cross_multiplies_keeps_the_line(monkeypatch):
+    # Six times the double-angle rules carry 6^n GAMMA_B from f.  Read with
+    # normalizations 6, 4 and 216, the check at n = 2 passes with d = 6 not
+    # dividing 4: it compares 6 times the line with 4 times the row, and the
+    # line and d stay as they are, so n = 3 divides 36 out of that line.
+    f, g = MultiPoly.variables("f g")
+    grammar = Grammar(("f", "g"), {"f": 6 * f * g, "g": 24 * f * f})
+    norms, scales = {1: 6, 2: 4, 3: 216}, {1: 1, 2: 9, 3: 1}
+    expected = plain_triangle("scaled", lambda n: [scales[n] * c for c in GAMMA_B.row(n)])
+    sweeps = held_lines(monkeypatch)
+    report = verify_identity(grammar, DerivOp("D"), f, 3, expected, norms.get,
+                             lambda n: PowerPattern(("f", "g"), (1, n), (2, -2)), "f")
+    assert report.ok
+    assert sweeps == [[[1], GAMMA_B.row(1), [6 * c for c in GAMMA_B.row(2)], GAMMA_B.row(3)]]
 
 
 def test_every_grammar_target_row_passes_on_the_line(monkeypatch):

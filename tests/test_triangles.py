@@ -285,3 +285,48 @@ def test_closed_form_rows_match_a_per_entry_reference(name):
 def test_binomial_row_matches_math_comb():
     for m in range(200):
         assert tri.binomial_row(m) == [math.comb(m, j) for j in range(m + 1)]
+
+
+def _access_orders():
+    # Up, down, m - 1 then m (as thm21 asks), far jumps both ways, repeats,
+    # and a shuffle.
+    shuffled = list(range(120))
+    random.Random(11).shuffle(shuffled)
+    return [list(range(150)), list(range(150, -1, -1)),
+            [m - j for m in range(1, 100) for j in (1, 0)],
+            [0, 300, 5, 250, 1, 2, 299, 300, 301, 3, 600, 599, 601, 0],
+            [7, 7, 7, 8, 8, 7, 7, 9, 9, 8, 10, 0, 0, 1, 1],
+            shuffled]
+
+
+@pytest.mark.parametrize("order", _access_orders(), ids=("up", "down", "m-1-then-m",
+                                                         "far", "repeats", "shuffled"))
+def test_binomial_rows_and_factorials_do_not_depend_on_call_order(order):
+    for m in order:
+        assert tri.binomial_row(m) == [math.comb(m, j) for j in range(m + 1)], m
+        assert tri.factorial(m) == math.factorial(m), m
+        assert tri._central_binomials(m) == [math.comb(j, j // 2) for j in range(m + 1)], m
+        assert len(tri._BINOMIAL_ROWS) <= 2
+
+
+def test_a_returned_binomial_row_is_the_callers_own():
+    for m in (5, 6, 6, 7, 40, 40):
+        row, central = tri.binomial_row(m), tri._central_binomials(m)
+        row[0] += 1
+        row.append(3)
+        central[-1] += 1
+        assert tri.binomial_row(m) == [math.comb(m, j) for j in range(m + 1)], m
+        assert tri._central_binomials(m)[-1] == math.comb(m, m // 2), m
+    assert len(tri._BINOMIAL_ROWS) == 2
+    # One stepped row after the two held ones: the older drops out.
+    tri.binomial_row(41)
+    assert [m for m, _ in tri._BINOMIAL_ROWS] == [40, 41]
+
+
+def test_factorial_refuses_a_negative_or_non_int_n():
+    for n in (-1, -50):
+        with pytest.raises(ValueError):
+            tri.factorial(n)
+    for n in (3.0, True, "3", None):
+        with pytest.raises(TypeError):
+            tri.factorial(n)
