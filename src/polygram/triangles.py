@@ -8,16 +8,17 @@ Most closed forms build a row from one binomial row, each binomial stepped
 from the last: a binomial row is one Pascal step from the row before it
 when that is held, and the central binomials C(2k, k), the Catalan numbers
 and the Motzkin rows' C(m, m // 2) step by their ratios; the cube rows
-shift the binomials.  Recurrence-backed rows, and the factorials, step
-forward in a loop from the last row asked for and keep only that row, so
-sweeping over n is linear.  Where a closed form and a recurrence both exist
-(the associahedron gamma rows) they are implemented separately and
+shift the binomials.  Recurrence-backed rows step forward in a loop from
+the last row asked for and keep only that row, so sweeping over n is
+linear; a factorial is one product from the last one asked for when n is
+one past it.  Where a closed form and a recurrence both exist (the
+associahedron gamma rows) they are implemented separately and
 cross-checked in the tests.
 
 Memory grows with one row, not with the number of rows asked for.
 ``_TIPS`` holds, per recurrence, only the last rows its step reads (one or
-two), the factorial among them; ``_BINOMIAL_ROWS`` holds the last two
-binomial rows built, and ``_CENTRAL`` the C(m, m // 2) up to the largest m
+two); ``_BINOMIAL_ROW`` holds the last binomial row built, ``_FACTORIAL``
+the last factorial, and ``_CENTRAL`` the C(m, m // 2) up to the largest m
 asked for.  A caller gets a copy of a held row.  ``table`` writes every
 format row by row as it builds it.
 """
@@ -80,9 +81,23 @@ def _recurrence_row(key, n: int, first: list, step, first_n: int = 0):
     return rows[-1]
 
 
+# The last factorial asked for, as (m, m!).
+_FACTORIAL = (0, 1)
+
+
 def factorial(n: int) -> int:
-    """n!, one product from the last factorial asked for when n lies above it."""
-    return _recurrence_row("factorial", n, [1], lambda m, rows: rows[-1] * m)
+    """n!: the one held, one product past it when n is one above it, and
+    ``math.factorial`` for any other n.  Only an exact int n is taken."""
+    global _FACTORIAL
+    if type(n) is not int:
+        raise TypeError(f"n must be an int, got {n!r}")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    m, value = _FACTORIAL
+    if n != m:
+        value = value * n if n == m + 1 else math.factorial(n)
+        _FACTORIAL = (n, value)
+    return value
 
 
 def _triangle_rows(name: str, first_row: tuple[int, ...], row_len: Callable[[int], int],
@@ -144,30 +159,30 @@ _assoc_gamma_b_rows = _triangle_rows(
     lead=lambda n: n)
 
 
-# The last two binomial rows built, older first, as (m, row).
-_BINOMIAL_ROWS: list[tuple[int, list[int]]] = []
+# The last binomial row built, as (m, row).
+_BINOMIAL_ROW = (0, [1])
 
 
 def binomial_row(m: int) -> list[int]:
     """C(m, 0), ..., C(m, m), as a list of the caller's own.
 
-    A row held is copied, and the row after the newer one held is one
-    Pascal step from it, additions only; any other row is built with each
-    entry stepped from the one before.  So a sweep asking for m, or for
-    m - 1 and m, at each m costs one step per row.
+    The row held is copied, and the row after it is one Pascal step from
+    it, additions only; any other row is built with each entry stepped from
+    the one before.  So a sweep asking for m, or for m - 1 and m, at each m
+    costs one step per row.
     """
+    global _BINOMIAL_ROW
     m = index(m)
-    held = next((row for k, row in _BINOMIAL_ROWS if k == m), None)
-    if held is None:
-        if m > 0 and _BINOMIAL_ROWS and _BINOMIAL_ROWS[-1][0] == m - 1:
-            last = _BINOMIAL_ROWS[-1][1]
-            held = [1, *map(add, last, last[1:]), 1]
+    k, row = _BINOMIAL_ROW
+    if m != k:
+        if m > 0 and m == k + 1:
+            row = [1, *map(add, row, row[1:]), 1]
         else:
-            held = [1]
+            row = [1]
             for j in range(m):
-                held.append(held[-1] * (m - j) // (j + 1))
-        _BINOMIAL_ROWS[:] = [*_BINOMIAL_ROWS[-1:], (m, held)]
-    return held[:]
+                row.append(row[-1] * (m - j) // (j + 1))
+        _BINOMIAL_ROW = (m, row)
+    return row[:]
 
 
 # C(m, m // 2) for m = 0, 1, ..., as far as any row has asked.

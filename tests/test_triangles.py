@@ -306,7 +306,7 @@ def test_binomial_rows_and_factorials_do_not_depend_on_call_order(order):
         assert tri.binomial_row(m) == [math.comb(m, j) for j in range(m + 1)], m
         assert tri.factorial(m) == math.factorial(m), m
         assert tri._central_binomials(m) == [math.comb(j, j // 2) for j in range(m + 1)], m
-        assert len(tri._BINOMIAL_ROWS) <= 2
+        assert tri._BINOMIAL_ROW[0] == m and tri._FACTORIAL[0] == m
 
 
 def test_a_returned_binomial_row_is_the_callers_own():
@@ -317,10 +317,21 @@ def test_a_returned_binomial_row_is_the_callers_own():
         central[-1] += 1
         assert tri.binomial_row(m) == [math.comb(m, j) for j in range(m + 1)], m
         assert tri._central_binomials(m)[-1] == math.comb(m, m // 2), m
-    assert len(tri._BINOMIAL_ROWS) == 2
-    # One stepped row after the two held ones: the older drops out.
+    # One row is held: the stepped row replaces the one it stepped from.
     tri.binomial_row(41)
-    assert [m for m, _ in tri._BINOMIAL_ROWS] == [40, 41]
+    assert tri._BINOMIAL_ROW == (41, [math.comb(41, j) for j in range(42)])
+
+
+def test_only_a_far_factorial_is_built_whole(monkeypatch):
+    # The held factorial and the one after it cost no call to math.factorial;
+    # any other n, far above or below, costs exactly one.
+    whole = []
+    full = math.factorial
+    monkeypatch.setattr(math, "factorial", lambda n: whole.append(n) or full(n))
+    monkeypatch.setattr(tri, "_FACTORIAL", (0, 1))
+    for n in (0, 1, 2, 2, 3, 3000, 3001, 3001, 10, 9, 11):
+        assert tri.factorial(n) == full(n), n
+    assert whole == [3000, 10, 9, 11]
 
 
 def test_factorial_refuses_a_negative_or_non_int_n():
