@@ -4,37 +4,34 @@ cube face counts.
 
 Every triangle is a Triangle record holding the function that builds row n
 as a whole; an entry is read off its row, and entries off the row are zero.
-Most closed forms build a row from one binomial row, each binomial stepped
-from the last: a binomial row is one Pascal step from the row before it
-when that is held, and the central binomials C(2k, k), the Catalan numbers
-and the Motzkin rows' C(m, m // 2) step by their ratios; the cube rows
-shift the binomials.  Recurrence-backed rows step forward in a loop from
-the last row asked for and keep only that row, so sweeping over n is
-linear; a factorial is one product from the last one asked for when n is
-one past it.  Where a closed form and a recurrence both exist (the
-associahedron gamma rows) they are implemented separately and
-cross-checked in the tests.
+Most closed forms build a row from one binomial row, the Motzkin rows with
+the central binomials C(m, m // 2) as well, and the cube rows shift the
+binomials.  Where a closed form and a recurrence both exist (the
+associahedron gamma rows) they are implemented separately and cross-checked
+in the tests.
 
-Memory grows with one row, not with the number of rows asked for.
-``_TIPS`` holds, per recurrence, only the last rows its step reads (one or
-two); ``_BINOMIAL_ROW`` holds the last binomial row built, ``_FACTORIAL``
-the last factorial, and ``_CENTRAL`` the C(m, m // 2) up to the largest m
-asked for.  A caller gets a copy of a held row.  ``table`` writes every
-format row by row as it builds it.
+Every value kept between calls is kept by ``_recurrence_row``: ``_TIPS``
+holds, per key, only the last rows its step reads (one or two), so asking
+for row n after row m costs n - m steps and sweeping over n is linear.  A
+recurrence asked for a row below the one held steps again from its first
+rows.  Factorials, binomial rows and the list of central binomials hold one
+value each, step once to the next n (a product, a Pascal step, one more
+ratio) and build any other n directly.  A caller gets a copy of a held
+list.  Memory grows with one row, not with the number of rows asked for;
+``table`` writes every format row by row as it builds it.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import repeat
-from operator import add, floordiv, index, lshift, mod, mul
+from itertools import accumulate, repeat
+from operator import add, floordiv, lshift, mod, mul
 from typing import Callable, Iterator, Sequence
 
 __all__ = [
     "Triangle",
     "TRIANGLES",
     "OEIS_ALIASES",
-    "binomial",
     "binomial_row",
     "factorial",
     "plain_triangle",
@@ -44,35 +41,33 @@ __all__ = [
 ]
 
 
-def binomial(n: int, k: int) -> int:
-    if n < 0 or k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
-# Per recurrence, the index and rows of the furthest point reached, so that
-# asking for n after m costs n - m steps.  Only the last rows the recurrence
-# needs are kept.
+# Per key, the index and rows of the last point reached, so that asking for
+# n after m costs n - m steps.  Only the last rows the step reads are kept.
 _TIPS: dict[object, tuple[int, list]] = {}
 
 
-def _recurrence_row(key, n: int, first: list, step, first_n: int = 0):
+def _recurrence_row(key, n: int, first: list, step, first_n: int = 0, direct=None):
     """Row n of a recurrence whose rows first_n, first_n + 1, ... open with
-    ``first``, stepping forward in a loop.
+    ``first``, stepping forward in a loop from the rows held under ``key``.
 
-    ``step(m, rows)`` builds row m from the last ``len(first)`` rows.  Asking
-    for a row below the tip steps again from the start.  Only an exact int n
-    is taken: the loop would step a float or a bool to the next whole row.
+    ``step(m, rows)`` builds row m from the last ``len(first)`` rows.  A row
+    below the one held is stepped to again from the start, unless
+    ``direct(n)`` is given (for a one-row recurrence): then the row held is
+    returned as it is, the row after it is one step, and any other row is
+    ``direct(n)``.  Only an exact int n is taken: the loop would step a
+    float or a bool to the next whole row.
     """
     if type(n) is not int:
         raise TypeError(f"n must be an int, got {n!r}")
     if n < first_n:
         raise ValueError(f"n must be >= {first_n}, got {n}")
     seeded = first_n + len(first) - 1
-    if n <= seeded:
+    if n <= seeded and direct is None:
         return first[n - first_n]
     top, rows = _TIPS.get(key, (seeded, first))
-    if top > n:
+    if direct is not None and not top <= n <= top + 1:
+        top, rows = n, [direct(n)]
+    elif top > n:
         top, rows = seeded, first
     while top < n:
         top += 1
@@ -81,23 +76,11 @@ def _recurrence_row(key, n: int, first: list, step, first_n: int = 0):
     return rows[-1]
 
 
-# The last factorial asked for, as (m, m!).
-_FACTORIAL = (0, 1)
-
-
 def factorial(n: int) -> int:
     """n!: the one held, one product past it when n is one above it, and
-    ``math.factorial`` for any other n.  Only an exact int n is taken."""
-    global _FACTORIAL
-    if type(n) is not int:
-        raise TypeError(f"n must be an int, got {n!r}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    m, value = _FACTORIAL
-    if n != m:
-        value = value * n if n == m + 1 else math.factorial(n)
-        _FACTORIAL = (n, value)
-    return value
+    ``math.factorial`` for any other n."""
+    return _recurrence_row("factorial", n, [1], lambda m, rows: rows[-1] * m,
+                           direct=math.factorial)
 
 
 def _triangle_rows(name: str, first_row: tuple[int, ...], row_len: Callable[[int], int],
@@ -159,10 +142,6 @@ _assoc_gamma_b_rows = _triangle_rows(
     lead=lambda n: n)
 
 
-# The last binomial row built, as (m, row).
-_BINOMIAL_ROW = (0, [1])
-
-
 def binomial_row(m: int) -> list[int]:
     """C(m, 0), ..., C(m, m), as a list of the caller's own.
 
@@ -171,31 +150,24 @@ def binomial_row(m: int) -> list[int]:
     the one before.  So a sweep asking for m, or for m - 1 and m, at each m
     costs one step per row.
     """
-    global _BINOMIAL_ROW
-    m = index(m)
-    k, row = _BINOMIAL_ROW
-    if m != k:
-        if m > 0 and m == k + 1:
-            row = [1, *map(add, row, row[1:]), 1]
-        else:
-            row = [1]
-            for j in range(m):
-                row.append(row[-1] * (m - j) // (j + 1))
-        _BINOMIAL_ROW = (m, row)
-    return row[:]
+    return _recurrence_row(
+        "binomial-row", m, [[1]], lambda _, rows: [1, *map(add, rows[-1], rows[-1][1:]), 1],
+        direct=lambda m: list(accumulate(range(m), lambda c, j: c * (m - j) // (j + 1),
+                                         initial=1)))[:]
 
 
-# C(m, m // 2) for m = 0, 1, ..., as far as any row has asked.
-_CENTRAL = [1]
+def _next_central(c: int, m: int) -> int:
+    # C(m, m // 2) from c = C(m - 1, (m - 1) // 2): times m / ((m + 1) // 2)
+    # for an odd m, times 2 for an even one.
+    return c * m // ((m + 1) // 2) if m % 2 else 2 * c
 
 
 def _central_binomials(n: int) -> list[int]:
-    """C(m, m // 2) for m = 0..n, each stepped from the one before: times
-    (m + 1) / (m // 2 + 1) from an even m, times 2 from an odd one.  The
-    entries are kept across calls, so each is stepped once."""
-    for m in range(len(_CENTRAL) - 1, n):
-        _CENTRAL.append(_CENTRAL[-1] * (m + 1) // (m // 2 + 1) if m % 2 == 0 else _CENTRAL[-1] * 2)
-    return _CENTRAL[:n + 1]
+    """C(m, m // 2) for m = 0..n, each stepped from the one before, as a
+    list of the caller's own.  The list held gains one entry per step."""
+    return _recurrence_row(
+        "central-binomials", n, [[1]], lambda m, rows: [*rows[-1], _next_central(rows[-1][-1], m)],
+        direct=lambda n: list(accumulate(range(1, n + 1), _next_central, initial=1)))[:]
 
 
 def _narayana_h_a_row(n: int) -> list[int]:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from polygram import classical
 from polygram.classical import (_series_invert, _series_mul, chebyshev_t, chebyshev_u,
                                 closed_form_series, legendre_like, narayana_like,
                                 secant_derivative_poly, tangent_derivative_poly)
-from polygram.triangles import binomial, factorial
+from polygram.triangles import factorial
 from polygram.unipoly import UniPoly
 from polygram.verify import check_alternating_counts, run_target
 
@@ -66,11 +67,11 @@ def _naive_binomial_sum(weights, var="x"):
 
 
 def _naive_legendre_like(n, var="x"):
-    return _naive_binomial_sum([binomial(n, k) ** 2 for k in range(n + 1)], var)
+    return _naive_binomial_sum([math.comb(n, k) ** 2 for k in range(n + 1)], var)
 
 
 def _naive_narayana_like(n, var="x"):
-    total = _naive_binomial_sum([binomial(n, k) * binomial(n, k + 1) for k in range(n)], var)
+    total = _naive_binomial_sum([math.comb(n, k) * math.comb(n, k + 1) for k in range(n)], var)
     return UniPoly(var, [c // n for c in total.coeffs])
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -8,7 +9,7 @@ from polygram.grammar import (DerivOp, Grammar, PatternMismatch, PowerPattern,
                               operator_iterates, verify_identity)
 from polygram.parser import parse_grammar
 from polygram.poly import MultiPoly
-from polygram.triangles import GAMMA_A, binomial, factorial, plain_triangle
+from polygram.triangles import GAMMA_A, factorial, plain_triangle
 
 
 def derive(g, p):
@@ -174,7 +175,7 @@ def test_verify_identity_quartic_binomials():
     u, v = MultiPoly.variables("u v")
     expected = plain_triangle(
         "four-power-binomial",
-        lambda n: [4 ** k * binomial(n + 1, 2 * k) for k in range((n + 1) // 2 + 1)])
+        lambda n: [4 ** k * math.comb(n + 1, 2 * k) for k in range((n + 1) // 2 + 1)])
     report = verify_identity(
         g2, DerivOp("D"), u * v, 12, expected, factorial,
         lambda n: PowerPattern(("u", "v"), (n + 1, n + 1), (2, -2)), "D^n(uv)")

@@ -143,7 +143,9 @@ def test_subcommand_in_a_fresh_process(argv, modules, tmp_path, capsys):
     if "verify" not in argv:
         # Only verify.Target is a dataclass; importing dataclasses pulls in
         # inspect, ast, dis and tokenize, which dominates a short job's start-up.
+        # Nothing else the other subcommands run may pull inspect in either.
         assert "import 'dataclasses'" not in proc.stderr
+        assert "import 'inspect'" not in proc.stderr
     if ("--format", "json") not in zip(argv, argv[1:]):
         # Only JSON output needs the json package.
         assert "import 'json'" not in proc.stderr

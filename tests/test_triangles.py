@@ -79,7 +79,7 @@ def test_row_sums():
         assert sum(tri.EULERIAN_A.row(n)) == tri.factorial(n)
         assert sum(tri.EULERIAN_B.row(n)) == 2 ** n * tri.factorial(n)
         assert sum(tri.ASSOC_H_A.row(n)) == math.comb(2 * n, n) // (n + 1)
-        assert sum(tri.ASSOC_H_B.row(n)) == tri.binomial(2 * n, n)
+        assert sum(tri.ASSOC_H_B.row(n)) == math.comb(2 * n, n)
 
 
 def test_symmetries():
@@ -151,7 +151,7 @@ def test_json_text_is_the_compact_dump_built_row_by_row(monkeypatch):
 def test_assoc_gamma_a_rows_are_the_catalan_binomial_products():
     for n in range(1, 300):
         assert tri.ASSOC_GAMMA_A.row(n) == [math.comb(2 * k, k) // (k + 1)
-                                            * tri.binomial(n - 1, 2 * k)
+                                            * math.comb(n - 1, 2 * k)
                                             for k in range((n - 1) // 2 + 1)], n
 
 
@@ -299,6 +299,10 @@ def _access_orders():
             shuffled]
 
 
+# The keys under which factorials, binomial rows and central binomials are held.
+HELD = ("factorial", "binomial-row", "central-binomials")
+
+
 @pytest.mark.parametrize("order", _access_orders(), ids=("up", "down", "m-1-then-m",
                                                          "far", "repeats", "shuffled"))
 def test_binomial_rows_and_factorials_do_not_depend_on_call_order(order):
@@ -306,7 +310,8 @@ def test_binomial_rows_and_factorials_do_not_depend_on_call_order(order):
         assert tri.binomial_row(m) == [math.comb(m, j) for j in range(m + 1)], m
         assert tri.factorial(m) == math.factorial(m), m
         assert tri._central_binomials(m) == [math.comb(j, j // 2) for j in range(m + 1)], m
-        assert tri._BINOMIAL_ROW[0] == m and tri._FACTORIAL[0] == m
+        # One item is held per key, the one just asked for.
+        assert [(tri._TIPS[key][0], len(tri._TIPS[key][1])) for key in HELD] == [(m, 1)] * 3
 
 
 def test_a_returned_binomial_row_is_the_callers_own():
@@ -319,7 +324,7 @@ def test_a_returned_binomial_row_is_the_callers_own():
         assert tri._central_binomials(m)[-1] == math.comb(m, m // 2), m
     # One row is held: the stepped row replaces the one it stepped from.
     tri.binomial_row(41)
-    assert tri._BINOMIAL_ROW == (41, [math.comb(41, j) for j in range(42)])
+    assert tri._TIPS["binomial-row"] == (41, [[math.comb(41, j) for j in range(42)]])
 
 
 def test_only_a_far_factorial_is_built_whole(monkeypatch):
@@ -328,10 +333,20 @@ def test_only_a_far_factorial_is_built_whole(monkeypatch):
     whole = []
     full = math.factorial
     monkeypatch.setattr(math, "factorial", lambda n: whole.append(n) or full(n))
-    monkeypatch.setattr(tri, "_FACTORIAL", (0, 1))
+    monkeypatch.setattr(tri, "_TIPS", {})
     for n in (0, 1, 2, 2, 3, 3000, 3001, 3001, 10, 9, 11):
         assert tri.factorial(n) == full(n), n
     assert whole == [3000, 10, 9, 11]
+
+
+@pytest.mark.parametrize("fn", [tri.binomial_row, tri._central_binomials],
+                         ids=("binomial_row", "central_binomials"))
+def test_binomial_lists_refuse_a_negative_or_non_int_n(fn):
+    with pytest.raises(ValueError):
+        fn(-1)
+    for n in (3.0, True, "3", None):
+        with pytest.raises(TypeError):
+            fn(n)
 
 
 def test_factorial_refuses_a_negative_or_non_int_n():
