@@ -104,7 +104,7 @@ def narayana_like(n: int, var: str = "x") -> UniPoly:
     for c in total.coeffs:
         if c % n:
             raise ArithmeticError(f"coefficient {c} of the weighted sum is not divisible by {n}")
-    return UniPoly(var, [c // n for c in total.coeffs])
+    return _trimmed(var, [c // n for c in total.coeffs])
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -6,12 +6,12 @@ included.  Arithmetic results (``+``, ``-``, ``*``, ``derivative``) are
 built from values already checked, so they are trusted: they only pass
 through ``_trimmed``, which drops trailing zeros.
 
-Every dense sum of products in the package, here, in ``quadratic`` and in
-``classical``'s series products and inverse, goes through one kernel,
-``_mac``: it adds w*a(x^step)*b(x^step)*x^shift into a plain int list, one
-slice update of stride ``step`` per nonzero coefficient of the shorter
-operand, so a sum is trimmed once at the end and builds no ``UniPoly`` per
-product.  A product whose shorter operand has one nonzero coefficient c*x^e
+Every dense sum of products in the package, here and in ``classical``'s
+series products and inverse, goes through one kernel, ``_mac``: it adds
+w*a(x^step)*b(x^step)*x^shift into a plain int list, one slice update of
+stride ``step`` per nonzero coefficient of the shorter operand, so a sum is
+trimmed once at the end and builds no ``UniPoly`` per product.
+(``quadratic.collect_line`` forms no product: it adds and shifts only.)  A product whose shorter operand has one nonzero coefficient c*x^e
 is a shift, ``[0]*e + [a*c for a in longer]``.  A product of two operands
 that each have a parity (even: no odd-index coefficient; odd: no even-index
 one) multiplies their nonzero slots only: ``long[p::2]`` and ``short[q::2]``

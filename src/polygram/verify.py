@@ -15,12 +15,13 @@ adds each row's checks to one Report in row order.
 The square-root targets (prop12, thm31, cor33, thm42) clear every
 denominator up front, so identities involving 1/sqrt(q) or half-integer
 powers of q become polynomial equalities, with no rational function
-arithmetic anywhere.  prop12, thm42 and cor33 are case tables that give the
-want components, and one sweep, ``_specialize``, reads their two-letter
-iterates as lines along (2, -2), each entering ``QuadraticRing`` by Horner
-in q (``collect_line``); no want side passes through it.  thm31 builds no
-ring: each s-parity part of its shifted sum is a polynomial in q = 4x - 1,
-read in x by one scaled Taylor shift, ``classical._affine``.  cor33's
+arithmetic anywhere.  A value a + b*s is the plain pair (a, b).  prop12,
+thm42 and cor33 are case tables that give the want pair, and one sweep,
+``_specialize``, reads their two-letter iterates as lines along (2, -2),
+each summed into the got pair by Horner in q (``quadratic.collect_line``);
+no want side passes through it.  thm31 reads no line: each s-parity part of
+its shifted sum is a polynomial in q = 4x - 1, read in x by one scaled
+Taylor shift, ``classical._affine``.  cor33's
 values at i*h use no ring either: real and imaginary parts are read off by
 index parity.  Where every term of the got side carries a known power of
 the root (thm42, cor33, thm31), that common power is divided out of the got
@@ -42,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import islice
+from operator import add
 from typing import TYPE_CHECKING, Callable
 
 from .report import Check, Report
@@ -80,15 +82,18 @@ def _specialize(report: Report, rules: str, op: str, starts, modulus: UniPoly, s
     # for that start's case (name, power, (a, b)) in cases(n), under the
     # first letter -> s and the second -> scale*x over s^2 = modulus(x): a
     # term c u^e v^f reads c scale^f s^(e-power) x^f.  The iterates step as
-    # lines along (2, -2), each read by collect_line and summed; the least
-    # term, the lowest in u, is a line's first term, and it fails the check
-    # when it lies below s^power.  A case whose want is a str is that failed
-    # check.
+    # lines along (2, -2), each read by collect_line and summed as (a, b)
+    # pairs; the least term, the lowest in u, is a line's first term, and it
+    # fails the check when it lies below s^power.  A case whose want is a str
+    # is that failed check.
     from .grammar import DerivOp, _line_iterates
     from .parser import parse_grammar, parse_poly
-    from .quadratic import QuadraticRing
+    from .quadratic import collect_line
 
-    g, d, ring = parse_grammar(rules), DerivOp.parse(op), QuadraticRing(modulus)
+    def show(a, b):
+        return f"({a}) + ({b})*s  [s^2 = {modulus}]"
+
+    g, d, zero = parse_grammar(rules), DerivOp.parse(op), type(modulus)._raw(modulus.var, ())
     starts = [parse_poly(text, g.letters) for text in starts]
     sweeps = [islice(_line_iterates(g, d, start, n_max, (2, -2)), n_min, None) for start in starts]
     for n, iterates in enumerate(zip(*sweeps), n_min):
@@ -99,9 +104,11 @@ def _specialize(report: Report, rules: str, op: str, starts, modulus: UniPoly, s
             firsts = [((e + 2 * lo, f - 2 * lo), coeffs) for (e, f), (lo, coeffs) in lines.items()]
             low = min(firsts, default=None)  # no two lines share a first term
             if not low or low[0][0] >= power:
-                got = [ring.collect_line(coeffs, e - power, f, scale) for (e, f), coeffs in firsts]
-                got = reduce(lambda x, y: ring.of(x.a + y.a, x.b + y.b), got) if got else ring.of(0)
-                report.expect(name, n, got, ring.of(*want))
+                got = [collect_line(modulus, coeffs, e - power, f, scale)
+                       for (e, f), coeffs in firsts]
+                got = tuple(reduce(add, part) for part in zip(*got)) or (zero, zero)
+                detail = "" if got == want else f"got {show(*got)}, want {show(*want)}"
+                report.add(Check(name, n, not detail, detail))
                 continue
             term = type(starts[0])._raw(g.letters, {low[0]: low[1][0]})
             report.add(Check(name, n, False,

@@ -283,7 +283,7 @@ def test_mixed_parity_rules_fail_the_check(capsys, monkeypatch, target):
 
 def test_a_term_below_the_common_root_power_fails_the_check(capsys, monkeypatch):
     # u -> u^2*v + v puts terms below s^(n+1) into D^n(uv): a failed check
-    # (exit 1), not an exit 2 from a negative power of s in collect_line
+    # (exit 1), not an exit 3 from a negative power of s refused by collect_line
     monkeypatch.setattr(verify, "_CUBIC_RULES", "u -> u^2*v + v; v -> u^3")
     code, out, err = run_cli(capsys, "verify", "--target", "thm42", "--n-max", "2")
     assert code == 1 and err == ""
@@ -293,9 +293,23 @@ def test_a_term_below_the_common_root_power_fails_the_check(capsys, monkeypatch)
     assert "thm42: u^2-specialized n=2: FAIL (term 2*v^2 lies below the common power u^4)" in lines
 
 
+def test_a_refused_line_read_is_an_internal_error(capsys, monkeypatch):
+    # _specialize divides out only the powers its terms carry and passes its
+    # own scale, so a refusal from collect_line is a broken invariant.
+    from polygram import quadratic
+
+    real = quadratic.collect_line
+    monkeypatch.setattr(quadratic, "collect_line",
+                        lambda modulus, coeffs, e, top, scale=1: real(modulus, coeffs, e, top, 3))
+    code, out, err = run_cli(capsys, "verify", "--target", "prop12", "--n-max", "2")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: ArithmeticError: collect_line got")
+    assert len(err.splitlines()) == 1
+
+
 def test_a_tangent_polynomial_of_too_high_degree_fails_thm31(capsys, monkeypatch):
     # One extra top coefficient puts P_5 at degree 7, above s^6: a failed
-    # check (exit 1), not an exit 2 from a negative power of s in the ring read
+    # check (exit 1), not a refusal from a negative power of s
     real = classical.tangent_derivative_poly
 
     def padded(n, *args):

@@ -3,11 +3,12 @@ import random
 import pytest
 
 from polygram import classical, verify
-from polygram.quadratic import ExtPoly, QuadraticRing
+from polygram.quadratic import collect_line
 from polygram.unipoly import UniPoly
 from polygram.verify import run_target
 
 _SPECIALIZED = ("uv-specialized", "u^2-specialized")
+_X = UniPoly.variable("x")
 
 
 def product(x, y, q):
@@ -32,68 +33,35 @@ def term_sum(q, terms):
 
 def test_defining_relation():
     x = UniPoly.variable("x")
-    ring = QuadraticRing(x * x - 1)
-    assert ring.collect_line([1], 2, 0) == ring.of(x * x - 1)
-    assert ring.collect_line([1], 1, 0) == ring.of(0, 1)
-
-
-_X = UniPoly.variable("x")
-
-
-@pytest.mark.parametrize("cls, fields, others", [
-    (ExtPoly, (_X, 2 * _X, 4 * _X - 1),
-     [(_X + 1, 2 * _X, 4 * _X - 1), (_X, 2 * _X + 1, 4 * _X - 1), (_X, 2 * _X, 4 * _X)]),
-], ids=["ExtPoly"])
-def test_equal_fields_give_equal_values(cls, fields, others):
-    a, b = cls(*fields), cls(*(UniPoly(f.var, f.coeffs) for f in fields))
-    assert a == b and hash(a) == hash(b)
-    for other in others:
-        assert a != cls(*other)
+    q = x * x - 1
+    assert collect_line(q, [1], 2, 0) == (q, 0) == term_sum(q, [(2, 0, 1)])
+    assert collect_line(q, [1], 1, 0) == (0, 1) == term_sum(q, [(1, 0, 1)])
 
 
 def test_components_must_share_one_letter():
-    x, y = UniPoly.variable("x"), UniPoly.variable("y")
-    with pytest.raises(ValueError, match="components and modulus must share one letter"):
-        ExtPoly(x, y, 4 * x - 1)
-    with pytest.raises(ValueError, match="components and modulus must share one letter"):
-        ExtPoly(x, x, 4 * y - 1)
+    # Both parts of every pair, zero parts included, lie on the modulus's
+    # letter, so a pair on another letter never compares equal.
+    for var in ("x", "h", "t"):
+        q = UniPoly(var, (-1, 0, 1))
+        for coeffs, e in (([1], 0), ([1], 1), ([2, -1], 3), ([], 0)):
+            a, b = collect_line(q, coeffs, e, 2 * len(coeffs))
+            assert a.var == b.var == var, (coeffs, e)
+        a, b = collect_line(q, [1], 2, 0)
+        assert (a, b) == (q, 0) and (a, b) != (UniPoly("y", q.coeffs), 0)
 
 
 def test_conjugate_product_collapses():
     # (x + s)(x - s) = x^2 - xs + sx - s^2 = x^2 - (x^2 - 1); the cross
-    # terms cancel before the ring sees them, leaving the line [1, -1].
+    # terms cancel before the line is read, leaving the line [1, -1].
     x = UniPoly.variable("x")
-    ring = QuadraticRing(x**2 - 1)
-    assert ring.collect_line([1, -1], 0, 2) == ring.of(1)
-
-
-def test_extpoly_has_no_arithmetic():
-    # A value enters the ring only through collect_line or of; nothing
-    # multiplies or adds one.
-    x = UniPoly.variable("x")
-    ring = QuadraticRing(x**2 - 1)
-    e = ring.of(x + 2, 3 * x)
-    for op in (lambda: e * x, lambda: x * e, lambda: e * 2, lambda: 2 * e,
-               lambda: e * e, lambda: e + e):
-        with pytest.raises(TypeError):
-            op()
+    assert collect_line(x**2 - 1, [1, -1], 0, 2) == (1, 0)
 
 
 def test_root_power_reduction():
     x = UniPoly.variable("x")
     q = x * x + 1
-    ring = QuadraticRing(q)
-    assert ring.collect_line([1], 4, 0) == ring.of(q * q)
-    assert ring.collect_line([1], 5, 0) == ring.of(UniPoly("x"), q * q)
-
-
-def test_of_lifts_ints_and_still_refuses_bools():
-    ring = QuadraticRing(UniPoly("x", (-1, 0, 1)))
-    e = ring.of(3, 0)
-    assert e.a.coeffs == (3,) and e.b.coeffs == ()
-    assert ring.of(-2) == ring.of(UniPoly("x", (-2,)))
-    with pytest.raises(TypeError):
-        ring.of(True)
+    assert collect_line(q, [1], 4, 0) == (q * q, 0)
+    assert collect_line(q, [1], 5, 0) == (0, q * q)
 
 
 @pytest.mark.parametrize("max_e", [1, 9])
@@ -102,10 +70,10 @@ def test_collect_line_reads_one_term_as_a_term_by_term_sum(var, modulus, max_e):
     # max_e = 1 never reduces by s^2 = q; max_e = 9 reaches q^4.  Each term
     # is a line of one, c * s^e * x^b; a line of several is summed below.
     rng = random.Random(f"collect-{var}-{modulus}-{max_e}")
-    ring = QuadraticRing(UniPoly(var, modulus))
+    q = UniPoly(var, modulus)
     power = [1]  # q^j by a double loop over plain lists
     for j in range(max_e // 2 + 1):
-        assert ring.collect_line([1], 2 * j, 0) == ring.of(UniPoly(var, power))
+        assert collect_line(q, [1], 2 * j, 0) == (UniPoly(var, power), UniPoly(var))
         following = [0] * (len(power) + len(modulus) - 1)
         for i, a in enumerate(power):
             for k, c in enumerate(modulus):
@@ -113,7 +81,7 @@ def test_collect_line_reads_one_term_as_a_term_by_term_sum(var, modulus, max_e):
         power = following
     for trial in range(60):
         e, b, c = rng.randint(0, max_e), rng.randint(0, 4), rng.randint(-3, 3) or 1
-        assert ring.collect_line([c], e, b) == ring.of(*term_sum(ring.modulus, [(e, b, c)]))
+        assert collect_line(q, [c], e, b) == term_sum(q, [(e, b, c)])
 
 
 @pytest.mark.parametrize("scale", [1, 2])
@@ -124,7 +92,7 @@ def test_collect_line_matches_a_term_by_term_sum(modulus, scale):
     # negative entries anywhere, e = 0..3 (q^(e//2) times an odd or even part),
     # and a lowest x power of 0..3.
     rng = random.Random(f"line-{modulus}-{scale}")
-    ring = QuadraticRing(UniPoly("x", modulus))
+    q = UniPoly("x", modulus)
     for size in range(13):
         for e in range(4):
             for _ in range(8):
@@ -133,10 +101,10 @@ def test_collect_line_matches_a_term_by_term_sum(modulus, scale):
                 top = max(2 * size - 2, 0) + rng.randint(0, 3)
                 terms = [(e + 2 * k, top - 2 * k, c * scale ** (top - 2 * k))
                          for k, c in enumerate(coeffs)]
-                assert ring.collect_line(coeffs, e, top, scale) == ring.of(
-                    *term_sum(ring.modulus, terms)), (coeffs, e, top)
+                assert collect_line(q, coeffs, e, top, scale) == term_sum(q, terms), (
+                    coeffs, e, top)
     # no terms, so no power to refuse
-    assert ring.collect_line([], -3, -9, scale) == ring.of(0)
+    assert collect_line(q, [], -3, -9, scale) == term_sum(q, []) == (UniPoly("x"),) * 2
 
 
 @pytest.mark.parametrize("modulus, args", [
@@ -150,9 +118,11 @@ def test_collect_line_matches_a_term_by_term_sum(modulus, scale):
 ], ids=["4x-1", "-1", "2x^2+1", "scale-3", "scale-0", "s^-1", "x^-1"])
 def test_collect_line_refuses_what_it_cannot_add_up(modulus, args):
     # Only x^2 +/- 1 deflates to y +/- 1, only a power of two is a shift, and
-    # a negative power would be read off the wrong slots.
-    with pytest.raises(ValueError, match="collect_line got"):
-        QuadraticRing(UniPoly("x", modulus)).collect_line(*args)
+    # a negative power would be read off the wrong slots.  The one caller
+    # divides out only the powers its terms carry, so each refusal is a
+    # broken invariant, not bad input.
+    with pytest.raises(ArithmeticError, match="collect_line got"):
+        collect_line(UniPoly("x", modulus), *args)
 
 
 def test_sqrt_gamma_forms():
@@ -179,16 +149,15 @@ def test_chebyshev_specialization():
 def test_root_power_in_any_order_matches_direct_powers():
     x = UniPoly.variable("x")
     q = x * x - 1
-    ring = QuadraticRing(q)
     order = list(range(41))
     random.Random(7).shuffle(order)
     for k in order:
         q_pow = q ** (k // 2)
-        want = ring.of(UniPoly("x"), q_pow) if k % 2 else ring.of(q_pow, 0)
-        assert ring.collect_line([1], k, 0) == want == ring.of(*term_sum(q, [(k, 0, 1)]))
-        assert ring.collect_line([1], 2 * k, 0) == ring.of(q ** k)
-    with pytest.raises(ValueError):
-        ring.collect_line([1], -2, 0)
+        want = (UniPoly("x"), q_pow) if k % 2 else (q_pow, UniPoly("x"))
+        assert collect_line(q, [1], k, 0) == want == term_sum(q, [(k, 0, 1)])
+        assert collect_line(q, [1], 2 * k, 0) == (q ** k, UniPoly("x"))
+    with pytest.raises(ArithmeticError):
+        collect_line(q, [1], -2, 0)
 
 
 @pytest.mark.parametrize("bits", [0, 1, 2])

@@ -7,7 +7,6 @@ from conftest import random_poly
 from polygram import classical, gamma, triangles, verify
 from polygram.cli import main
 from polygram.poly import MultiPoly
-from polygram.quadratic import QuadraticRing
 from polygram.report import Check, Report
 from polygram.unipoly import UniPoly
 from polygram.verify import TARGETS, run_all, run_target
@@ -159,7 +158,11 @@ def test_line_check_adds_the_root_free_check(monkeypatch, modulus):
     # gives: a pass, a "got" failure, and the lowest term named when it lies
     # below the common power.
     rng = random.Random(f"line-check-{modulus}")
-    ring = QuadraticRing(UniPoly("x", modulus))
+    q = UniPoly("x", modulus)
+
+    def show(a, b):
+        return f"({a}) + ({b})*s  [s^2 = {q}]"
+
     for scale in (1, 2):
         polys, cases, want = [], [], Report("t")
         for trial in range(150):
@@ -172,7 +175,7 @@ def test_line_check_adds_the_root_free_check(monkeypatch, modulus):
                                        for k, c in enumerate(coeffs)})
             power = rng.randint(0, 7)
             terms = [(a - power, b, c * scale ** b) for (a, b), c in p.terms.items()]
-            right = term_sum(ring.modulus, terms if low >= power else [])
+            right = term_sum(q, terms if low >= power else [])
             polys.append(p)
             cases.append((("p", power, right), ("p", power, (right[0] + 1, right[1]))))
             for case in cases[-1]:
@@ -181,12 +184,37 @@ def test_line_check_adds_the_root_free_check(monkeypatch, modulus):
                     want.add(Check("p", trial, False,
                                    f"term {term} lies below the common power f^{power}"))
                 else:
-                    want.expect("p", trial, ring.of(*right), ring.of(*case[2]))
+                    ok = right == case[2]
+                    want.add(Check("p", trial, ok,
+                                   "" if ok else f"got {show(*right)}, want {show(*case[2])}"))
         assert all(len(lines_of(p)) <= 1 for p in polys)
-        got = specialize(monkeypatch, polys, ring.modulus, scale, cases.__getitem__)
+        got = specialize(monkeypatch, polys, q, scale, cases.__getitem__)
         assert got == want, scale
         details = [c.detail for c in got.checks]
         assert "" in details and any("lies below the common power f^" in d for d in details)
+
+
+def test_a_want_on_another_letter_fails_its_check(monkeypatch):
+    # The got pair lies on the modulus's letter; a want on another letter is
+    # a failed check, not an error.
+    q = UniPoly("x", (-1, 0, 1))
+    p = MultiPoly(("f", "g"), {(2, 0): 1})  # f^2 -> s^2 = x^2 - 1
+    for want, ok in (((q, 0), True), ((UniPoly("y", q.coeffs), 0), False)):
+        report = specialize(monkeypatch, [p], q, 1, lambda n: (("p", 0, want),))
+        assert [c.ok for c in report.checks] == [ok]
+    assert report.checks[0].detail == (
+        "got (-1 + x^2) + (0)*s  [s^2 = -1 + x^2], want (-1 + y^2) + (0)*s  [s^2 = -1 + x^2]")
+
+
+def test_a_failed_line_check_names_both_pairs(monkeypatch):
+    # The failure text of a line check, an int part of the want printed as 0
+    # like a zero UniPoly; an int part that matches passes.
+    q = UniPoly("x", (1, 0, 1))
+    p = MultiPoly(("f", "g"), {(1, 0): 3, (1, 2): 1})  # 3 s + s x^2
+    cases = (("p", 0, (0, UniPoly("x", (3, 0, 1)))), ("p", 0, (1, 3)))
+    report = specialize(monkeypatch, [p], q, 1, lambda n: cases)
+    assert report.checks == [Check("p", 0, True), Check("p", 0, False, (
+        "got (0) + (3 + x^2)*s  [s^2 = 1 + x^2], want (1) + (3)*s  [s^2 = 1 + x^2]"))]
 
 
 @pytest.mark.parametrize("target, rules, off_line", [
